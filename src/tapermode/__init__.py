@@ -29,7 +29,6 @@ from .core import (
     TrapConfig,
     gradient,
     hessian,
-    hessian_axis_block,
     potential_energy,
 )
 from .dynamics import (
@@ -41,6 +40,7 @@ from .dynamics import (
     linear_response_spectrum,
     ring_down,
     simulate_spectrum,
+    synthesize_spectrum,
     total_energy,
     wrap_phase,
 )
@@ -112,7 +112,6 @@ __all__ = [
     "fit_profile",
     "gradient",
     "hessian",
-    "hessian_axis_block",
     "linear_reference",
     "linear_response_spectrum",
     "lorentzian_sum",
@@ -126,6 +125,7 @@ __all__ = [
     "select_beam",
     "simulate_spectrum",
     "site_frequencies",
+    "synthesize_spectrum",
     "total_energy",
     "wrap_phase",
     "__version__",

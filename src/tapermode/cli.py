@@ -26,7 +26,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping
@@ -36,11 +35,11 @@ import numpy as np
 from .analysis import analyze_spectrum
 from .core import TWO_PI, TrapConfig
 from .dynamics import (
+    SPECTRUM_SOURCES,
     BeamSpec,
     DriveScan,
     SpectrumResult,
-    linear_response_spectrum,
-    simulate_spectrum,
+    synthesize_spectrum,
 )
 from .equilibrium import chain_positions_dimensionless, equilibrium_positions
 from .errors import (
@@ -129,8 +128,8 @@ def drive_settings(data: Mapping) -> dict:
     section = data.get("drive", {})
     _check_keys("drive", section, _DRIVE_KEYS)
     model = section.get("model", "full")
-    if model not in ("full", "linearized", "response"):
-        raise ConfigError(f"drive model must be full, linearized, or response, got {model!r}")
+    if model not in SPECTRUM_SOURCES:
+        raise ConfigError(f"drive model must be one of {SPECTRUM_SOURCES}, got {model!r}")
     return {
         "gamma": TWO_PI * float(section.get("gamma_hz", DEFAULT_GAMMA_HZ)),
         "force": float(section.get("force_amplitude_n", DEFAULT_FORCE_N)),
@@ -296,7 +295,7 @@ def cmd_sweep(args) -> int:
     direction = data.get("beam", {}).get("axis", "x")
     if direction not in ("x", "y"):
         raise ConfigError("sweep direction (beam axis) must be 'x' or 'y'")
-    result = run_sweep(config, grid, direction=direction, threads=_threads(args))
+    result = run_sweep(config, grid, direction=direction)
     with _CsvTarget(args.out) as writer:
         writer.writerow(
             ["omega_z_hz", "mode_label", "frequency_hz"]
@@ -328,9 +327,7 @@ def _synthesize_cli(config: TrapConfig, data: Mapping) -> SpectrumResult:
         measure_cycles=drive["measure_cycles"],
         steps_per_period=drive["steps_per_period"],
     )
-    if drive["model"] == "response":
-        return linear_response_spectrum(config, scan, beam)
-    return simulate_spectrum(config, scan, beam, model=drive["model"])
+    return synthesize_spectrum(config, scan, beam, drive["model"])
 
 
 def cmd_simulate(args) -> int:
@@ -455,7 +452,7 @@ def cmd_pipeline(args) -> int:
     plan = experiment_plan(data, grid, direction)
     settings = analysis_settings(data, config.n_ions)
     seed = args.seed if args.seed is not None else settings["noise_seed"]
-    report = run_experiment(config, plan, seed=seed, threads=_threads(args))
+    report = run_experiment(config, plan, seed=seed)
     summary = report.summary
     log.info(
         "pipeline: %d points (%d failed), max frequency error %.3g Hz",
@@ -505,32 +502,13 @@ def cmd_pipeline(args) -> int:
 
 # -- entry point --------------------------------------------------------------
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        raw = os.environ.get("TAPERMODE_THREADS", "")
-        if raw:
-            try:
-                n = int(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"TAPERMODE_THREADS must be an integer, got {raw!r}"
-                ) from exc
-        else:
-            n = 1
-    if n < 1:
-        raise ConfigError("thread count must be at least 1")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON configuration file")
     common.add_argument("--out", metavar="PATH", help="output file (or directory for pipeline); stdout when omitted")
     common.add_argument("--seed", type=int, metavar="N", help="noise seed (overrides analysis.noise_seed)")
     common.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (default: $TAPERMODE_THREADS or 1)")
+                        help="ignored; accepted for compatibility, every command runs serially")
     common.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
     parser = argparse.ArgumentParser(

@@ -221,12 +221,14 @@ class TrapConfig:
 def _pair_geometry(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise separation vectors and distances with the diagonal masked.
 
-    Returns ``(diff, dist)`` where ``diff[i, j] = r_i - r_j`` and
-    ``dist[i, i] = inf`` so that self-interaction terms vanish.
+    Returns ``(diff, dist)`` where ``diff[..., i, j, :] = r_i - r_j`` and
+    ``dist[..., i, i] = inf`` so that self-interaction terms vanish; any
+    leading batch axes of ``positions`` [..., N, 3] are carried through.
     """
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(dist, np.inf)
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    dist = np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    idx = np.arange(positions.shape[-2])
+    dist[..., idx, idx] = np.inf
     return diff, dist
 
 
@@ -246,21 +248,24 @@ def potential_energy(config: TrapConfig, positions: np.ndarray) -> float:
 
 
 def gradient(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
-    """Gradient dV/dr [N, 3] in J/m at ``positions`` [N, 3] m."""
-    r = _check_positions(config, positions)
-    x, y, z = r[:, 0], r[:, 1], r[:, 2]
+    """Gradient dV/dr [..., N, 3] in J/m at ``positions`` [..., N, 3] m.
+
+    Leading axes are independent chains (a batch), evaluated in one pass.
+    """
+    r = _check_positions(config, positions, batch=True)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
     fz = config.funnel_factor(z)
     m = config.mass
     wx2, wy2, wz2 = config.omega_x**2, config.omega_y**2, config.omega_z**2
     inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
 
     grad = np.empty_like(r)
-    grad[:, 0] = m * fz * wx2 * x
-    grad[:, 1] = m * fz * wy2 * y
-    grad[:, 2] = m * wz2 * z + m * inv_l * (wx2 * x**2 + wy2 * y**2)
+    grad[..., 0] = m * fz * wx2 * x
+    grad[..., 1] = m * fz * wy2 * y
+    grad[..., 2] = m * wz2 * z + m * inv_l * (wx2 * x**2 + wy2 * y**2)
 
     diff, dist = _pair_geometry(r)
-    grad -= config.coulomb_coupling * np.sum(diff / dist[:, :, None] ** 3, axis=1)
+    grad -= config.coulomb_coupling * np.einsum("...ijk,...ij->...ik", diff, dist**-3)
     return grad
 
 
@@ -278,44 +283,31 @@ def hessian(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
     wx2, wy2, wz2 = config.omega_x**2, config.omega_y**2, config.omega_z**2
     inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
 
-    hess = np.zeros((3 * n, 3 * n))
-    for i in range(n):
-        block = np.array([
-            [m * fz[i] * wx2, 0.0, 2.0 * m * inv_l * wx2 * x[i]],
-            [0.0, m * fz[i] * wy2, 2.0 * m * inv_l * wy2 * y[i]],
-            [2.0 * m * inv_l * wx2 * x[i], 2.0 * m * inv_l * wy2 * y[i], m * wz2],
-        ])
-        hess[3 * i:3 * i + 3, 3 * i:3 * i + 3] += block
+    trap = np.zeros((n, 3, 3))
+    trap[:, 0, 0] = m * fz * wx2
+    trap[:, 1, 1] = m * fz * wy2
+    trap[:, 2, 2] = m * wz2
+    trap[:, 0, 2] = trap[:, 2, 0] = 2.0 * m * inv_l * wx2 * x
+    trap[:, 1, 2] = trap[:, 2, 1] = 2.0 * m * inv_l * wy2 * y
 
+    # Coulomb block of pair (i, j): kq2 (3 s s^T - d^2 I) / d^5 with
+    # s = r_i - r_j; it vanishes for i = j, where d is masked to inf.
     diff, dist = _pair_geometry(r)
-    kq2 = config.coulomb_coupling
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = diff[i, j]
-            d = dist[i, j]
-            pair = kq2 * (3.0 * np.outer(s, s) - d**2 * np.eye(3)) / d**5
-            hess[3 * i:3 * i + 3, 3 * i:3 * i + 3] += pair
-            hess[3 * j:3 * j + 3, 3 * j:3 * j + 3] += pair
-            hess[3 * i:3 * i + 3, 3 * j:3 * j + 3] -= pair
-            hess[3 * j:3 * j + 3, 3 * i:3 * i + 3] -= pair
-    return hess
+    d = dist[:, :, None, None]
+    pair = config.coulomb_coupling * (
+        3.0 * diff[:, :, :, None] * diff[:, :, None, :] / d**5 - np.eye(3) / d**3
+    )
+    blocks = -pair
+    idx = np.arange(n)
+    blocks[idx, idx] = trap + pair.sum(axis=1)
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
-def hessian_axis_block(config: TrapConfig, positions: np.ndarray, direction: str) -> np.ndarray:
-    """The [N, N] sub-block of the Hessian for one Cartesian direction.
-
-    Exact (equal to the corresponding rows/columns of :func:`hessian`) only
-    where the cross-direction couplings vanish, i.e. at on-axis states; used
-    for the linearized dynamics about equilibrium.
-    """
-    a = axis_index(direction)
-    return hessian(config, positions)[a::3, a::3]
-
-
-def _check_positions(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
+def _check_positions(config: TrapConfig, positions: np.ndarray, batch: bool = False) -> np.ndarray:
     r = np.asarray(positions, dtype=float)
-    if r.shape != (config.n_ions, 3):
+    if r.shape[-2:] != (config.n_ions, 3) or (r.ndim != 2 and not batch):
+        expected = "(..., {}, 3)" if batch else "({}, 3)"
         raise ConfigError(
-            f"positions must have shape ({config.n_ions}, 3), got {r.shape}"
+            f"positions must have shape {expected.format(config.n_ions)}, got {r.shape}"
         )
     return r

@@ -23,22 +23,29 @@ steady state follows the convention  x(t) ~ A sin(w_d t + phi), so
 shows ``phi = -pi/2`` and ions moving against the reference ion differ by
 ``pi`` in phase.
 
-:func:`linear_response_spectrum` solves the same linearized steady state in
-closed form, ``(K/m - w_d^2 I + i Gamma w_d I) X = (F0/m) w``; it is the
-reference the integrator is validated against.
+:func:`linear_response_spectrum` gives the same linearized steady state in
+closed form as a sum over the normal modes of the drive direction. With the
+mass-scaled stiffness ``K/m = A diag(l_k) A^T`` (eigenvalues ``l_k`` and
+orthonormal eigenvectors ``A`` from :func:`tapermode.modes.compute_modes`),
+
+    X(w_d) = A diag(1 / (l_k - w_d^2 + i Gamma w_d)) A^T (F0/m) w,
+
+which is the reference the integrator is validated against.
+:func:`synthesize_spectrum` picks one of the three models by name.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import TrapConfig, axis_index, gradient, hessian_axis_block, potential_energy
+from .core import TrapConfig, axis_index, gradient, potential_energy
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError
-from .modes import compute_modes
+from .modes import compute_modes, coupling_matrix, reference_frequency
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,7 +63,9 @@ BLOWUP_LENGTH_UNITS = 1e3
 #: Settle windows shorter than this many damping times trigger a warning.
 MIN_SETTLE_DAMPING_TIMES = 5.0
 
-MODELS = ("full", "linearized")
+#: Spectrum models: the closed-form modal response, and the time-domain
+#: integration of the linearized or the full equations of motion.
+SPECTRUM_SOURCES = ("response", "linearized", "full")
 
 BEAM_KINDS = ("broad", "focused")
 
@@ -226,28 +235,43 @@ def _warn_short_settle(scan: DriveScan) -> None:
         )
 
 
-def _batched_gradient(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
-    """:func:`tapermode.core.gradient` over a leading batch axis [B, N, 3]."""
-    r = positions
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    m = config.mass
-    wx2, wy2, wz2 = config.omega_x**2, config.omega_y**2, config.omega_z**2
-    inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
-    fz = 1.0 + 2.0 * inv_l * z
+def _lockstep_verlet(
+    accel: Callable[[np.ndarray, int], np.ndarray],
+    shape: tuple[int, ...],
+    dt: np.ndarray,
+    scan: DriveScan,
+    spp: int,
+    blowup: float,
+) -> np.ndarray:
+    """Integrate every scan point from rest and demodulate its displacement.
 
-    grad = np.empty_like(r)
-    grad[..., 0] = m * fz * wx2 * x
-    grad[..., 1] = m * fz * wy2 * y
-    grad[..., 2] = m * wz2 * z + m * inv_l * (wx2 * x**2 + wy2 * y**2)
-
-    diff = r[..., :, None, :] - r[..., None, :, :]
-    dist2 = np.sum(diff**2, axis=-1)
-    idx = np.arange(config.n_ions)
-    dist2[..., idx, idx] = np.inf
-    grad -= config.coulomb_coupling * np.sum(
-        diff * dist2[..., None] ** -1.5, axis=-2
-    )
-    return grad
+    ``accel(x, k)`` is the acceleration at displacements ``x`` [M, ...] from
+    equilibrium at drive phase index ``k``; ``dt`` [M] is each point's step.
+    Returns the complex amplitude Z [M, ...] of ``x`` over the measure window.
+    """
+    gamma = scan.damping_rate
+    dt = dt.reshape((-1,) + (1,) * (len(shape) - 1))
+    exp_tab = np.exp(-1j * TWO_PI * np.arange(spp) / spp)
+    n_steps = (scan.settle_cycles + scan.measure_cycles) * spp
+    demod_start = scan.settle_cycles * spp
+    x = np.zeros(shape)
+    v = np.zeros(shape)
+    accum = np.zeros(shape, dtype=complex)
+    force = accel(x, 0)
+    for step in range(n_steps):
+        v_half = v + 0.5 * dt * (force - gamma * v)
+        x += dt * v_half
+        phase_idx = (step + 1) % spp
+        force = accel(x, phase_idx)
+        v = (v_half + 0.5 * dt * force) / (1.0 + 0.5 * gamma * dt)
+        if step + 1 > demod_start:
+            accum += x * exp_tab[phase_idx]
+        if phase_idx == 0 and np.max(np.abs(x)) > blowup:
+            raise SimulationError(
+                f"trajectory diverged after {step + 1} steps "
+                f"(displacement exceeded {BLOWUP_LENGTH_UNITS:g} length units)"
+            )
+    return accum * (2.0 / (scan.measure_cycles * spp))
 
 
 def simulate_spectrum(
@@ -259,13 +283,12 @@ def simulate_spectrum(
     """Integrate the driven chain from rest and demodulate each scan point.
 
     ``model='full'`` integrates the complete nonlinear forces in 3-D;
-    ``model='linearized'`` integrates the Hessian dynamics of the driven
-    direction only (the other directions stay zero at linear order for an
-    on-axis chain). Raises :class:`SimulationError` if any ion moves more
-    than ``BLOWUP_LENGTH_UNITS`` chain length units away from equilibrium.
+    ``model='linearized'`` integrates the stiffness-matrix dynamics of the
+    driven direction only (the other directions stay zero at linear order
+    for an on-axis chain). Raises :class:`SimulationError` if any ion moves
+    more than ``BLOWUP_LENGTH_UNITS`` chain length units away from
+    equilibrium.
     """
-    if model not in MODELS:
-        raise ConfigError(f"unknown model {model!r}; expected one of {MODELS}")
     r0 = equilibrium_positions(config)
     weights = beam_weights(beam, r0)
     table = compute_modes(config)
@@ -277,72 +300,45 @@ def simulate_spectrum(
     _warn_short_settle(scan)
 
     wd = scan.drive_frequencies
-    n_points = wd.size
-    n = config.n_ions
-    dt = (TWO_PI / wd) / spp                      # per-point step [M]
-    gamma = scan.damping_rate
-    f0_over_m = beam.force_amplitude / config.mass
     axis = axis_index(beam.direction)
-    blowup = BLOWUP_LENGTH_UNITS * config.length_scale
-
     sin_tab = np.sin(TWO_PI * np.arange(spp) / spp)
-    exp_tab = np.exp(-1j * TWO_PI * np.arange(spp) / spp)
-    n_steps = (scan.settle_cycles + scan.measure_cycles) * spp
-    demod_start = scan.settle_cycles * spp
-    n_samples = scan.measure_cycles * spp
-    accum = np.zeros((n_points, n), dtype=complex)
+    drive = (beam.force_amplitude / config.mass * sin_tab)[:, None] * weights  # [spp, N]
 
     if model == "linearized":
-        stiffness = hessian_axis_block(config, r0, beam.direction) / config.mass
-        x = np.zeros((n_points, n))
-        v = np.zeros((n_points, n))
-        dt_col = dt[:, None]
-        force = -x @ stiffness.T + (f0_over_m * sin_tab[0]) * weights
-        for step in range(n_steps):
-            v_half = v + 0.5 * dt_col * (force - gamma * v)
-            x += dt_col * v_half
-            phase_idx = (step + 1) % spp
-            force = -x @ stiffness.T + (f0_over_m * sin_tab[phase_idx]) * weights
-            v = (v_half + 0.5 * dt_col * force) / (1.0 + 0.5 * gamma * dt_col)
-            if step + 1 > demod_start:
-                accum += x * exp_tab[phase_idx]
-            if phase_idx == 0 and np.max(np.abs(x)) > blowup:
-                raise SimulationError(
-                    f"trajectory diverged after {step + 1} steps "
-                    f"(displacement exceeded {BLOWUP_LENGTH_UNITS:g} length units)"
-                )
+        stiffness = (
+            coupling_matrix(config, beam.direction)
+            * reference_frequency(config, beam.direction) ** 2
+        )
+
+        def accel(x: np.ndarray, k: int) -> np.ndarray:
+            return drive[k] - x @ stiffness
+
+        shape: tuple[int, ...] = (wd.size, config.n_ions)
+        observed: tuple = (...,)
+    elif model == "full":
+
+        def accel(x: np.ndarray, k: int) -> np.ndarray:
+            a = gradient(config, r0 + x) / -config.mass
+            a[..., axis] += drive[k]
+            return a
+
+        shape = (wd.size, config.n_ions, 3)
+        observed = (..., axis)
     else:
-        r = np.broadcast_to(r0, (n_points, n, 3)).copy()
-        v = np.zeros((n_points, n, 3))
-        dt_col = dt[:, None, None]
+        raise ConfigError(
+            f"unknown model {model!r}; simulate_spectrum integrates 'linearized' or 'full'"
+        )
 
-        def total_force(positions: np.ndarray, phase_idx: int) -> np.ndarray:
-            f = -_batched_gradient(config, positions) / config.mass
-            f[..., axis] += (f0_over_m * sin_tab[phase_idx]) * weights
-            return f
-
-        force = total_force(r, 0)
-        for step in range(n_steps):
-            v_half = v + 0.5 * dt_col * (force - gamma * v)
-            r += dt_col * v_half
-            phase_idx = (step + 1) % spp
-            force = total_force(r, phase_idx)
-            v = (v_half + 0.5 * dt_col * force) / (1.0 + 0.5 * gamma * dt_col)
-            if step + 1 > demod_start:
-                accum += (r[..., axis] - r0[None, :, axis]) * exp_tab[phase_idx]
-            if phase_idx == 0 and np.max(np.abs(r - r0)) > blowup:
-                raise SimulationError(
-                    f"trajectory diverged after {step + 1} steps "
-                    f"(displacement exceeded {BLOWUP_LENGTH_UNITS:g} length units)"
-                )
-
-    z = accum * (2.0 / n_samples)
+    z = _lockstep_verlet(
+        accel, shape, (TWO_PI / wd) / spp, scan, spp,
+        BLOWUP_LENGTH_UNITS * config.length_scale,
+    )[observed]
     return SpectrumResult(
         drive_frequencies=wd.copy(),
         amplitude=np.abs(z),
         phase=wrap_phase(np.angle(z) + np.pi / 2),
         direction=beam.direction,
-        damping_rate=gamma,
+        damping_rate=scan.damping_rate,
         model=model,
         steps_per_period=spp,
         settle_cycles=scan.settle_cycles,
@@ -355,32 +351,50 @@ def linear_response_spectrum(
     scan: DriveScan,
     beam: BeamSpec,
 ) -> SpectrumResult:
-    """Closed-form linearized steady state of the same scan."""
-    r0 = equilibrium_positions(config)
-    weights = beam_weights(beam, r0)
-    stiffness = hessian_axis_block(config, r0, beam.direction) / config.mass
-    gamma = scan.damping_rate
-    f_over_m = beam.force_amplitude / config.mass
-    identity = np.eye(config.n_ions)
+    """Closed-form linearized steady state of the same scan, as a modal sum.
 
+    Raises :class:`SolverError` when the on-axis chain is unstable (e.g.
+    past the radial zigzag instability), where no steady state exists.
+    """
+    table = compute_modes(config)
+    direction = beam.direction
+    vectors = table.matrix(direction)
+    eigenvalues = np.array([m.eigenvalue for m in table.by_direction(direction)])
+    stiffness = eigenvalues * reference_frequency(config, direction) ** 2
+    weights = beam_weights(beam, equilibrium_positions(config))
+    modal_force = vectors.T @ (beam.force_amplitude / config.mass * weights)
+    gamma = scan.damping_rate
     wd = scan.drive_frequencies
-    solution = np.empty((wd.size, config.n_ions), dtype=complex)
-    rhs = f_over_m * weights
-    for k, w in enumerate(wd):
-        solution[k] = np.linalg.solve(
-            stiffness - w**2 * identity + 1j * gamma * w * identity, rhs
-        )
+    w = wd[:, None]
+    solution = (modal_force / (stiffness - w**2 + 1j * gamma * w)) @ vectors.T
     return SpectrumResult(
         drive_frequencies=wd.copy(),
         amplitude=np.abs(solution),
         phase=wrap_phase(np.angle(solution)),
-        direction=beam.direction,
+        direction=direction,
         damping_rate=gamma,
         model="response",
         steps_per_period=None,
         settle_cycles=scan.settle_cycles,
         measure_cycles=scan.measure_cycles,
     )
+
+
+def synthesize_spectrum(
+    config: TrapConfig,
+    scan: DriveScan,
+    beam: BeamSpec,
+    source: str,
+) -> SpectrumResult:
+    """The steady-state spectrum of one of ``SPECTRUM_SOURCES``.
+
+    ``'response'`` is the closed-form modal sum; ``'linearized'`` and
+    ``'full'`` integrate the equations of motion in the time domain, and
+    :func:`simulate_spectrum` rejects any other name.
+    """
+    if source == "response":
+        return linear_response_spectrum(config, scan, beam)
+    return simulate_spectrum(config, scan, beam, model=source)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ radial direction d (effective frequency w_d, beta = wz/w_d, taper t = 2 lam/L):
     A_ii = 1 + t u_i - beta^2 sum_{j != i} 1/|u_i - u_j|^3
     A_ij = + beta^2 / |u_i - u_j|^3            (i != j)
 
-axial:
+axial (the Jacobian of the equilibrium force balance,
+:func:`tapermode.equilibrium.axial_curvature`):
 
     B_ii = 1 + sum_{j != i} 2/|u_i - u_j|^3
     B_ij = - 2 / |u_i - u_j|^3                 (i != j)
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .core import TrapConfig
-from .equilibrium import chain_positions_dimensionless
+from .equilibrium import axial_curvature, chain_positions_dimensionless
 from .errors import ConfigError, SolverError
 
 DIRECTIONS = ("x", "y", "z")
@@ -47,17 +48,6 @@ def radial_coupling_matrix(u: np.ndarray, beta: float, taper_ratio: float) -> np
     inv_d3 = 1.0 / np.abs(diff) ** 3
     mat = beta**2 * inv_d3
     np.fill_diagonal(mat, 1.0 + taper_ratio * u - beta**2 * np.sum(inv_d3, axis=1))
-    return mat
-
-
-def axial_coupling_matrix(u: np.ndarray) -> np.ndarray:
-    """Dimensionless axial stiffness matrix B for site positions u [N]."""
-    u = np.asarray(u, dtype=float)
-    diff = u[:, None] - u[None, :]
-    np.fill_diagonal(diff, np.inf)
-    inv_d3 = 1.0 / np.abs(diff) ** 3
-    mat = -2.0 * inv_d3
-    np.fill_diagonal(mat, 1.0 + 2.0 * np.sum(inv_d3, axis=1))
     return mat
 
 
@@ -114,7 +104,7 @@ def coupling_matrix(config: TrapConfig, direction: str, u: np.ndarray | None = N
     if u is None:
         u = chain_positions_dimensionless(config.n_ions)
     if direction == "z":
-        return axial_coupling_matrix(u)
+        return axial_curvature(u)
     if direction in ("x", "y"):
         return radial_coupling_matrix(u, config.beta(direction), config.taper_ratio)
     raise ConfigError(f"unknown direction {direction!r}")

@@ -21,7 +21,6 @@ to emulate extra damping from the always-on broad beam.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,13 @@ from scipy.optimize import linear_sum_assignment
 from .analysis import analyze_spectrum, fit_lorentzian_sum
 from .core import TWO_PI, TrapConfig
 from .dynamics import (
+    SPECTRUM_SOURCES,
     BeamSpec,
     DriveScan,
     SpectrumResult,
     beam_weights,
     linear_response_spectrum,
-    simulate_spectrum,
+    synthesize_spectrum,
     wrap_phase,
 )
 from .equilibrium import equilibrium_positions
@@ -48,9 +48,6 @@ DEFAULT_OMEGA_Z_GRID = TWO_PI * np.linspace(47e3, 205e3, 12)
 #: Components smaller than this in the prediction are excluded from the
 #: sign comparison (their fitted sign carries no information).
 SIGN_CHECK_THRESHOLD = 0.1
-
-#: Spectrum synthesis backends.
-SPECTRUM_SOURCES = ("response", "linearized", "full")
 
 
 @dataclass(frozen=True)
@@ -244,9 +241,7 @@ def _synthesize(config, plan, beam, drive_frequencies, damping_rate) -> Spectrum
         integrator_step=plan.integrator_step,
         steps_per_period=plan.steps_per_period,
     )
-    if plan.spectrum_source == "response":
-        return linear_response_spectrum(config, scan, beam)
-    return simulate_spectrum(config, scan, beam, model=plan.spectrum_source)
+    return synthesize_spectrum(config, scan, beam, plan.spectrum_source)
 
 
 def _add_noise(spectrum: SpectrumResult, fraction: float, rng) -> SpectrumResult:
@@ -368,10 +363,12 @@ def run_experiment(
 
     ``seed`` makes the synthetic measurement noise reproducible (each grid
     point draws from an independently spawned child stream, so results do
-    not depend on evaluation order or thread count). ``threads``
-    parallelizes over grid points. Raises :class:`SolverError` only when
-    more than half the points fail; individual failures are recorded in
-    their :class:`PointResult`.
+    not depend on evaluation order). The grid points run one after another;
+    ``threads`` is accepted for compatibility and ignored, because worker
+    threads hold the GIL through the per-point work and ran slower than
+    this serial loop. Raises :class:`SolverError` only when more than half
+    the points fail; individual failures are recorded in their
+    :class:`PointResult`.
     """
     grid = plan.omega_z_values
     children = np.random.SeedSequence(seed).spawn(grid.size)
@@ -383,11 +380,7 @@ def run_experiment(
         except TapermodeError as exc:
             return _failed_point(config, plan, omega_z, str(exc))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(solve, range(grid.size)))
-    else:
-        points = tuple(solve(i) for i in range(grid.size))
+    points = tuple(solve(i) for i in range(grid.size))
 
     failures = [p for p in points if p.failure is not None]
     if 2 * len(failures) > len(points):

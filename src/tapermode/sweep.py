@@ -15,7 +15,6 @@ plotting taper-induced structure.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import TrapConfig
 from .errors import ConfigError, SolverError
-from .modes import ModeTable, compute_modes, linear_reference, participation_ratio
+from .modes import compute_modes, linear_reference, participation_ratio
 
 TRACKING_OVERLAP_MIN = 0.5
 
@@ -95,22 +94,17 @@ def run_sweep(
     """Track the modes along ``direction`` over the given axial frequencies.
 
     ``omega_z_values`` are angular frequencies [rad/s]; they are processed in
-    ascending order. ``threads`` > 1 parallelizes the per-point eigensolves;
-    results are identical to the serial ones.
+    ascending order. ``threads`` is accepted for compatibility and ignored:
+    the per-point eigensolves hold the GIL, and worker threads ran slower
+    than this serial loop.
     """
     omegas = np.sort(np.asarray(omega_z_values, dtype=float))
     if omegas.size < 1:
         raise ConfigError("sweep needs at least one omega_z value")
     configs = [config.replace(omega_z=float(w)) for w in omegas]
-
-    def solve(cfg: TrapConfig) -> tuple[ModeTable, ModeTable]:
-        return compute_modes(cfg, (direction,)), linear_reference(cfg, direction)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, configs))
-    else:
-        solved = [solve(cfg) for cfg in configs]
+    solved = [
+        (compute_modes(cfg, (direction,)), linear_reference(cfg, direction)) for cfg in configs
+    ]
 
     n = config.n_ions
     # Track identities forward from the lowest omega_z.

@@ -119,21 +119,20 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", config]) == 2
         assert "must be 'x' or 'y'" in capsys.readouterr().err
 
-    def test_env_thread_count(self, tmp_path, capsys, monkeypatch):
+    def test_thread_environment_is_ignored(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, self.CONFIG)
-        monkeypatch.setenv("TAPERMODE_THREADS", "2")
         assert cli.main(["sweep", "--config", config]) == 0
-        capsys.readouterr()
+        serial = capsys.readouterr().out
         monkeypatch.setenv("TAPERMODE_THREADS", "many")
-        assert cli.main(["sweep", "--config", config]) == 2
-        assert "TAPERMODE_THREADS" in capsys.readouterr().err
+        assert cli.main(["sweep", "--config", config]) == 0
+        assert capsys.readouterr().out == serial
 
-    def test_thread_flag_beats_environment(self, tmp_path, monkeypatch, capsys):
+    def test_thread_flag_is_accepted_and_ignored(self, tmp_path, capsys):
         config = write_config(tmp_path, self.CONFIG)
-        monkeypatch.setenv("TAPERMODE_THREADS", "many")
+        assert cli.main(["sweep", "--config", config]) == 0
+        serial = capsys.readouterr().out
         assert cli.main(["sweep", "--config", config, "--threads", "2"]) == 0
-        capsys.readouterr()
-        assert cli.main(["sweep", "--config", config, "--threads", "0"]) == 2
+        assert capsys.readouterr().out == serial
 
 
 class TestSimulateAndFit:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import constants
 
 from tapermode.core import (
@@ -10,12 +12,11 @@ from tapermode.core import (
     TrapConfig,
     gradient,
     hessian,
-    hessian_axis_block,
     potential_energy,
 )
-from tapermode.equilibrium import equilibrium_positions
+from tapermode.equilibrium import chain_positions_dimensionless, equilibrium_positions
 from tapermode.errors import ConfigError
-from tapermode.modes import coupling_matrix
+from tapermode.modes import coupling_matrix, radial_coupling_matrix, reference_frequency
 
 
 def random_states(config, count, seed):
@@ -139,6 +140,47 @@ class TestDerivatives:
             hess = hessian(config, r)
             assert np.allclose(hess, hess.T, rtol=0, atol=1e-9 * np.max(np.abs(hess)))
 
+    @pytest.mark.parametrize("n_ions", [3, 6])
+    def test_hessian_matches_pairwise_loop(self, n_ions):
+        """The vectorized Hessian equals an explicit per-ion, per-pair assembly."""
+        config = TrapConfig(n_ions=n_ions)
+        m, kq2 = config.mass, config.coulomb_coupling
+        wx2, wy2, wz2 = config.omega_x**2, config.omega_y**2, config.omega_z**2
+        inv_l = 1.0 / config.funnel_length
+        for r in random_states(config, 5, seed=6):
+            expected = np.zeros((3 * n_ions, 3 * n_ions))
+            for i, (x, y, z) in enumerate(r):
+                fz = 1.0 + 2.0 * z * inv_l
+                expected[3 * i:3 * i + 3, 3 * i:3 * i + 3] = [
+                    [m * fz * wx2, 0.0, 2.0 * m * inv_l * wx2 * x],
+                    [0.0, m * fz * wy2, 2.0 * m * inv_l * wy2 * y],
+                    [2.0 * m * inv_l * wx2 * x, 2.0 * m * inv_l * wy2 * y, m * wz2],
+                ]
+            for i in range(n_ions):
+                for j in range(i + 1, n_ions):
+                    s = r[i] - r[j]
+                    d = np.linalg.norm(s)
+                    pair = kq2 * (3.0 * np.outer(s, s) - d**2 * np.eye(3)) / d**5
+                    expected[3 * i:3 * i + 3, 3 * i:3 * i + 3] += pair
+                    expected[3 * j:3 * j + 3, 3 * j:3 * j + 3] += pair
+                    expected[3 * i:3 * i + 3, 3 * j:3 * j + 3] -= pair
+                    expected[3 * j:3 * j + 3, 3 * i:3 * i + 3] -= pair
+            hess = hessian(config, r)
+            assert np.max(np.abs(hess - expected)) < 1e-13 * np.max(np.abs(expected))
+
+    def test_gradient_batch_axis_matches_single_chains(self):
+        config = TrapConfig()
+        states = np.array(random_states(config, 6, seed=7)).reshape(2, 3, 3, 3)
+        batched = gradient(config, states)
+        assert batched.shape == states.shape
+        for index in np.ndindex(2, 3):
+            single = gradient(config, states[index])
+            assert np.max(np.abs(batched[index] - single)) <= 1e-14 * np.max(np.abs(single))
+        with pytest.raises(ConfigError):
+            gradient(config, np.zeros((4, 2, 3)))
+        with pytest.raises(ConfigError):
+            hessian(config, states)
+
     def test_gradient_vanishes_at_equilibrium(self):
         config = TrapConfig()
         g = gradient(config, equilibrium_positions(config))
@@ -160,16 +202,49 @@ class TestDerivatives:
     def test_axis_block_matches_dimensionless_matrix(self):
         """Physical Hessian block == m * omega_dir^2 * dimensionless matrix."""
         config = TrapConfig()
-        r0 = equilibrium_positions(config)
-        for direction, omega in (
+        hess = hessian(config, equilibrium_positions(config))
+        for a, (direction, omega) in enumerate((
             ("x", config.omega_x),
             ("y", config.omega_y),
             ("z", config.omega_z),
-        ):
-            block = hessian_axis_block(config, r0, direction)
+        )):
+            block = hess[a::3, a::3]
             dimensionless = block / (config.mass * omega**2)
             assert np.allclose(
                 dimensionless, coupling_matrix(config, direction), atol=1e-12
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_ions=st.integers(2, 12),
+        funnel_mm=st.one_of(st.just(math.inf), st.floats(0.5, 50.0)),
+        beta_fraction=st.floats(0.05, 0.9),
+    )
+    def test_on_axis_hessian_is_the_coupling_matrices(self, n_ions, funnel_mm, beta_fraction):
+        """Below the zigzag the on-axis Hessian splits into m w_ref^2 * coupling."""
+        # Straight-trap zigzag threshold: A(beta) = I - beta^2 (I - A(1)).
+        u = chain_positions_dimensionless(n_ions)
+        coulomb = np.eye(n_ions) - radial_coupling_matrix(u, 1.0, 0.0)
+        beta = beta_fraction / math.sqrt(np.linalg.eigvalsh(coulomb)[-1])
+        omega_x0 = TWO_PI * 1e6
+        config = TrapConfig(
+            n_ions=n_ions,
+            omega_z=beta * omega_x0 / math.sqrt(1.0 + beta**2 / 2.0),
+            omega_x0=omega_x0,
+            omega_y0=1.1 * omega_x0,
+            funnel_length=1e-3 * funnel_mm,
+        )
+        assume(np.linalg.eigvalsh(coupling_matrix(config, "x"))[0] > 0)
+
+        hess = hessian(config, equilibrium_positions(config))
+        scale = np.max(np.abs(hess))
+        for a, direction in enumerate(("x", "y", "z")):
+            for b in range(3):
+                if b != a:
+                    assert np.max(np.abs(hess[a::3, b::3])) < 1e-12 * scale
+            unit = config.mass * reference_frequency(config, direction) ** 2
+            assert np.allclose(
+                hess[a::3, a::3] / unit, coupling_matrix(config, direction), atol=1e-12
             )
 
     def test_taper_couples_radial_displacement_to_axial_force(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tapermode.core import TWO_PI, TrapConfig
+from tapermode.core import TWO_PI, TrapConfig, hessian
 from tapermode.dynamics import (
     BeamSpec,
     DriveScan,
@@ -16,7 +16,7 @@ from tapermode.dynamics import (
     wrap_phase,
 )
 from tapermode.equilibrium import equilibrium_positions
-from tapermode.errors import ConfigError, SimulationError
+from tapermode.errors import ConfigError, SimulationError, SolverError
 from tapermode.modes import compute_modes
 
 CONFIG = TrapConfig()
@@ -205,6 +205,44 @@ class TestChainSpectra:
         assert np.all(sim.amplitude == 0.0)
         sim_full = simulate_spectrum(CONFIG, scan, quiet, model="full")
         assert np.max(sim_full.amplitude) < 1e-14
+
+    @pytest.mark.parametrize("direction", ["x", "z"])
+    @pytest.mark.parametrize("kind", ["broad", "focused"])
+    def test_response_matches_dense_solve(self, direction, kind):
+        """The modal sum equals a per-frequency solve with the full Hessian."""
+        config = CONFIG.replace(n_ions=7)
+        r0 = equilibrium_positions(config)
+        a = "xyz".index(direction)
+        stiffness = hessian(config, r0)[a::3, a::3] / config.mass
+        omega = np.sqrt(np.linalg.eigvalsh(stiffness))
+        grid = np.linspace(0.9 * omega[0], 1.1 * omega[-1], 101)
+        scan = DriveScan(grid, damping_rate=GAMMA)
+        beam = BeamSpec(kind, FORCE, direction=direction, waist_radius=17e-6,
+                        center_z=float(r0[2, 2]))
+        rhs = FORCE / config.mass * beam_weights(beam, r0)
+        identity = np.eye(config.n_ions)
+        expected = np.array([
+            np.linalg.solve(stiffness - w**2 * identity + 1j * GAMMA * w * identity, rhs)
+            for w in grid
+        ])
+        got = linear_response_spectrum(config, scan, beam)
+        measured = got.amplitude * np.exp(1j * got.phase)
+        assert np.max(np.abs(measured - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("direction", ["x", "z"])
+    def test_response_past_zigzag_raises(self, direction):
+        """Three ions with beta^2 > 5/12 have no stable on-axis steady state."""
+        beta, omega_x0 = 0.7, TWO_PI * 1e6
+        config = TrapConfig(
+            omega_z=beta * omega_x0 / math.sqrt(1.0 + beta**2 / 2.0),
+            omega_x0=omega_x0,
+            omega_y0=omega_x0,
+            funnel_length=math.inf,
+        )
+        assert config.beta("x") ** 2 > 5.0 / 12.0
+        scan = DriveScan(np.linspace(0.5, 1.5, 11) * config.omega_x, damping_rate=GAMMA)
+        with pytest.raises(SolverError, match="unstable"):
+            linear_response_spectrum(config, scan, BeamSpec("broad", FORCE, direction=direction))
 
     def test_unknown_model_rejected(self, scan, beam):
         with pytest.raises(ConfigError, match="model"):

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from tapermode.core import TWO_PI, TrapConfig
-from tapermode.equilibrium import chain_positions_dimensionless
+from tapermode.equilibrium import axial_curvature, chain_positions_dimensionless
 from tapermode.errors import ConfigError, SolverError
 from tapermode.modes import (
-    axial_coupling_matrix,
     canonical_sign,
     compute_modes,
     coupling_matrix,
@@ -69,21 +68,21 @@ class TestCouplingMatrices:
         u = chain_positions_dimensionless(4)
         beta, taper = 0.17, 0.03
         radial = radial_coupling_matrix(u, beta, taper)
-        axial = axial_coupling_matrix(u)
+        axial = axial_curvature(u)
         expected = np.eye(4) + taper * np.diag(u) - 0.5 * beta**2 * (axial - np.eye(4))
         assert np.allclose(radial, expected, atol=1e-14)
 
     def test_matrices_are_symmetric(self):
         u = chain_positions_dimensionless(5)
         radial = radial_coupling_matrix(u, 0.2, 0.05)
-        axial = axial_coupling_matrix(u)
+        axial = axial_curvature(u)
         assert np.array_equal(radial, radial.T)
         assert np.array_equal(axial, axial.T)
 
     def test_axial_com_row_sums_to_one(self):
         """Uniform motion feels only the trap: row sums of the axial matrix are 1."""
         u = chain_positions_dimensionless(6)
-        assert axial_coupling_matrix(u).sum(axis=1) == pytest.approx(np.ones(6))
+        assert axial_curvature(u).sum(axis=1) == pytest.approx(np.ones(6))
 
     def test_config_level_matrix_uses_equilibrium(self):
         config = TrapConfig()
