@@ -143,6 +143,14 @@ def drive_settings(data: Mapping) -> dict:
     }
 
 
+def beam_axis(data: Mapping) -> str:
+    """The radial axis ('x' or 'y') that sweeps, fits and pipelines work along."""
+    axis = data.get("beam", {}).get("axis", "x")
+    if axis not in ("x", "y"):
+        raise ConfigError(f"beam axis must be 'x' or 'y', got {axis!r}")
+    return axis
+
+
 def beam_spec(data: Mapping, config: TrapConfig, force: float) -> BeamSpec:
     """Build the excitation beam from the ``beam`` config section."""
     section = data.get("beam", {})
@@ -292,10 +300,7 @@ def cmd_sweep(args) -> int:
     data = load_config(args.config)
     config = trap_config(data)
     grid, linear_reference = sweep_settings(data)
-    direction = data.get("beam", {}).get("axis", "x")
-    if direction not in ("x", "y"):
-        raise ConfigError("sweep direction (beam axis) must be 'x' or 'y'")
-    result = run_sweep(config, grid, direction=direction)
+    result = run_sweep(config, grid, direction=beam_axis(data))
     with _CsvTarget(args.out) as writer:
         writer.writerow(
             ["omega_z_hz", "mode_label", "frequency_hz"]
@@ -343,8 +348,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_spectrum_csv(path: str) -> SpectrumResult:
-    """Load a spectrum written by ``simulate`` back into memory."""
+def _read_spectrum_csv(path: str, direction: str) -> SpectrumResult:
+    """Load a spectrum written by ``simulate``, driven along ``direction``."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -385,7 +390,7 @@ def _read_spectrum_csv(path: str) -> SpectrumResult:
         drive_frequencies=TWO_PI * np.asarray(freqs),
         amplitude=amplitude,
         phase=phase,
-        direction="x",
+        direction=direction,
         damping_rate=float("nan"),
         model="loaded",
         steps_per_period=None,
@@ -396,7 +401,7 @@ def _read_spectrum_csv(path: str) -> SpectrumResult:
 
 def cmd_fit(args) -> int:
     data = load_config(args.config)
-    spectrum = _read_spectrum_csv(args.input)
+    spectrum = _read_spectrum_csv(args.input, beam_axis(data))
     settings = analysis_settings(data, spectrum.n_ions)
     result = analyze_spectrum(spectrum, n_modes=settings["n_peaks"])
     free, per_ion, vectors = result.lorentzians, result.per_ion, result.vectors
@@ -446,10 +451,7 @@ def cmd_pipeline(args) -> int:
     data = load_config(args.config)
     config = trap_config(data)
     grid, _ = sweep_settings(data)
-    direction = data.get("beam", {}).get("axis", "x")
-    if direction not in ("x", "y"):
-        raise ConfigError("pipeline direction (beam axis) must be 'x' or 'y'")
-    plan = experiment_plan(data, grid, direction)
+    plan = experiment_plan(data, grid, beam_axis(data))
     settings = analysis_settings(data, config.n_ions)
     seed = args.seed if args.seed is not None else settings["noise_seed"]
     report = run_experiment(config, plan, seed=seed)

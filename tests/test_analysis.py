@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
 from tapermode.analysis import (
     PHASE_SIGN_THRESHOLD,
+    PROFILE_QUAD_RTOL,
     WIDTH_FLOOR_STEPS,
     ProfileFit,
     analyze_spectrum,
@@ -17,6 +21,7 @@ from tapermode.analysis import (
     reconstruct_eigenvectors,
     _free_jacobian,
     _free_model,
+    _profile_model,
 )
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.dynamics import BeamSpec, DriveScan, SpectrumResult, linear_response_spectrum
@@ -242,6 +247,17 @@ class TestAnalyzeSpectrum:
         assert analysis.vectors.components.shape == (3, 1)
 
 
+def adaptive_blurred_arcsine(x, amplitude, sigma):
+    """Reference: ``(1/pi) int_0^pi G_sigma(x - A cos u) du`` by adaptive quadrature."""
+    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+
+    def integrand(u):
+        return norm * np.exp(-0.5 * ((x - amplitude * np.cos(u)) / sigma) ** 2)
+
+    value, _ = quad_vec(integrand, 0.0, np.pi, epsrel=PROFILE_QUAD_RTOL, epsabs=0.0)
+    return value / np.pi
+
+
 class TestBlurredArcsine:
     def test_zero_amplitude_is_gaussian(self):
         x = np.linspace(-5.0, 5.0, 201)
@@ -267,6 +283,67 @@ class TestBlurredArcsine:
         x = np.linspace(-6.0, 6.0, 121)
         density = blurred_arcsine(x, 2.0, 0.7)
         assert density == pytest.approx(density[::-1], rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ratio=st.floats(0.0, 50.0), sigma=st.floats(1e-6, 1e3))
+    def test_matches_adaptive_quadrature(self, ratio, sigma):
+        amplitude = ratio * sigma
+        x = np.linspace(-1.0, 1.0, 61) * (amplitude + 6.0 * sigma) + 0.1 * sigma
+        density = blurred_arcsine(x, amplitude, sigma)
+        expected = adaptive_blurred_arcsine(x, amplitude, sigma)
+        assert np.max(np.abs(density - expected)) <= 1e-9 * expected.max()
+
+    @pytest.mark.parametrize("amplitude", [3000.0, 30000.0])
+    def test_narrow_psf_reaches_the_arcsine(self, amplitude):
+        """With A >> sigma the interior is the bare arcsine density, not zero."""
+        x = np.linspace(-amplitude / 2, amplitude / 2, 5)
+        expected = 1.0 / (np.pi * np.sqrt(amplitude**2 - x**2))
+        assert blurred_arcsine(x, amplitude, 1.0) == pytest.approx(expected, rel=1e-6)
+
+    def test_keeps_the_shape_of_x(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        density = blurred_arcsine(x, 1.0, 0.5)
+        assert density.shape == (3, 4)
+        assert density.ravel() == pytest.approx(blurred_arcsine(x.ravel(), 1.0, 0.5), rel=1e-15)
+        assert blurred_arcsine(0.0, 1.0, 0.5).shape == ()
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(AnalysisError, match="sigma"):
+            blurred_arcsine(np.zeros(3), 1.0, 0.0)
+        with pytest.raises(AnalysisError, match="did not settle"):
+            blurred_arcsine(np.array([0.0, np.nan]), 1.0, 1.0)
+
+
+class TestProfileJacobian:
+    """The analytic fit Jacobian against central differences of blurred_arcsine."""
+
+    SIGMA, CENTER, BASELINE, SCALE = 1.2, 0.2, 0.1, 1.5
+
+    def model(self, amplitude, sigma, center, baseline, scale, x):
+        return baseline + scale * blurred_arcsine(x - center, amplitude, sigma)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("free_sigma", [True, False])
+    def test_matches_central_differences(self, amplitude, free_sigma):
+        x = np.linspace(-8.0, 8.0, 81)
+        full = np.array([amplitude, self.SIGMA, self.CENTER, self.BASELINE, self.SCALE])
+        free = [0, 1, 2, 3, 4] if free_sigma else [0, 2, 3, 4]
+        psf_sigma = None if free_sigma else self.SIGMA
+        values, jac = _profile_model(full[free], x, psf_sigma)
+        assert values == pytest.approx(self.model(*full, x), rel=1e-15)
+        assert jac.shape == (x.size, len(free))
+        numeric = np.empty_like(jac)
+        for col, k in enumerate(free):
+            h = 1e-6 * max(abs(full[k]), 1.0)
+            up, down = full.copy(), full.copy()
+            up[k] += h
+            down[k] -= h
+            numeric[:, col] = (self.model(*up, x) - self.model(*down, x)) / (2.0 * h)
+        scale = np.abs(numeric).max(axis=0)
+        # d/dA vanishes at A = 0 (the density is even in A); hold it to the
+        # largest column instead of its own O(h) difference quotient.
+        scale = np.where(scale > 1e-6 * scale.max(), scale, scale.max())
+        assert np.all(np.abs(jac - numeric).max(axis=0) <= 1e-6 * scale)
 
 
 class TestProfileFit:

@@ -170,6 +170,30 @@ class TestSimulateAndFit:
         # localized regime: each mode has a distinct loudest ion
         assert result["eigenvectors"]["reference_ions"] == [1, 2, 3]
 
+    def test_fit_carries_the_beam_axis(self, tmp_path, monkeypatch):
+        data = {**self.CONFIG, "beam": {"axis": "y"}}
+        config = write_config(tmp_path, data)
+        spectrum_path = tmp_path / "spectrum.csv"
+        assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 0
+        loaded, analyze_spectrum = [], cli.analyze_spectrum
+
+        def analyze(spectrum, n_modes=None):
+            loaded.append(spectrum)
+            return analyze_spectrum(spectrum, n_modes)
+
+        monkeypatch.setattr(cli, "analyze_spectrum", analyze)
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", str(spectrum_path), "--config", config, "--out", str(out)]) == 0
+        assert [s.direction for s in loaded] == ["y"]
+
+    def test_fit_rejects_axial_beam_axis(self, tmp_path, capsys):
+        spectrum_path = tmp_path / "spectrum.csv"
+        config = write_config(tmp_path, self.CONFIG)
+        assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 0
+        axial = write_config(tmp_path, {**self.CONFIG, "beam": {"axis": "z"}}, "axial.json")
+        assert cli.main(["fit", str(spectrum_path), "--config", axial]) == 2
+        assert "must be 'x' or 'y'" in capsys.readouterr().err
+
     def test_flat_spectrum_exits_4(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
