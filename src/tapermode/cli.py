@@ -144,7 +144,7 @@ def drive_settings(data: Mapping) -> dict:
 
 
 def beam_axis(data: Mapping) -> str:
-    """The radial axis ('x' or 'y') that sweeps, fits and pipelines work along."""
+    """The radial axis ('x' or 'y') that every command drives, sweeps or fits along."""
     axis = data.get("beam", {}).get("axis", "x")
     if axis not in ("x", "y"):
         raise ConfigError(f"beam axis must be 'x' or 'y', got {axis!r}")
@@ -156,7 +156,7 @@ def beam_spec(data: Mapping, config: TrapConfig, force: float) -> BeamSpec:
     section = data.get("beam", {})
     _check_keys("beam", section, _BEAM_KEYS)
     kind = section.get("kind", "broad")
-    axis = section.get("axis", "x")
+    axis = beam_axis(data)
     if kind == "broad":
         return BeamSpec(kind="broad", force_amplitude=force, direction=axis)
     if kind != "focused":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 from scipy import constants
@@ -250,23 +250,66 @@ def potential_energy(config: TrapConfig, positions: np.ndarray) -> float:
 def gradient(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
     """Gradient dV/dr [..., N, 3] in J/m at ``positions`` [..., N, 3] m.
 
-    Leading axes are independent chains (a batch), evaluated in one pass.
+    Leading axes are independent chains (a batch), evaluated in one pass. A
+    layout wrapper over the package's one force kernel
+    (:func:`_acceleration_kernel`): the positions go in component-major as
+    displacements from the origin, and the acceleration comes back times -m.
     """
     r = _check_positions(config, positions, batch=True)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    fz = config.funnel_factor(z)
-    m = config.mass
-    wx2, wy2, wz2 = config.omega_x**2, config.omega_y**2, config.omega_z**2
+    x = np.moveaxis(r, -1, 0)
+    accel = _acceleration_kernel(config, np.zeros(x.shape), x.shape)(x)
+    return np.moveaxis(accel, 0, -1) * -config.mass
+
+
+def _acceleration_kernel(
+    config: TrapConfig, origin: np.ndarray, shape: tuple[int, ...]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The acceleration -dV/dr / m at ``origin + x``, in component-major layout.
+
+    Displacements ``x`` have ``shape`` (3, ..., N): ``x[c, ..., i]`` is
+    coordinate c of ion i, and any axes in between are a batch of chains.
+    ``origin`` broadcasts to ``shape``. The Coulomb term runs over the fixed
+    list of pairs i < j, held as the incidence matrix ``S`` [N, P] whose
+    column p is e_i - e_j. With separations ``d = x S + origin S``,
+
+        a_coulomb = (k q^2 / m) (d / |d|^3) S^T,
+
+    and the trap term is ``-W r`` with ``W = (wx^2, wy^2, wz^2)`` plus the
+    taper cross terms ``-2 (wx^2 x, wy^2 y) z / L`` and
+    ``-(wx^2 x^2 + wy^2 y^2) / L``. Every constant is built here, once, and
+    broadcast to full size, so a call is a short run of same-shape array
+    operations. N = 1 has no pairs and gives the trap term alone.
+    """
+    n = config.n_ions
+    first, second = np.triu_indices(n, 1)
+    pairs = np.arange(first.size)
+    incidence = np.zeros((n, pairs.size))
+    incidence[first, pairs] = 1.0
+    incidence[second, pairs] = -1.0
+    scatter = (config.coulomb_coupling / config.mass) * np.ascontiguousarray(incidence.T)
+    origin = np.broadcast_to(origin, shape)
+    r0 = origin.copy()
+    d0 = origin @ incidence
+    stiffness = np.empty(shape)
+    stiffness[0], stiffness[1], stiffness[2] = (
+        config.omega_x**2, config.omega_y**2, config.omega_z**2
+    )
     inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
 
-    grad = np.empty_like(r)
-    grad[..., 0] = m * fz * wx2 * x
-    grad[..., 1] = m * fz * wy2 * y
-    grad[..., 2] = m * wz2 * z + m * inv_l * (wx2 * x**2 + wy2 * y**2)
+    def accel(x: np.ndarray) -> np.ndarray:
+        d = x @ incidence
+        d += d0
+        d *= np.einsum("c...,c...->...", d, d) ** -1.5
+        a = d @ scatter
+        r = x + r0
+        trap = stiffness * r
+        a -= trap
+        if inv_l:
+            a[:2] -= trap[:2] * (2.0 * inv_l * r[2])
+            a[2] -= inv_l * (trap[0] * r[0] + trap[1] * r[1])
+        return a
 
-    diff, dist = _pair_geometry(r)
-    grad -= config.coulomb_coupling * np.einsum("...ijk,...ij->...ik", diff, dist**-3)
-    return grad
+    return accel
 
 
 def hessian(config: TrapConfig, positions: np.ndarray) -> np.ndarray:

@@ -9,11 +9,20 @@ The weights come from a :class:`BeamSpec`: a broad beam drives every ion
 equally, a focused beam drives with a Gaussian profile of its waist.
 Integration uses velocity Verlet with the damping applied half explicitly,
 half implicitly, which stays second-order accurate and reduces exactly to
-standard velocity Verlet at Gamma = 0.
+standard velocity Verlet at Gamma = 0; :func:`ring_down` and the spectra
+step with the same scheme.
 
-A frequency scan is integrated in lockstep: every drive frequency uses the
-same number of steps per drive period, so all scan points share one drive
-phase table and the demodulation
+The full nonlinear forces come from the package's one force kernel,
+``core._acceleration_kernel``. It works on component-major states
+[3, ..., N] held as displacements from equilibrium, sums the Coulomb force
+over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
+its constants once per spectrum or ring-down, not once per step.
+
+A frequency scan is integrated in lockstep, with the scan points on axis -2
+of the state ([points, N] for the linearized model, [3, points, N] for the
+full one). Every drive frequency uses the same number of steps per drive
+period, so all scan points share one drive phase table and the demodulation
+of the driven component over M steps
 
     Z = (2 / M) sum_k x(t_k) exp(-i w_d t_k)
 
@@ -38,11 +47,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from types import EllipsisType
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import TrapConfig, axis_index, gradient, potential_energy
+from .core import TrapConfig, _acceleration_kernel, axis_index, potential_energy
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError
 from .modes import compute_modes, coupling_matrix, reference_frequency
@@ -235,9 +245,44 @@ def _warn_short_settle(scan: DriveScan) -> None:
         )
 
 
-def _lockstep_verlet(
+def _verlet(
     accel: Callable[[np.ndarray, int], np.ndarray],
+    x: np.ndarray,
+    v: np.ndarray,
+    half_dt: np.ndarray | float,
+    gamma: float,
+    n_steps: int,
+) -> Iterator[int]:
+    """Damped velocity Verlet on ``x`` and ``v`` in place; yields each step count.
+
+    ``accel(x, k)`` is the acceleration at ``x`` after ``k`` steps, and
+    ``half_dt`` (half the step) broadcasts against ``x``. The damping is
+    split half explicit, half implicit:
+
+        v' = (1 - Gamma h) v + h a(x),   x += 2 h v',
+        v  = (v' + h a(x)) / (1 + Gamma h),
+
+    so ``h * a`` is formed once per step and serves both half kicks.
+    """
+    shrink = 1.0 - gamma * half_dt
+    restore = 1.0 / (1.0 + gamma * half_dt)
+    dt = 2.0 * half_dt
+    kick = half_dt * accel(x, 0)
+    for step in range(1, n_steps + 1):
+        v *= shrink
+        v += kick
+        x += dt * v
+        kick = half_dt * accel(x, step)
+        v += kick
+        v *= restore
+        yield step
+
+
+def _lockstep_verlet(
+    force: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, ...],
+    observed: int | EllipsisType,
+    push: np.ndarray,
     dt: np.ndarray,
     scan: DriveScan,
     spp: int,
@@ -245,30 +290,38 @@ def _lockstep_verlet(
 ) -> np.ndarray:
     """Integrate every scan point from rest and demodulate its displacement.
 
-    ``accel(x, k)`` is the acceleration at displacements ``x`` [M, ...] from
-    equilibrium at drive phase index ``k``; ``dt`` [M] is each point's step.
-    Returns the complex amplitude Z [M, ...] of ``x`` over the measure window.
+    The state has ``shape`` with the scan points on axis -2: [M, N] for one
+    direction, [3, M, N] component-major for the full chain. ``force(x)`` is
+    the undriven acceleration at displacements ``x`` from equilibrium;
+    ``x[observed]`` is the driven direction, which feels the extra
+    acceleration ``push`` [N] sin(2 pi k / spp) at drive phase index k.
+    ``dt`` [M] is each point's step. Returns the complex amplitude Z [M, N]
+    of ``x[observed]`` over the measure window.
     """
-    gamma = scan.damping_rate
-    dt = dt.reshape((-1,) + (1,) * (len(shape) - 1))
-    exp_tab = np.exp(-1j * TWO_PI * np.arange(spp) / spp)
+    phases = TWO_PI * np.arange(spp) / spp
+    sin_tab = np.sin(phases)
+    exp_tab = np.exp(-1j * phases)
+    # Full-size copies: same-shape array operations skip numpy's slow
+    # broadcasting loops over the short ion axis.
+    push = np.broadcast_to(push, shape[-2:]).copy()
+    half_dt = np.broadcast_to(0.5 * dt[:, None], shape).copy()
     n_steps = (scan.settle_cycles + scan.measure_cycles) * spp
     demod_start = scan.settle_cycles * spp
+
+    def accel(x: np.ndarray, step: int) -> np.ndarray:
+        a = force(x)
+        a[observed] += sin_tab[step % spp] * push
+        return a
+
     x = np.zeros(shape)
-    v = np.zeros(shape)
-    accum = np.zeros(shape, dtype=complex)
-    force = accel(x, 0)
-    for step in range(n_steps):
-        v_half = v + 0.5 * dt * (force - gamma * v)
-        x += dt * v_half
-        phase_idx = (step + 1) % spp
-        force = accel(x, phase_idx)
-        v = (v_half + 0.5 * dt * force) / (1.0 + 0.5 * gamma * dt)
-        if step + 1 > demod_start:
-            accum += x * exp_tab[phase_idx]
+    accum = np.zeros(shape[-2:], dtype=complex)
+    for step in _verlet(accel, x, np.zeros(shape), half_dt, scan.damping_rate, n_steps):
+        phase_idx = step % spp
+        if step > demod_start:
+            accum += x[observed] * exp_tab[phase_idx]
         if phase_idx == 0 and np.max(np.abs(x)) > blowup:
             raise SimulationError(
-                f"trajectory diverged after {step + 1} steps "
+                f"trajectory diverged after {step} steps "
                 f"(displacement exceeded {BLOWUP_LENGTH_UNITS:g} length units)"
             )
     return accum * (2.0 / (scan.measure_cycles * spp))
@@ -300,39 +353,30 @@ def simulate_spectrum(
     _warn_short_settle(scan)
 
     wd = scan.drive_frequencies
-    axis = axis_index(beam.direction)
-    sin_tab = np.sin(TWO_PI * np.arange(spp) / spp)
-    drive = (beam.force_amplitude / config.mass * sin_tab)[:, None] * weights  # [spp, N]
-
     if model == "linearized":
-        stiffness = (
-            coupling_matrix(config, beam.direction)
+        restoring = (
+            -coupling_matrix(config, beam.direction)
             * reference_frequency(config, beam.direction) ** 2
         )
-
-        def accel(x: np.ndarray, k: int) -> np.ndarray:
-            return drive[k] - x @ stiffness
-
         shape: tuple[int, ...] = (wd.size, config.n_ions)
-        observed: tuple = (...,)
+        observed: int | EllipsisType = ...
+
+        def force(x: np.ndarray) -> np.ndarray:
+            return x @ restoring
+
     elif model == "full":
-
-        def accel(x: np.ndarray, k: int) -> np.ndarray:
-            a = gradient(config, r0 + x) / -config.mass
-            a[..., axis] += drive[k]
-            return a
-
-        shape = (wd.size, config.n_ions, 3)
-        observed = (..., axis)
+        shape = (3, wd.size, config.n_ions)
+        observed = axis_index(beam.direction)
+        force = _acceleration_kernel(config, r0.T[:, None, :], shape)
     else:
         raise ConfigError(
             f"unknown model {model!r}; simulate_spectrum integrates 'linearized' or 'full'"
         )
 
     z = _lockstep_verlet(
-        accel, shape, (TWO_PI / wd) / spp, scan, spp,
-        BLOWUP_LENGTH_UNITS * config.length_scale,
-    )[observed]
+        force, shape, observed, beam.force_amplitude / config.mass * weights,
+        (TWO_PI / wd) / spp, scan, spp, BLOWUP_LENGTH_UNITS * config.length_scale,
+    )
     return SpectrumResult(
         drive_frequencies=wd.copy(),
         amplitude=np.abs(z),
@@ -437,35 +481,24 @@ def ring_down(
     disp = np.asarray(displacement, dtype=float)
     if disp.shape != r0.shape:
         raise ConfigError(f"displacement must have shape {r0.shape}, got {disp.shape}")
-    e0 = potential_energy(config, r0)
-    r = r0 + disp
-    v = np.zeros_like(r)
     n_steps = math.ceil(duration / dt)
     sample_every = max(1, round(t_fast / dt))
-
-    times = [0.0]
-    energies = [potential_energy(config, r) - e0]
-    positions = [r.copy()]
-    velocities = [v.copy()]
-    force = -gradient(config, r) / config.mass
-    for step in range(n_steps):
-        v_half = v + 0.5 * dt * (force - damping_rate * v)
-        r += dt * v_half
-        force = -gradient(config, r) / config.mass
-        v = (v_half + 0.5 * dt * force) / (1.0 + 0.5 * damping_rate * dt)
-        if (step + 1) % sample_every == 0 or step + 1 == n_steps:
-            times.append((step + 1) * dt)
-            energies.append(
-                potential_energy(config, r) - e0
-                + 0.5 * config.mass * float(np.sum(v**2))
-            )
-            positions.append(r.copy())
-            velocities.append(v.copy())
+    force = _acceleration_kernel(config, r0.T, r0.T.shape)
+    x, v = disp.T.copy(), np.zeros(r0.T.shape)
+    steps, xs, vs = [0], [x.copy()], [v.copy()]
+    for step in _verlet(lambda x, _: force(x), x, v, 0.5 * dt, damping_rate, n_steps):
+        if step % sample_every == 0 or step == n_steps:
+            steps.append(step)
+            xs.append(x.copy())
+            vs.append(v.copy())
+    positions = r0 + np.transpose(xs, (0, 2, 1))
+    velocities = np.transpose(vs, (0, 2, 1))
+    e0 = potential_energy(config, r0)
     return RingDown(
-        times=np.array(times),
-        energies=np.array(energies),
-        positions=np.array(positions),
-        velocities=np.array(velocities),
+        times=np.array(steps) * dt,
+        energies=np.array([total_energy(config, r, u) - e0 for r, u in zip(positions, velocities)]),
+        positions=positions,
+        velocities=velocities,
     )
 
 

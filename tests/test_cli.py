@@ -194,6 +194,14 @@ class TestSimulateAndFit:
         assert cli.main(["fit", str(spectrum_path), "--config", axial]) == 2
         assert "must be 'x' or 'y'" in capsys.readouterr().err
 
+    def test_simulate_rejects_axial_beam_axis(self, tmp_path, capsys):
+        """An axial spectrum is refused where it would be written, not only by fit."""
+        spectrum_path = tmp_path / "spectrum.csv"
+        axial = write_config(tmp_path, {**self.CONFIG, "beam": {"axis": "z"}})
+        assert cli.main(["simulate", "--config", axial, "--out", str(spectrum_path)]) == 2
+        assert "beam axis must be 'x' or 'y'" in capsys.readouterr().err
+        assert not spectrum_path.exists()
+
     def test_flat_spectrum_exits_4(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -34,6 +34,32 @@ def random_states(config, count, seed):
     return states
 
 
+def dense_gradient(config, positions):
+    """The gradient [..., N, 3] from the dense [..., N, N, 3] pair tensor.
+
+    The einsum body ``core.gradient`` had before the pair-list kernel; kept
+    as an independent reference for it and for the full-model integrator.
+    """
+    r = np.asarray(positions, dtype=float)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    fz = config.funnel_factor(z)
+    m = config.mass
+    wx2, wy2, wz2 = config.omega_x**2, config.omega_y**2, config.omega_z**2
+    inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
+
+    grad = np.empty_like(r)
+    grad[..., 0] = m * fz * wx2 * x
+    grad[..., 1] = m * fz * wy2 * y
+    grad[..., 2] = m * wz2 * z + m * inv_l * (wx2 * x**2 + wy2 * y**2)
+
+    diff = r[..., :, None, :] - r[..., None, :, :]
+    dist = np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    idx = np.arange(r.shape[-2])
+    dist[..., idx, idx] = np.inf
+    grad -= config.coulomb_coupling * np.einsum("...ijk,...ij->...ik", diff, dist**-3)
+    return grad
+
+
 class TestTrapConfig:
     def test_defaults_are_valid(self):
         config = TrapConfig()
@@ -180,6 +206,39 @@ class TestDerivatives:
             gradient(config, np.zeros((4, 2, 3)))
         with pytest.raises(ConfigError):
             hessian(config, states)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_ions=st.integers(1, 12),
+        funnel_mm=st.one_of(st.just(math.inf), st.floats(0.5, 50.0)),
+        batch=st.sampled_from([(), (4,), (2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_matches_dense_reference(self, n_ions, funnel_mm, batch, seed):
+        """The pair-list kernel equals the dense pair tensor off axis, in any batch."""
+        config = TrapConfig(n_ions=n_ions, funnel_length=1e-3 * funnel_mm)
+        rng = np.random.default_rng(seed)
+        spread = config.length_scale * np.array([0.5, 0.5, n_ions])
+        positions = rng.uniform(-1.0, 1.0, size=batch + (n_ions, 3)) * spread
+        expected = dense_gradient(config, positions)
+        got = gradient(config, positions)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_single_ion_gradient_is_the_trap_force(self):
+        """N = 1 has an empty pair list: only the tapered trap acts."""
+        config = TrapConfig(n_ions=1)
+        x, y, z = 0.3e-6, -0.2e-6, 1.5e-6
+        m, inv_l = config.mass, 1.0 / config.funnel_length
+        fz = 1.0 + 2.0 * z * inv_l
+        expected = m * np.array([
+            fz * config.omega_x**2 * x,
+            fz * config.omega_y**2 * y,
+            config.omega_z**2 * z + inv_l * (config.omega_x**2 * x**2 + config.omega_y**2 * y**2),
+        ])
+        got = gradient(config, np.array([[x, y, z]]))
+        assert got.shape == (1, 3)
+        assert np.max(np.abs(got[0] - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_gradient_vanishes_at_equilibrium(self):
         config = TrapConfig()

@@ -18,6 +18,7 @@ from tapermode.dynamics import (
 from tapermode.equilibrium import equilibrium_positions
 from tapermode.errors import ConfigError, SimulationError, SolverError
 from tapermode.modes import compute_modes
+from test_core import dense_gradient
 
 CONFIG = TrapConfig()
 GAMMA = TWO_PI * 15e3
@@ -247,6 +248,87 @@ class TestChainSpectra:
     def test_unknown_model_rejected(self, scan, beam):
         with pytest.raises(ConfigError, match="model"):
             simulate_spectrum(CONFIG, scan, beam, model="nonlinear")
+
+
+def reference_full_spectrum(config, scan, beam):
+    """Complex amplitudes [M, N] of the full model, integrated the earlier way.
+
+    An ion-major [M, N, 3] state, the dense pair-tensor gradient, and the
+    split-damping Verlet loop with every component demodulated: the
+    full-model path from before the component-major pair-list kernel.
+    ``scan`` must pin ``steps_per_period``.
+    """
+    r0 = equilibrium_positions(config)
+    axis = "xyz".index(beam.direction)
+    spp, gamma = scan.steps_per_period, scan.damping_rate
+    phases = TWO_PI * np.arange(spp) / spp
+    drive = (beam.force_amplitude / config.mass * np.sin(phases))[:, None] * beam_weights(beam, r0)
+    dt = (TWO_PI / scan.drive_frequencies / spp)[:, None, None]
+    shape = (scan.drive_frequencies.size, config.n_ions, 3)
+    x, v, accum = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=complex)
+
+    def accel(x, k):
+        a = dense_gradient(config, r0 + x) / -config.mass
+        a[..., axis] += drive[k]
+        return a
+
+    force = accel(x, 0)
+    for step in range(1, (scan.settle_cycles + scan.measure_cycles) * spp + 1):
+        v_half = v + 0.5 * dt * (force - gamma * v)
+        x += dt * v_half
+        force = accel(x, step % spp)
+        v = (v_half + 0.5 * dt * force) / (1.0 + 0.5 * gamma * dt)
+        if step > scan.settle_cycles * spp:
+            accum += x * np.exp(-1j * phases[step % spp])
+    return accum[..., axis] * (2.0 / (scan.measure_cycles * spp))
+
+
+@pytest.mark.filterwarnings("ignore:settle window")
+class TestFullModelKernel:
+    """The component-major full model against the earlier ion-major path."""
+
+    @staticmethod
+    def short_scan(config, direction):
+        freqs = compute_modes(config, (direction,)).frequencies(direction)
+        grid = np.linspace(0.97 * freqs[0], 1.03 * freqs[-1], 5)
+        return DriveScan(grid, damping_rate=GAMMA, settle_cycles=10, measure_cycles=4,
+                         steps_per_period=96)
+
+    @pytest.mark.parametrize("n_ions, direction, kind, funnel_length", [
+        (3, "x", "broad", CONFIG.funnel_length),
+        (3, "y", "focused", CONFIG.funnel_length),
+        (3, "x", "focused", math.inf),
+        (7, "x", "focused", CONFIG.funnel_length),
+        (7, "y", "broad", CONFIG.funnel_length),
+        (7, "y", "broad", math.inf),
+    ])
+    def test_matches_reference_path(self, n_ions, direction, kind, funnel_length):
+        # distinct radial frequencies, so a drive on the wrong axis shows
+        config = CONFIG.replace(
+            n_ions=n_ions, funnel_length=funnel_length, omega_y0=1.2 * CONFIG.omega_x0
+        )
+        scan = self.short_scan(config, direction)
+        beam = BeamSpec(kind, FORCE, direction=direction, waist_radius=17e-6)
+        expected = reference_full_spectrum(config, scan, beam)
+        got = simulate_spectrum(config, scan, beam, model="full")
+        measured = got.amplitude * np.exp(1j * (got.phase - math.pi / 2))
+        assert np.max(np.abs(measured - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    def test_single_ion_is_the_damped_oscillator(self):
+        """One ion: the full model is the linearized oscillator, step for step.
+
+        Its only nonlinearity is the taper's: the radial motion pushes the ion
+        along z by about (wx / wz)^2 x^2 / L, which stiffens the radial trap
+        by 2 z / L, about 4e-12 at this drive.
+        """
+        config = CONFIG.replace(n_ions=1)
+        scan = self.short_scan(config, "x")
+        beam = BeamSpec("broad", FORCE)
+        oscillator = simulate_spectrum(config, scan, beam, model="linearized")
+        full = simulate_spectrum(config, scan, beam, model="full")
+        expected = oscillator.amplitude * np.exp(1j * oscillator.phase)
+        measured = full.amplitude * np.exp(1j * full.phase)
+        assert np.max(np.abs(measured - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 class TestStepControl:
