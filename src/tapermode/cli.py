@@ -322,7 +322,7 @@ def _synthesize_cli(config: TrapConfig, data: Mapping) -> SpectrumResult:
     drive = drive_settings(data)
     beam = beam_spec(data, config, drive["force"])
     table = compute_modes(config, directions=(beam.direction,))
-    freqs = np.array([m.frequency for m in table.by_direction(beam.direction)])
+    freqs = table.frequencies(beam.direction)
     scan = DriveScan(
         drive_frequencies=np.linspace(
             0.9 * freqs.min(), 1.1 * freqs.max(), drive["scan_points"]

@@ -403,8 +403,7 @@ def linear_response_spectrum(
     table = compute_modes(config)
     direction = beam.direction
     vectors = table.matrix(direction)
-    eigenvalues = np.array([m.eigenvalue for m in table.by_direction(direction)])
-    stiffness = eigenvalues * reference_frequency(config, direction) ** 2
+    stiffness = table.eigenvalues(direction) * reference_frequency(config, direction) ** 2
     weights = beam_weights(beam, equilibrium_positions(config))
     modal_force = vectors.T @ (beam.force_amplitude / config.mass * weights)
     gamma = scan.damping_rate

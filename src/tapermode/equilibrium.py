@@ -37,17 +37,29 @@ def axial_gradient(u: np.ndarray) -> np.ndarray:
     return u - np.sum(np.sign(diff) / diff**2, axis=1)
 
 
-def axial_curvature(u: np.ndarray) -> np.ndarray:
-    """Jacobian dg/du [N, N]; also the dimensionless axial stiffness matrix.
+def coulomb_matrix(u: np.ndarray) -> np.ndarray:
+    """Dimensionless inverse-cube Coulomb matrix K [N, N] for axial positions u [N].
 
-    Diagonal ``1 + sum_j 2/|u_i - u_j|^3``, off-diagonal ``-2/|u_i - u_j|^3``.
+    Off-diagonal ``1/|u_i - u_j|^3``, diagonal ``-sum_{j != i} 1/|u_i - u_j|^3``,
+    so every row sums to zero. Both stiffness matrices are built from it: the
+    axial ``I - 2K`` (:func:`axial_curvature`) and the radial
+    ``I + t diag(u) + beta^2 K`` (:func:`tapermode.modes.radial_coupling_matrix`).
     """
     u = np.asarray(u, dtype=float)
     diff = u[:, None] - u[None, :]
     np.fill_diagonal(diff, np.inf)
-    inv_d3 = 1.0 / np.abs(diff) ** 3
-    jac = -2.0 * inv_d3
-    np.fill_diagonal(jac, 1.0 + 2.0 * np.sum(inv_d3, axis=1))
+    mat = 1.0 / np.abs(diff) ** 3
+    np.fill_diagonal(mat, -np.sum(mat, axis=1))
+    return mat
+
+
+def axial_curvature(u: np.ndarray) -> np.ndarray:
+    """Jacobian dg/du = I - 2K [N, N]; also the dimensionless axial stiffness matrix.
+
+    Diagonal ``1 + sum_j 2/|u_i - u_j|^3``, off-diagonal ``-2/|u_i - u_j|^3``.
+    """
+    jac = -2.0 * coulomb_matrix(u)
+    jac.flat[:: jac.shape[0] + 1] += 1.0
     return jac
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .analysis import analyze_spectrum, fit_lorentzian_sum
 from .core import TWO_PI, TrapConfig
@@ -41,6 +40,7 @@ from .dynamics import (
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SolverError, TapermodeError
 from .modes import compute_modes
+from .sweep import assign_columns
 
 #: Grid used when a plan does not specify one: 12 points, 47-205 kHz.
 DEFAULT_OMEGA_Z_GRID = TWO_PI * np.linspace(47e3, 205e3, 12)
@@ -270,17 +270,7 @@ def _match_to_theory(fitted: np.ndarray, theory: np.ndarray):
     Returns (order, signs, overlaps): fitted column ``order[j]`` times
     ``signs[j]`` corresponds to predicted column ``j``.
     """
-    overlap = fitted.T @ theory
-    rows, cols = linear_sum_assignment(-np.abs(overlap))
-    order = np.empty(theory.shape[1], dtype=int)
-    signs = np.empty(theory.shape[1])
-    strengths = np.empty(theory.shape[1])
-    for r, c in zip(rows, cols):
-        order[c] = r
-        s = np.sign(overlap[r, c])
-        signs[c] = s if s != 0 else 1.0
-        strengths[c] = abs(overlap[r, c])
-    return order, signs, strengths
+    return assign_columns(theory, fitted)
 
 
 def _failed_point(config, plan, omega_z: float, reason: str) -> PointResult:
@@ -308,9 +298,8 @@ def _failed_point(config, plan, omega_z: float, reason: str) -> PointResult:
 def _run_point(config: TrapConfig, plan: ExperimentPlan, omega_z: float, seed_child) -> PointResult:
     point_config = config.replace(omega_z=omega_z)
     table = compute_modes(point_config, directions=(plan.direction,))
-    modes = table.by_direction(plan.direction)
-    theory_freqs = np.array([m.frequency for m in modes])
-    theory_matrix = np.column_stack([m.vector for m in modes])
+    theory_freqs = table.frequencies(plan.direction)
+    theory_matrix = table.matrix(plan.direction)
 
     beam = select_beam(config, plan, omega_z)
     weights = beam_weights(beam, equilibrium_positions(point_config))
@@ -347,7 +336,7 @@ def _run_point(config: TrapConfig, plan: ExperimentPlan, omega_z: float, seed_ch
         fitted_components=fitted_matrix,
         frequency_errors=np.abs(fitted_freqs - theory_freqs),
         component_errors=component_errors,
-        sign_matches=np.array([bool(np.all(sign_ok[:, j])) for j in range(len(modes))]),
+        sign_matches=np.all(sign_ok, axis=0),
         spectrum=spectrum,
         notes=tuple(notes),
     )

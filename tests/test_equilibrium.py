@@ -11,6 +11,7 @@ from tapermode.equilibrium import (
     axial_curvature,
     axial_gradient,
     chain_positions_dimensionless,
+    coulomb_matrix,
     equilibrium_positions,
 )
 
@@ -84,3 +85,11 @@ def test_solver_is_fast_for_long_chains():
     assert np.all(np.diff(u) > 0)
     # outer ions crowd in more slowly than linearly with ion count
     assert u[-1] < 20
+
+
+@pytest.mark.parametrize("n_ions", [1, 2, 5])
+def test_axial_curvature_is_identity_minus_twice_coulomb(n_ions):
+    u = chain_positions_dimensionless(n_ions)
+    coulomb = coulomb_matrix(u)
+    assert coulomb.sum(axis=1) == pytest.approx(np.zeros(n_ions), abs=1e-12)
+    assert np.array_equal(axial_curvature(u), np.eye(n_ions) - 2.0 * coulomb)

@@ -84,6 +84,16 @@ class TestCouplingMatrices:
         u = chain_positions_dimensionless(6)
         assert axial_curvature(u).sum(axis=1) == pytest.approx(np.ones(6))
 
+    def test_stacked_radial_matrices_equal_single_ones(self):
+        u = chain_positions_dimensionless(5)
+        betas = np.array([[0.1, 0.2, 0.3], [0.15, 0.25, 0.35]])
+        tapers = np.array([[0.0, 0.02, 0.05], [0.01, 0.03, 0.04]])
+        stack = radial_coupling_matrix(u, betas, tapers)
+        assert stack.shape == (2, 3, 5, 5)
+        for index in np.ndindex(betas.shape):
+            single = radial_coupling_matrix(u, betas[index], tapers[index])
+            assert np.array_equal(stack[index], single)
+
     def test_config_level_matrix_uses_equilibrium(self):
         config = TrapConfig()
         u = chain_positions_dimensionless(3)
@@ -117,6 +127,35 @@ class TestModeTable:
         assert participation_ratio(np.ones(4) / 2.0) == pytest.approx(4.0)
         for mode in compute_modes(TrapConfig()).modes:
             assert 1.0 <= mode.participation <= 3.0 + 1e-12
+
+    def test_helpers_work_column_by_column(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(4, 6, 5))
+        signed = canonical_sign(stack)
+        ratios = participation_ratio(stack)
+        assert signed.shape == stack.shape and ratios.shape == (4, 5)
+        for m in range(4):
+            for k in range(5):
+                assert np.array_equal(signed[m, :, k], canonical_sign(stack[m, :, k]))
+                assert ratios[m, k] == pytest.approx(participation_ratio(stack[m, :, k]), rel=1e-14)
+
+    def test_arrays_are_the_mode_records(self):
+        table = compute_modes(TrapConfig(n_ions=4))
+        for direction in ("x", "y", "z"):
+            modes = table.by_direction(direction)
+            assert np.array_equal(table.eigenvalues(direction), [m.eigenvalue for m in modes])
+            assert np.array_equal(table.frequencies(direction), [m.frequency for m in modes])
+            assert np.array_equal(table.matrix(direction), np.column_stack([m.vector for m in modes]))
+            for array in (table.eigenvalues(direction), table.frequencies(direction),
+                          table.matrix(direction), modes[0].vector):
+                assert not array.flags.writeable
+
+    def test_directions_not_computed_are_rejected(self):
+        table = compute_modes(TrapConfig(), directions=("x",))
+        with pytest.raises(ConfigError, match="not computed"):
+            table.frequencies("y")
+        with pytest.raises(ConfigError, match="unknown"):
+            table.matrix("q")
 
     def test_unstable_mode_raises_solver_error(self):
         # strong axial confinement drives the lowest radial eigenvalue below 0

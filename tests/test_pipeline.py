@@ -6,6 +6,8 @@ import pytest
 
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.equilibrium import equilibrium_positions
+from scipy.optimize import linear_sum_assignment
+
 from tapermode.errors import ConfigError, SolverError
 from tapermode.modes import compute_modes
 from tapermode.pipeline import (
@@ -80,7 +82,37 @@ class TestSelectBeam:
         assert beam.center_z < 0.0  # the middle of an even chain is off-centre
 
 
+def loop_match_to_theory(fitted, theory):
+    """The pipeline's own assignment loop from before it shared the sweep's core."""
+    overlap = fitted.T @ theory
+    rows, cols = linear_sum_assignment(-np.abs(overlap))
+    order = np.empty(theory.shape[1], dtype=int)
+    signs = np.empty(theory.shape[1])
+    strengths = np.empty(theory.shape[1])
+    for r, c in zip(rows, cols):
+        order[c] = r
+        s = np.sign(overlap[r, c])
+        signs[c] = s if s != 0 else 1.0
+        strengths[c] = abs(overlap[r, c])
+    return order, signs, strengths
+
+
 class TestMatchToTheory:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unchanged_on_permuted_noisy_frames(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        theory, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        perm = rng.permutation(n)
+        flips = rng.choice([-1.0, 1.0], size=n)
+        noise = 0.05 * rng.normal(size=(n, n))
+        fitted, _ = np.linalg.qr(theory[:, perm] * flips + noise)
+        order, signs, strengths = _match_to_theory(fitted, theory)
+        ref_order, ref_signs, ref_strengths = loop_match_to_theory(fitted, theory)
+        assert np.array_equal(order, ref_order)
+        assert np.array_equal(signs, ref_signs)
+        assert strengths == pytest.approx(ref_strengths, abs=1e-14)
+
     def test_recovers_permutation_and_signs(self):
         theory = compute_modes(CONFIG, ("x",)).matrix("x")
         perm = np.array([2, 0, 1])
