@@ -55,35 +55,31 @@ def brute_force_chain(n_ions: int) -> np.ndarray:
 
     Independent of the package's Newton solver: sweeps one coordinate at a
     time with a bounded scalar minimizer until the largest move in a full
-    sweep falls below 1e-13.
+    sweep falls below 1e-13. Each scalar problem minimizes the part of the
+    energy that depends on the moving ion, ``t^2/2 + sum_j 1/|t - u_j|``;
+    the rest is constant along that coordinate.
     """
-    u = np.linspace(-0.5 * (n_ions - 1), 0.5 * (n_ions - 1), n_ions)
-    pairs = np.triu_indices(n_ions, 1)
-
-    def energy(u_vec: np.ndarray) -> float:
-        gaps = np.abs(u_vec[:, None] - u_vec[None, :])[pairs]
-        return 0.5 * float(np.sum(u_vec**2)) + float(np.sum(1.0 / gaps))
+    u = np.linspace(-0.5 * (n_ions - 1), 0.5 * (n_ions - 1), n_ions).tolist()
 
     for _ in range(500):
         moved = 0.0
         for i in range(n_ions):
             lo = u[i - 1] + 1e-9 if i > 0 else u[i] - 2.0
             hi = u[i + 1] - 1e-9 if i < n_ions - 1 else u[i] + 2.0
+            others = u[:i] + u[i + 1:]
 
             def marginal(t: float) -> float:
-                trial = u.copy()
-                trial[i] = t
-                return energy(trial)
+                return 0.5 * t * t + sum(1.0 / abs(t - v) for v in others)
 
             best = minimize_scalar(
                 marginal, bounds=(lo, hi), method="bounded",
                 options={"xatol": 1e-14},
             )
             moved = max(moved, abs(best.x - u[i]))
-            u[i] = best.x
+            u[i] = float(best.x)
         if moved < 1e-13:
             break
-    return u
+    return np.asarray(u)
 
 
 def predicted_radial_frequencies(config: TrapConfig) -> np.ndarray:
