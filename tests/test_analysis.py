@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
 from tapermode.analysis import (
-    PHASE_SIGN_THRESHOLD,
     PROFILE_QUAD_RTOL,
     WIDTH_FLOOR_STEPS,
     ProfileFit,
@@ -22,9 +21,12 @@ from tapermode.analysis import (
     _free_jacobian,
     _free_model,
     _profile_model,
+    _project_residues,
+    _residue_basis,
 )
 from tapermode.core import TWO_PI, TrapConfig
-from tapermode.dynamics import BeamSpec, DriveScan, SpectrumResult, linear_response_spectrum
+from tapermode.dynamics import BeamSpec, DriveScan, linear_response_spectrum
+from tapermode.equilibrium import equilibrium_positions
 from tapermode.errors import AnalysisError
 from tapermode.modes import compute_modes
 
@@ -34,21 +36,6 @@ def synthetic_spectrum(grid, centers, hwhms, heights, offset, rng=None, noise=0.
     if noise:
         y = np.maximum(y + noise * np.max(y) * rng.standard_normal(y.size), 0.0)
     return y
-
-
-def make_result(grid, amplitude, phase):
-    """Assemble a SpectrumResult directly from arrays (as-if measured)."""
-    return SpectrumResult(
-        drive_frequencies=np.asarray(grid, dtype=float),
-        amplitude=np.asarray(amplitude, dtype=float),
-        phase=np.asarray(phase, dtype=float),
-        direction="x",
-        damping_rate=1.0,
-        model="loaded",
-        steps_per_period=None,
-        settle_cycles=0,
-        measure_cycles=1,
-    )
 
 
 class TestFreeFit:
@@ -125,87 +112,156 @@ class TestFreeFit:
             assert np.allclose(jac[:, j], fd, atol=1e-5)
 
 
+def modal_response(grid, centers, gammas, residues):
+    """``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)`` on ``grid``, shape [M, N]."""
+    w = np.asarray(grid, dtype=float)[:, None]
+    basis = 1.0 / (np.asarray(centers) ** 2 - w**2 + 1j * np.asarray(gammas) * w)
+    return basis @ np.asarray(residues, dtype=float).T
+
+
+def gamma_of(hwhm):
+    return 2.0 * hwhm / math.sqrt(3.0)
+
+
 class TestFixedCenters:
     def test_exclusive_peaks_give_zero_cross_heights(self):
-        grid = np.linspace(0.0, 1.0e6, 301)
-        c = np.array([3.0e5, 7.0e5])
-        ion0 = synthetic_spectrum(grid, [c[0]], [2.0e4], [1.0e-6], 1e-9)
-        ion1 = synthetic_spectrum(grid, [c[1]], [3.0e4], [2.0e-6], 1e-9)
-        fit = fit_fixed_centers(grid, np.column_stack([ion0, ion1]), c)
-        assert fit.heights[0, 0] == pytest.approx(1.0e-6, rel=1e-3)
-        assert fit.heights[1, 1] == pytest.approx(2.0e-6, rel=1e-3)
-        assert fit.heights[0, 1] < 1e-3 * fit.heights[0, 0]
-        assert fit.heights[1, 0] < 1e-3 * fit.heights[1, 1]
-        assert fit.hwhms[0, 0] == pytest.approx(2.0e4, rel=1e-2)
-        assert fit.hwhms[1, 1] == pytest.approx(3.0e4, rel=1e-2)
+        grid = np.linspace(2.0e5, 1.0e6, 301)
+        c = np.array([4.0e5, 7.0e5])
+        hwhms = np.array([2.0e4, 3.0e4])
+        gammas = gamma_of(hwhms)
+        heights = np.array([[1.0e-6, 0.0], [0.0, -2.0e-6]])
+        z = modal_response(grid, c, gammas, heights * gammas * c)
+        fit = fit_fixed_centers(grid, z, c, 1.3 * hwhms)
+        assert fit.heights[0, 0] == pytest.approx(1.0e-6, rel=1e-6)
+        assert fit.heights[1, 1] == pytest.approx(-2.0e-6, rel=1e-6)
+        assert abs(fit.heights[0, 1]) < 1e-6 * abs(fit.heights[0, 0])
+        assert abs(fit.heights[1, 0]) < 1e-6 * abs(fit.heights[1, 1])
+        assert fit.hwhms == pytest.approx(hwhms, rel=1e-6)
+        assert fit.heights.shape == fit.height_errors.shape == (2, 2)
+
+    @pytest.mark.parametrize("n_ions", [3, 7])
+    def test_noiseless_response_recovers_the_modes(self, n_ions):
+        """Centers at the true frequencies: the eigenvectors come back to round-off."""
+        config = TrapConfig(n_ions=n_ions)
+        table = compute_modes(config, ("x",))
+        freqs = table.frequencies("x")
+        gamma = TWO_PI * 2e3
+        scan = DriveScan(np.linspace(0.9 * freqs[0], 1.1 * freqs[-1], 800), gamma)
+        # off-center focus, so no mode is dark by symmetry
+        center_z = 0.3 * equilibrium_positions(config)[-1, 2]
+        beam = BeamSpec("focused", 1e-23, waist_radius=17e-6, center_z=center_z)
+        spectrum = linear_response_spectrum(config, scan, beam)
+        hwhms = np.full(n_ions, 1.3 * math.sqrt(3.0) / 2.0 * gamma)
+        response = spectrum.amplitude * np.exp(1j * spectrum.phase)
+        fit = fit_fixed_centers(spectrum.drive_frequencies, response, freqs, hwhms)
+        assert fit.hwhms == pytest.approx(np.full(n_ions, math.sqrt(3.0) / 2.0 * gamma),
+                                          rel=1e-8)
+        est = reconstruct_eigenvectors(freqs, fit.heights, fit.height_errors)
+        theory = table.matrix("x")
+        loudest = theory[np.argmax(np.abs(theory), axis=0), np.arange(n_ions)]
+        theory = theory * np.sign(loudest)
+        assert np.max(np.abs(est.components - theory)) < 1e-8
+        strong = np.abs(theory) > 1e-6
+        assert np.array_equal(np.sign(est.components[strong]), np.sign(theory[strong]))
+
+    def test_jacobian_matches_finite_differences(self):
+        """Kaufman's Jacobian, through the rotation-invariant products the optimizer uses.
+
+        The returned rows live in a basis that moves with g, so compare the
+        cost gradient J^T f with central differences of the cost (Kaufman's
+        gradient is exact for any data), and J^T J with the finite-difference
+        Jacobian where the model fits exactly.
+        """
+        u = np.linspace(4.0, 5.0, 120)
+        u_k = np.array([4.3, 4.5, 4.8])
+        g = np.array([0.02, 0.03, 0.025])
+        residues = np.array([[1.0, -0.5, 0.2], [0.3, 0.8, -1.1]]) * g * u_k
+        z = modal_response(u, u_k, g, residues)
+        exact = np.concatenate([z.real, z.imag])
+        noisy = exact + 0.01 * np.random.default_rng(3).standard_normal(exact.shape)
+
+        def reference_residual(g, data):
+            basis = _residue_basis(g, u, u_k)[0]
+            return (data - basis @ np.linalg.lstsq(basis, data, rcond=None)[0]).ravel()
+
+        steps = 1e-7 * np.eye(g.size)
+        off = 1.1 * g
+        f, jac = _project_residues(off, u, u_k, noisy)[:2]
+        assert f @ f == pytest.approx(np.sum(reference_residual(off, noisy) ** 2), rel=1e-10)
+        cost = [0.5 * np.sum(reference_residual(off + s, noisy) ** 2)
+                - 0.5 * np.sum(reference_residual(off - s, noisy) ** 2) for s in steps]
+        assert jac.T @ f == pytest.approx(np.array(cost) / 2e-7, rel=1e-5)
+
+        f, jac = _project_residues(g, u, u_k, exact)[:2]
+        assert np.max(np.abs(f)) < 1e-12
+        fd = np.column_stack([
+            (reference_residual(g + s, exact) - reference_residual(g - s, exact)) / 2e-7
+            for s in steps
+        ])
+        assert jac.T @ jac == pytest.approx(fd.T @ fd, rel=1e-6)
 
     def test_requires_2d_amplitudes(self):
         grid = np.linspace(0.0, 1.0, 32)
         with pytest.raises(AnalysisError, match="2-D"):
-            fit_fixed_centers(grid, np.ones(32), np.array([0.5]))
+            fit_fixed_centers(grid, np.ones(32), np.array([0.5]), np.array([0.1]))
+
+    def test_one_half_width_per_center(self):
+        grid = np.linspace(0.0, 1.0, 32)
+        with pytest.raises(AnalysisError, match="one half-width per center"):
+            fit_fixed_centers(grid, np.ones((32, 2)), np.array([0.3, 0.6]), np.array([0.1]))
 
 
 class TestReconstruct:
     GRID = np.linspace(0.9e6, 1.1e6, 41)
+    HWHM = 2.0e4
 
-    def single_mode_result(self, heights, phases):
-        """A flat-phase single-resonance measurement at the grid center."""
-        amp = lorentzian_sum(self.GRID, [1.0e6], [2.0e4], [1.0], 0.0)
-        amplitude = np.outer(amp, heights)
-        phase = np.broadcast_to(phases, (self.GRID.size, len(phases))).copy()
-        return make_result(self.GRID, amplitude, phase)
+    def single_mode_fit(self, heights):
+        """Residue fit of one resonance at the grid center with these signed heights."""
+        gamma = gamma_of(self.HWHM)
+        residues = np.asarray(heights, dtype=float)[:, None] * gamma * 1.0e6
+        z = modal_response(self.GRID, [1.0e6], [gamma], residues)
+        return fit_fixed_centers(self.GRID, z, np.array([1.0e6]), np.array([self.HWHM]))
 
     def test_antiphase_ion_gets_negative_sign(self):
-        heights = np.array([[1.0], [0.5], [1.0]])
-        spectrum = self.single_mode_result(
-            np.array([1.0, 0.5, 1.0]), [-np.pi / 2, np.pi / 2, -np.pi / 2]
-        )
-        est = reconstruct_eigenvectors(spectrum, np.array([1.0e6]), heights)
-        assert est.components[:, 0] == pytest.approx([2 / 3, -1 / 3, 2 / 3], abs=1e-12)
-        assert est.reference_ions[0] == 0
+        fit = self.single_mode_fit([1.0, -0.5, 1.0])
+        est = reconstruct_eigenvectors(fit.centers, fit.heights, fit.height_errors)
+        assert est.components[:, 0] == pytest.approx([2 / 3, -1 / 3, 2 / 3], abs=1e-10)
         assert est.ambiguity_notes == ()
 
     def test_in_phase_equal_heights_give_uniform_column(self):
-        heights = np.ones((3, 1))
-        spectrum = self.single_mode_result(
-            np.array([1.0, 1.0, 1.0]), [-np.pi / 2, -np.pi / 2, -np.pi / 2]
-        )
-        est = reconstruct_eigenvectors(spectrum, np.array([1.0e6]), heights)
+        fit = self.single_mode_fit([-1.0, -1.0, -1.0])
+        est = reconstruct_eigenvectors(fit.centers, fit.heights)
         assert est.components[:, 0] == pytest.approx(np.ones(3) / math.sqrt(3))
         assert np.linalg.norm(est.components[:, 0]) == pytest.approx(1.0)
-
-    def test_near_threshold_phase_is_flagged(self):
-        heights = np.array([[1.0], [0.8], [0.9]])
-        delta = PHASE_SIGN_THRESHOLD + 0.1  # inside the ambiguity margin
-        spectrum = self.single_mode_result(
-            np.array([1.0, 0.8, 0.9]), [0.0, delta, 0.0]
-        )
-        with pytest.warns(UserWarning, match="sign threshold"):
-            est = reconstruct_eigenvectors(spectrum, np.array([1.0e6]), heights)
-        assert len(est.ambiguity_notes) == 1
-        assert "ion 1" in est.ambiguity_notes[0]
-        assert est.components[1, 0] < 0  # past the threshold, so still flipped
+        assert np.all(np.isnan(est.component_errors))
 
     def test_component_errors_are_scaled_height_errors(self):
         heights = np.array([[3.0], [4.0]])
         errors = np.array([[0.3], [0.4]])
-        spectrum = self.single_mode_result(np.array([3.0, 4.0]), [0.0, 0.0])
-        est = reconstruct_eigenvectors(
-            spectrum, np.array([1.0e6]), heights, height_errors=errors
-        )
+        est = reconstruct_eigenvectors(np.array([1.0e6]), heights, height_errors=errors)
         assert est.components[:, 0] == pytest.approx([0.6, 0.8])
         assert est.component_errors[:, 0] == pytest.approx([0.06, 0.08])
-        assert est.reference_ions[0] == 1
+        assert est.ambiguity_notes == ()
+
+    def test_height_within_two_errors_is_noted(self):
+        heights = np.array([[3.0], [0.1], [-4.0]])
+        errors = np.array([[0.1], [0.1], [0.1]])
+        est = reconstruct_eigenvectors(np.array([1.0e6]), heights, height_errors=errors)
+        assert len(est.ambiguity_notes) == 1
+        assert "ion 1" in est.ambiguity_notes[0]
+        assert est.components[:, 0] == pytest.approx(np.array([-3.0, -0.1, 4.0]) / 5.001, rel=1e-3)
 
     def test_zero_column_rejected(self):
-        spectrum = self.single_mode_result(np.array([1.0, 1.0]), [0.0, 0.0])
         with pytest.raises(AnalysisError, match="all-zero"):
-            reconstruct_eigenvectors(spectrum, np.array([1.0e6]), np.zeros((2, 1)))
+            reconstruct_eigenvectors(np.array([1.0e6]), np.zeros((2, 1)))
 
     def test_center_count_mismatch(self):
-        spectrum = self.single_mode_result(np.array([1.0, 1.0]), [0.0, 0.0])
         with pytest.raises(AnalysisError, match="column count"):
-            reconstruct_eigenvectors(spectrum, np.array([1.0e6, 2.0e6]), np.ones((2, 1)))
+            reconstruct_eigenvectors(np.array([1.0e6, 2.0e6]), np.ones((2, 1)))
+
+    def test_requires_2d_heights(self):
+        with pytest.raises(AnalysisError, match="2-D"):
+            reconstruct_eigenvectors(np.array([1.0e6]), np.ones(2))
 
 
 class TestAnalyzeSpectrum:

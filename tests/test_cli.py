@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, config handling, exit codes."""
 import csv
+import io
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from tapermode import cli
 from tapermode.core import TWO_PI, TrapConfig
+from tapermode.dynamics import SpectrumResult
 from tapermode.modes import compute_modes
 
 
@@ -135,6 +137,36 @@ class TestSweepCommand:
         assert capsys.readouterr().out == serial
 
 
+def csv_writer_spectrum_rows(writer, spectrum):
+    """The row-by-row ``csv.writer`` loop the spectrum CSV format was defined by."""
+    writer.writerow(["omega_d_hz", "ion_index", "amplitude_um", "phase_rad"])
+    for k, wd in enumerate(spectrum.drive_frequencies):
+        for i in range(spectrum.n_ions):
+            writer.writerow([
+                cli._fmt(wd / TWO_PI),
+                i + 1,
+                cli._fmt(spectrum.amplitude[k, i] * 1e6),
+                cli._fmt(spectrum.phase[k, i]),
+            ])
+
+
+@pytest.mark.parametrize("n_ions", [1, 3, 7])
+def test_spectrum_csv_matches_the_csv_writer_loop(n_ions):
+    rng = np.random.default_rng(n_ions)
+    amplitude = 10.0 ** rng.uniform(-12.0, -5.0, (40, n_ions))
+    amplitude[0, 0] = 0.0
+    phase = rng.uniform(-math.pi, math.pi, (40, n_ions))
+    phase[1, -1] = math.pi
+    spectrum = SpectrumResult(
+        drive_frequencies=TWO_PI * np.linspace(40e3, 2.1e6, 40),
+        amplitude=amplitude, phase=phase, direction="x", damping_rate=1.0,
+        model="response", steps_per_period=None, settle_cycles=0, measure_cycles=1,
+    )
+    reference = io.StringIO(newline="")
+    csv_writer_spectrum_rows(csv.writer(reference), spectrum)
+    assert cli._spectrum_csv(spectrum).encode() == reference.getvalue().encode()
+
+
 class TestSimulateAndFit:
     CONFIG = {
         "trap": {"omega_z_hz": 47e3},
@@ -168,7 +200,7 @@ class TestSimulateAndFit:
         theory = table.matrix("x")
         assert np.max(np.abs(fitted - theory)) < 0.02
         # localized regime: each mode has a distinct loudest ion
-        assert result["eigenvectors"]["reference_ions"] == [1, 2, 3]
+        assert list(np.argmax(np.abs(fitted), axis=0)) == [0, 1, 2]
 
     def test_fit_carries_the_beam_axis(self, tmp_path, monkeypatch):
         data = {**self.CONFIG, "beam": {"axis": "y"}}

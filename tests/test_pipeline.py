@@ -1,5 +1,6 @@
 """Closed-loop sweep: synthesize spectra, refit, compare with predictions."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestRunExperiment:
         assert summary["max_frequency_error_hwhm"] < 0.5
         assert summary["max_component_error"] < 0.05
         assert summary["signs_all_match"] is True
+
+    def test_low_end_default_point_needs_no_phase_rule(self):
+        """At 47 kHz a phase difference to the loudest ion sits near pi/2.
+
+        A sign read off a pi/2 phase threshold is ambiguous there; the
+        residue signs are not, so the point fits cleanly and without warnings.
+        """
+        plan = ExperimentPlan(omega_z_values=DEFAULT_OMEGA_Z_GRID[:1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = run_experiment(CONFIG, plan).points[0]
+        assert point.failure is None
+        assert point.notes == ()
+        assert np.all(point.sign_matches)
+        assert np.max(point.component_errors) <= 0.01
 
     def test_noise_is_seed_deterministic(self):
         plan = ExperimentPlan(
