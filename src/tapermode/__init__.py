@@ -40,6 +40,7 @@ from .dynamics import (
     linear_response_spectrum,
     ring_down,
     simulate_spectrum,
+    synthesize_spectra,
     synthesize_spectrum,
     total_energy,
     wrap_phase,
@@ -125,6 +126,7 @@ __all__ = [
     "select_beam",
     "simulate_spectrum",
     "site_frequencies",
+    "synthesize_spectra",
     "synthesize_spectrum",
     "total_energy",
     "wrap_phase",

@@ -257,28 +257,38 @@ def gradient(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
     """
     r = _check_positions(config, positions, batch=True)
     x = np.moveaxis(r, -1, 0)
-    accel = _acceleration_kernel(config, np.zeros(x.shape), x.shape)(x)
-    return np.moveaxis(accel, 0, -1) * -config.mass
+    origin = np.zeros(x.shape)
+    accel = _acceleration_kernel(config, origin, _squared_frequencies(config), x.shape)
+    return np.moveaxis(accel(x), 0, -1) * -config.mass
+
+
+def _squared_frequencies(config: TrapConfig) -> np.ndarray:
+    """The trap stiffness per mass ``W = (wx^2, wy^2, wz^2)`` [3] in (rad/s)^2."""
+    return np.array([config.omega_x**2, config.omega_y**2, config.omega_z**2])
 
 
 def _acceleration_kernel(
-    config: TrapConfig, origin: np.ndarray, shape: tuple[int, ...]
+    config: TrapConfig, origin: np.ndarray, omega_sq: np.ndarray, shape: tuple[int, ...]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The acceleration -dV/dr / m at ``origin + x``, in component-major layout.
 
     Displacements ``x`` have ``shape`` (3, ..., N): ``x[c, ..., i]`` is
     coordinate c of ion i, and any axes in between are a batch of chains.
-    ``origin`` broadcasts to ``shape``. The Coulomb term runs over the fixed
-    list of pairs i < j, held as the incidence matrix ``S`` [N, P] whose
+    The chains may sit in different traps: ``origin`` broadcasts to
+    ``shape``, and ``omega_sq`` holds ``W = (wx^2, wy^2, wz^2)`` as [3, ...]
+    over the leading batch axes (padded with trailing axes to broadcast).
+    ``config`` gives what every chain shares: the ion count, the Coulomb
+    coupling per mass and the funnel length L. The Coulomb term runs over the
+    fixed list of pairs i < j, held as the incidence matrix ``S`` [N, P] whose
     column p is e_i - e_j. With separations ``d = x S + origin S``,
 
         a_coulomb = (k q^2 / m) (d / |d|^3) S^T,
 
-    and the trap term is ``-W r`` with ``W = (wx^2, wy^2, wz^2)`` plus the
-    taper cross terms ``-2 (wx^2 x, wy^2 y) z / L`` and
-    ``-(wx^2 x^2 + wy^2 y^2) / L``. Every constant is built here, once, and
-    broadcast to full size, so a call is a short run of same-shape array
-    operations. N = 1 has no pairs and gives the trap term alone.
+    and the trap term is ``-W r`` plus the taper cross terms
+    ``-2 (wx^2 x, wy^2 y) z / L`` and ``-(wx^2 x^2 + wy^2 y^2) / L``. Every
+    constant is built here, once, and broadcast to full size, so a call is a
+    short run of same-shape array operations. N = 1 has no pairs and gives
+    the trap term alone.
     """
     n = config.n_ions
     first, second = np.triu_indices(n, 1)
@@ -290,10 +300,9 @@ def _acceleration_kernel(
     origin = np.broadcast_to(origin, shape)
     r0 = origin.copy()
     d0 = origin @ incidence
-    stiffness = np.empty(shape)
-    stiffness[0], stiffness[1], stiffness[2] = (
-        config.omega_x**2, config.omega_y**2, config.omega_z**2
-    )
+    omega_sq = np.asarray(omega_sq, dtype=float)
+    omega_sq = omega_sq.reshape(omega_sq.shape + (1,) * (len(shape) - omega_sq.ndim))
+    stiffness = np.broadcast_to(omega_sq, shape).copy()
     inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
 
     def accel(x: np.ndarray) -> np.ndarray:

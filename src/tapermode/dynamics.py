@@ -18,9 +18,25 @@ The full nonlinear forces come from the package's one force kernel,
 over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
 its constants once per spectrum or ring-down, not once per step.
 
-A frequency scan is integrated in lockstep, with the scan points on axis -2
-of the state ([points, N] for the linearized model, [3, points, N] for the
-full one). Every drive frequency uses the same number of steps per drive
+The time-domain spectra of a whole grid of configurations are integrated in
+one lockstep by :func:`synthesize_spectra`. The state holds the grid points
+on axis -3 and each point's scan points on axis -2: [P, M, N] for the
+linearized model, [3, P, M, N] for the full one. The per-point constants
+(equilibrium origin, trap frequencies, time step, drive weights, damping,
+blow-up scale) are arrays along the grid axis. Points share a lockstep only
+when they share its step schedule: the number of steps per drive period,
+which each point derives from its own resolution floor exactly as it would
+alone, and the settle and measure cycles. They must also share the state
+shape, the driven axis and the force kernel's common constants (ion count,
+mass, charge, funnel length). So a grid splits into one group per distinct
+schedule, and every point takes exactly the steps it would take on its own.
+A group is split further into chunks whose largest per-step array stays
+under ``_LOCKSTEP_BLOCK_ELEMENTS``, so a long chain on a fine grid does not
+multiply the peak memory by the number of points.
+:func:`simulate_spectrum` and :func:`synthesize_spectrum` are one-element
+calls of the same entry.
+
+Within a point every drive frequency uses the same number of steps per drive
 period, so all scan points share one drive phase table and the demodulation
 of the driven component over M steps
 
@@ -40,7 +56,7 @@ orthonormal eigenvectors ``A`` from :func:`tapermode.modes.compute_modes`),
     X(w_d) = A diag(1 / (l_k - w_d^2 + i Gamma w_d)) A^T (F0/m) w,
 
 which is the reference the integrator is validated against.
-:func:`synthesize_spectrum` picks one of the three models by name.
+:func:`synthesize_spectra` picks one of the three models by name.
 """
 from __future__ import annotations
 
@@ -48,14 +64,20 @@ import math
 import warnings
 from dataclasses import dataclass
 from types import EllipsisType
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import TrapConfig, _acceleration_kernel, axis_index, potential_energy
+from .core import (
+    TrapConfig,
+    _acceleration_kernel,
+    _squared_frequencies,
+    axis_index,
+    potential_energy,
+)
 from .equilibrium import equilibrium_positions
-from .errors import ConfigError, SimulationError
-from .modes import compute_modes, coupling_matrix, reference_frequency
+from .errors import ConfigError, SimulationError, TapermodeError
+from .modes import DIRECTIONS, ModeTable, compute_modes, coupling_matrix, reference_frequency
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +100,16 @@ MIN_SETTLE_DAMPING_TIMES = 5.0
 SPECTRUM_SOURCES = ("response", "linearized", "full")
 
 BEAM_KINDS = ("broad", "focused")
+
+#: Cap, in array elements, on the largest per-step array of one lockstep:
+#: the full model's state or pair separations, 3 x scan points x max(N,
+#: N(N-1)/2) per grid point. A group of grid points is split into as few
+#: equal chunks as keep under it (a single point always runs). It bounds
+#: the memory of long chains, and it keeps the ~15 live state-sized arrays
+#: of a step within a core's L2 cache: on a 2 MiB-L2 Xeon, the default
+#: 12-point, 800-scan-point plan at N = 3 took about 1.8x as long with a
+#: cap 4x larger.
+_LOCKSTEP_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -250,14 +282,14 @@ def _verlet(
     x: np.ndarray,
     v: np.ndarray,
     half_dt: np.ndarray | float,
-    gamma: float,
+    gamma: np.ndarray | float,
     n_steps: int,
 ) -> Iterator[int]:
     """Damped velocity Verlet on ``x`` and ``v`` in place; yields each step count.
 
     ``accel(x, k)`` is the acceleration at ``x`` after ``k`` steps, and
-    ``half_dt`` (half the step) broadcasts against ``x``. The damping is
-    split half explicit, half implicit:
+    ``half_dt`` (half the step) and ``gamma`` (the damping rate) broadcast
+    against ``x``. The damping is split half explicit, half implicit:
 
         v' = (1 - Gamma h) v + h a(x),   x += 2 h v',
         v  = (v' + h a(x)) / (1 + Gamma h),
@@ -284,123 +316,134 @@ def _lockstep_verlet(
     observed: int | EllipsisType,
     push: np.ndarray,
     dt: np.ndarray,
-    scan: DriveScan,
+    gamma: np.ndarray,
+    blowup: np.ndarray,
     spp: int,
-    blowup: float,
-) -> np.ndarray:
-    """Integrate every scan point from rest and demodulate its displacement.
+    settle_cycles: int,
+    measure_cycles: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate every scan point of every grid point from rest and demodulate.
 
-    The state has ``shape`` with the scan points on axis -2: [M, N] for one
-    direction, [3, M, N] component-major for the full chain. ``force(x)`` is
-    the undriven acceleration at displacements ``x`` from equilibrium;
-    ``x[observed]`` is the driven direction, which feels the extra
-    acceleration ``push`` [N] sin(2 pi k / spp) at drive phase index k.
-    ``dt`` [M] is each point's step. Returns the complex amplitude Z [M, N]
-    of ``x[observed]`` over the measure window.
+    The state has ``shape`` with the P grid points on axis -3 and their M
+    scan points on axis -2: [P, M, N] for one direction, [3, P, M, N]
+    component-major for the full chain. ``force(x)`` is the undriven
+    acceleration at displacements ``x`` from equilibrium; ``x[observed]`` is
+    the driven direction, which feels the extra acceleration ``push`` [P, N]
+    sin(2 pi k / spp) at drive phase index k. ``dt`` [P, M] is each scan
+    point's step; ``gamma`` [P] and ``blowup`` [P] are each grid point's
+    damping rate and largest allowed displacement.
+
+    Returns the complex amplitudes Z [P, M, N] of ``x[observed]`` over the
+    measure window and, per grid point, the step after which it diverged (0
+    if it did not). Divergence (a displacement beyond ``blowup``, or one
+    that is no longer finite) is checked once per drive period, before the
+    force is evaluated: a diverged point is set back to rest with its drive
+    off, so its rows stay finite and never touch the others, and the run
+    ends early once every point has diverged.
     """
     phases = TWO_PI * np.arange(spp) / spp
     sin_tab = np.sin(phases)
     exp_tab = np.exp(-1j * phases)
+    n_points, row_size = shape[-3], shape[-2] * shape[-1]
     # Full-size copies: same-shape array operations skip numpy's slow
     # broadcasting loops over the short ion axis.
-    push = np.broadcast_to(push, shape[-2:]).copy()
-    half_dt = np.broadcast_to(0.5 * dt[:, None], shape).copy()
-    n_steps = (scan.settle_cycles + scan.measure_cycles) * spp
-    demod_start = scan.settle_cycles * spp
+    push = np.broadcast_to(push[:, None, :], shape[-3:]).copy()
+    half_dt = np.broadcast_to(0.5 * dt[:, :, None], shape).copy()
+    damping = np.broadcast_to(gamma[:, None, None], shape)
+    n_steps = (settle_cycles + measure_cycles) * spp
+    demod_start = settle_cycles * spp
+    diverged = np.zeros(n_points, dtype=int)
+    x, v = np.zeros(shape), np.zeros(shape)
 
     def accel(x: np.ndarray, step: int) -> np.ndarray:
+        phase_idx = step % spp
+        if phase_idx == 0 and step:
+            peak = np.abs(x).reshape(-1, n_points, row_size).max(axis=(0, 2))
+            fresh = ~(peak <= blowup) & (diverged == 0)
+            if np.any(fresh):
+                diverged[fresh] = step
+                x[..., fresh, :, :] = 0.0
+                v[..., fresh, :, :] = 0.0
+                push[fresh] = 0.0
         a = force(x)
-        a[observed] += sin_tab[step % spp] * push
+        a[observed] += sin_tab[phase_idx] * push
         return a
 
-    x = np.zeros(shape)
-    accum = np.zeros(shape[-2:], dtype=complex)
-    for step in _verlet(accel, x, np.zeros(shape), half_dt, scan.damping_rate, n_steps):
-        phase_idx = step % spp
+    accum = np.zeros(shape[-3:], dtype=complex)
+    for step in _verlet(accel, x, v, half_dt, damping, n_steps):
         if step > demod_start:
-            accum += x[observed] * exp_tab[phase_idx]
-        if phase_idx == 0 and np.max(np.abs(x)) > blowup:
-            raise SimulationError(
-                f"trajectory diverged after {step} steps "
-                f"(displacement exceeded {BLOWUP_LENGTH_UNITS:g} length units)"
-            )
-    return accum * (2.0 / (scan.measure_cycles * spp))
+            accum += x[observed] * exp_tab[step % spp]
+        if step % spp == 0 and np.all(diverged):
+            break
+    return accum * (2.0 / (measure_cycles * spp)), diverged
 
 
-def simulate_spectrum(
-    config: TrapConfig,
-    scan: DriveScan,
-    beam: BeamSpec,
-    model: str = "full",
-) -> SpectrumResult:
-    """Integrate the driven chain from rest and demodulate each scan point.
-
-    ``model='full'`` integrates the complete nonlinear forces in 3-D;
-    ``model='linearized'`` integrates the stiffness-matrix dynamics of the
-    driven direction only (the other directions stay zero at linear order
-    for an on-axis chain). Raises :class:`SimulationError` if any ion moves
-    more than ``BLOWUP_LENGTH_UNITS`` chain length units away from
-    equilibrium.
-    """
-    r0 = equilibrium_positions(config)
-    weights = beam_weights(beam, r0)
-    table = compute_modes(config)
-    omega_fast = max(
-        float(np.max([m.frequency for m in table.modes])),
-        float(np.max(scan.drive_frequencies)),
-    )
-    spp = _steps_per_period(scan, omega_fast)
-    _warn_short_settle(scan)
-
-    wd = scan.drive_frequencies
+def _integrate(
+    tables: Sequence[ModeTable],
+    scans: Sequence[DriveScan],
+    beams: Sequence[BeamSpec],
+    model: str,
+    spp: int,
+) -> list[SpectrumResult | SimulationError]:
+    """One lockstep over grid points that share a step schedule and a driven axis."""
+    configs = [table.config for table in tables]
+    config, scan, direction = configs[0], scans[0], beams[0].direction
+    origins = [equilibrium_positions(c) for c in configs]
+    wd = np.stack([s.drive_frequencies for s in scans])
+    shape: tuple[int, ...] = (len(configs), wd.shape[1], config.n_ions)
     if model == "linearized":
-        restoring = (
-            -coupling_matrix(config, beam.direction)
-            * reference_frequency(config, beam.direction) ** 2
-        )
-        shape: tuple[int, ...] = (wd.size, config.n_ions)
+        restoring = np.stack([
+            -coupling_matrix(c, direction) * reference_frequency(c, direction) ** 2
+            for c in configs
+        ])
         observed: int | EllipsisType = ...
 
         def force(x: np.ndarray) -> np.ndarray:
             return x @ restoring
 
-    elif model == "full":
-        shape = (3, wd.size, config.n_ions)
-        observed = axis_index(beam.direction)
-        force = _acceleration_kernel(config, r0.T[:, None, :], shape)
     else:
-        raise ConfigError(
-            f"unknown model {model!r}; simulate_spectrum integrates 'linearized' or 'full'"
+        shape = (3, *shape)
+        observed = axis_index(direction)
+        force = _acceleration_kernel(
+            config,
+            np.stack([r0.T for r0 in origins], axis=1)[:, :, None, :],
+            np.stack([_squared_frequencies(c) for c in configs], axis=1),
+            shape,
         )
-
-    z = _lockstep_verlet(
-        force, shape, observed, beam.force_amplitude / config.mass * weights,
-        (TWO_PI / wd) / spp, scan, spp, BLOWUP_LENGTH_UNITS * config.length_scale,
+    z, diverged = _lockstep_verlet(
+        force, shape, observed,
+        np.stack([b.force_amplitude / c.mass * beam_weights(b, r0)
+                  for b, c, r0 in zip(beams, configs, origins)]),
+        (TWO_PI / wd) / spp,
+        np.array([s.damping_rate for s in scans]),
+        np.array([BLOWUP_LENGTH_UNITS * c.length_scale for c in configs]),
+        spp, scan.settle_cycles, scan.measure_cycles,
     )
-    return SpectrumResult(
-        drive_frequencies=wd.copy(),
-        amplitude=np.abs(z),
-        phase=wrap_phase(np.angle(z) + np.pi / 2),
-        direction=beam.direction,
-        damping_rate=scan.damping_rate,
-        model=model,
-        steps_per_period=spp,
-        settle_cycles=scan.settle_cycles,
-        measure_cycles=scan.measure_cycles,
-    )
+    results: list[SpectrumResult | SimulationError] = []
+    for p, s in enumerate(scans):
+        if diverged[p]:
+            results.append(SimulationError(
+                f"trajectory diverged after {diverged[p]} steps "
+                f"(displacement exceeded {BLOWUP_LENGTH_UNITS:g} length units)"
+            ))
+            continue
+        results.append(SpectrumResult(
+            drive_frequencies=s.drive_frequencies.copy(),
+            amplitude=np.abs(z[p]),
+            phase=wrap_phase(np.angle(z[p]) + np.pi / 2),
+            direction=direction,
+            damping_rate=s.damping_rate,
+            model=model,
+            steps_per_period=spp,
+            settle_cycles=s.settle_cycles,
+            measure_cycles=s.measure_cycles,
+        ))
+    return results
 
 
-def linear_response_spectrum(
-    config: TrapConfig,
-    scan: DriveScan,
-    beam: BeamSpec,
-) -> SpectrumResult:
-    """Closed-form linearized steady state of the same scan, as a modal sum.
-
-    Raises :class:`SolverError` when the on-axis chain is unstable (e.g.
-    past the radial zigzag instability), where no steady state exists.
-    """
-    table = compute_modes(config)
+def _modal_response(table: ModeTable, scan: DriveScan, beam: BeamSpec) -> SpectrumResult:
+    """The closed-form modal sum of :func:`linear_response_spectrum` on a solved table."""
+    config = table.config
     direction = beam.direction
     vectors = table.matrix(direction)
     stiffness = table.eigenvalues(direction) * reference_frequency(config, direction) ** 2
@@ -423,6 +466,104 @@ def linear_response_spectrum(
     )
 
 
+def synthesize_spectra(
+    tables: Sequence[ModeTable],
+    scans: Sequence[DriveScan],
+    beams: Sequence[BeamSpec],
+    source: str,
+) -> list[SpectrumResult | TapermodeError]:
+    """Steady-state spectra of many configurations from one of ``SPECTRUM_SOURCES``.
+
+    Entry i drives ``tables[i].config`` with ``beams[i]`` over ``scans[i]``;
+    ``tables[i]`` is its solved :func:`tapermode.modes.compute_modes` table,
+    with all three directions for the time-domain sources (the fastest mode
+    sets the resolution floor). ``'response'`` evaluates the closed-form
+    modal sum point by point. ``'linearized'`` and ``'full'`` integrate the
+    equations of motion from rest, all grid points in lockstep (see the
+    module docstring), with exactly the steps each point would take alone.
+
+    A point that fails (a step request below the resolution floor, a
+    trajectory that diverges) gets its :class:`TapermodeError` in place of
+    its spectrum and leaves the other points unchanged. An unknown
+    ``source`` raises :class:`ConfigError`.
+    """
+    if source not in SPECTRUM_SOURCES:
+        raise ConfigError(
+            f"unknown spectrum source {source!r}; expected one of {SPECTRUM_SOURCES}"
+        )
+    results: list[SpectrumResult | TapermodeError | None] = [None] * len(tables)
+    groups: dict[tuple, list[int]] = {}
+    for i, (table, scan, beam) in enumerate(zip(tables, scans, beams, strict=True)):
+        try:
+            if source == "response":
+                results[i] = _modal_response(table, scan, beam)
+                continue
+            omega_fast = float(np.max([table.frequencies(d) for d in DIRECTIONS]))
+            spp = _steps_per_period(scan, max(omega_fast, float(np.max(scan.drive_frequencies))))
+        except TapermodeError as exc:
+            results[i] = exc
+            continue
+        _warn_short_settle(scan)
+        config = table.config
+        key = (spp, scan.settle_cycles, scan.measure_cycles, scan.drive_frequencies.size,
+               beam.direction, config.n_ions, config.mass, config.charge_number,
+               config.funnel_length)
+        groups.setdefault(key, []).append(i)
+
+    for (spp, _, _, n_scan, _, n_ions, *_), members in groups.items():
+        per_point = 3 * n_scan * max(n_ions, n_ions * (n_ions - 1) // 2)
+        n_chunks = -(-len(members) * per_point // _LOCKSTEP_BLOCK_ELEMENTS)
+        for chunk in np.array_split(members, min(n_chunks, len(members))):
+            spectra = _integrate([tables[i] for i in chunk], [scans[i] for i in chunk],
+                                 [beams[i] for i in chunk], source, spp)
+            for i, spectrum in zip(chunk, spectra):
+                results[i] = spectrum
+    return results
+
+
+def _single(results: list[SpectrumResult | TapermodeError]) -> SpectrumResult:
+    """The one spectrum of a one-point :func:`synthesize_spectra`, or its error raised."""
+    (result,) = results
+    if isinstance(result, TapermodeError):
+        raise result
+    return result
+
+
+def simulate_spectrum(
+    config: TrapConfig,
+    scan: DriveScan,
+    beam: BeamSpec,
+    model: str = "full",
+) -> SpectrumResult:
+    """Integrate the driven chain from rest and demodulate each scan point.
+
+    ``model='full'`` integrates the complete nonlinear forces in 3-D;
+    ``model='linearized'`` integrates the stiffness-matrix dynamics of the
+    driven direction only (the other directions stay zero at linear order
+    for an on-axis chain). Raises :class:`SimulationError` if any ion moves
+    more than ``BLOWUP_LENGTH_UNITS`` chain length units away from
+    equilibrium. A one-point :func:`synthesize_spectra`.
+    """
+    if model not in ("linearized", "full"):
+        raise ConfigError(
+            f"unknown model {model!r}; simulate_spectrum integrates 'linearized' or 'full'"
+        )
+    return _single(synthesize_spectra([compute_modes(config)], [scan], [beam], model))
+
+
+def linear_response_spectrum(
+    config: TrapConfig,
+    scan: DriveScan,
+    beam: BeamSpec,
+) -> SpectrumResult:
+    """Closed-form linearized steady state of the same scan, as a modal sum.
+
+    Raises :class:`SolverError` when the on-axis chain is unstable (e.g.
+    past the radial zigzag instability), where no steady state exists.
+    """
+    return _modal_response(compute_modes(config), scan, beam)
+
+
 def synthesize_spectrum(
     config: TrapConfig,
     scan: DriveScan,
@@ -432,12 +573,10 @@ def synthesize_spectrum(
     """The steady-state spectrum of one of ``SPECTRUM_SOURCES``.
 
     ``'response'`` is the closed-form modal sum; ``'linearized'`` and
-    ``'full'`` integrate the equations of motion in the time domain, and
-    :func:`simulate_spectrum` rejects any other name.
+    ``'full'`` integrate the equations of motion in the time domain. A
+    one-point :func:`synthesize_spectra`.
     """
-    if source == "response":
-        return linear_response_spectrum(config, scan, beam)
-    return simulate_spectrum(config, scan, beam, model=source)
+    return _single(synthesize_spectra([compute_modes(config)], [scan], [beam], source))
 
 
 @dataclass(frozen=True)
@@ -482,7 +621,8 @@ def ring_down(
         raise ConfigError(f"displacement must have shape {r0.shape}, got {disp.shape}")
     n_steps = math.ceil(duration / dt)
     sample_every = max(1, round(t_fast / dt))
-    force = _acceleration_kernel(config, r0.T, r0.T.shape)
+    origin = r0.T
+    force = _acceleration_kernel(config, origin, _squared_frequencies(config), origin.shape)
     x, v = disp.T.copy(), np.zeros(r0.T.shape)
     steps, xs, vs = [0], [x.copy()], [v.copy()]
     for step in _verlet(lambda x, _: force(x), x, v, 0.5 * dt, damping_rate, n_steps):

@@ -1,13 +1,14 @@
 """Closed-loop emulation: plan a frequency sweep, synthesize spectra, refit.
 
 :func:`run_experiment` walks a grid of axial confinements. At every grid
-point it computes the mode table, picks an excitation beam (a broad uniform
-drive at low confinement, a focused Gaussian profile centred on the middle
-ion once the chain's modes delocalize), synthesizes the driven response of
-every ion across a scan window bracketing the predicted resonances,
-optionally adds seeded measurement noise, and then runs the full analysis
-chain — locate peaks, refit per ion with frozen centers, reconstruct signed
-eigenvectors — exactly as one would on measured data. Fitted frequencies
+point it computes the mode table once, picks an excitation beam (a broad
+uniform drive at low confinement, a focused Gaussian profile centred on the
+middle ion once the chain's modes delocalize), synthesizes the driven
+response of every ion across a scan window bracketing the predicted
+resonances (all grid points in one batch), optionally adds seeded
+measurement noise, and then runs the full analysis chain — locate peaks,
+refit per ion with frozen centers, reconstruct signed eigenvectors —
+exactly as one would on measured data. Fitted frequencies
 and eigenvectors are matched to the predictions by largest overlap
 (Hungarian assignment) so the report quantifies how well the measurement
 side reproduces the model side.
@@ -34,12 +35,12 @@ from .dynamics import (
     SpectrumResult,
     beam_weights,
     linear_response_spectrum,
-    synthesize_spectrum,
+    synthesize_spectra,
     wrap_phase,
 )
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SolverError, TapermodeError
-from .modes import compute_modes
+from .modes import ModeTable, compute_modes
 from .sweep import assign_columns
 
 #: Grid used when a plan does not specify one: 12 points, 47-205 kHz.
@@ -232,18 +233,6 @@ def select_beam(config: TrapConfig, plan: ExperimentPlan, omega_z: float) -> Bea
     )
 
 
-def _synthesize(config, plan, beam, drive_frequencies, damping_rate) -> SpectrumResult:
-    scan = DriveScan(
-        drive_frequencies=drive_frequencies,
-        damping_rate=damping_rate,
-        settle_cycles=plan.settle_cycles,
-        measure_cycles=plan.measure_cycles,
-        integrator_step=plan.integrator_step,
-        steps_per_period=plan.steps_per_period,
-    )
-    return synthesize_spectrum(config, scan, beam, plan.spectrum_source)
-
-
 def _add_noise(spectrum: SpectrumResult, fraction: float, rng) -> SpectrumResult:
     if fraction == 0.0:
         return spectrum
@@ -295,19 +284,38 @@ def _failed_point(config, plan, omega_z: float, reason: str) -> PointResult:
     )
 
 
-def _run_point(config: TrapConfig, plan: ExperimentPlan, omega_z: float, seed_child) -> PointResult:
-    point_config = config.replace(omega_z=omega_z)
-    table = compute_modes(point_config, directions=(plan.direction,))
+def _prepare_point(
+    config: TrapConfig, plan: ExperimentPlan, omega_z: float
+) -> tuple[ModeTable, DriveScan, BeamSpec]:
+    """The mode table (all three directions), drive scan and beam of one point."""
+    table = compute_modes(config.replace(omega_z=omega_z))
+    theory_freqs = table.frequencies(plan.direction)
+    beam = select_beam(config, plan, omega_z)
+    scan = DriveScan(
+        drive_frequencies=np.linspace(
+            0.9 * theory_freqs.min(), 1.1 * theory_freqs.max(), plan.scan_points
+        ),
+        damping_rate=plan.damping_rate * (
+            plan.focused_damping_scale if beam.kind == "focused" else 1.0
+        ),
+        settle_cycles=plan.settle_cycles,
+        measure_cycles=plan.measure_cycles,
+        integrator_step=plan.integrator_step,
+        steps_per_period=plan.steps_per_period,
+    )
+    return table, scan, beam
+
+
+def _score_point(
+    plan: ExperimentPlan,
+    table: ModeTable,
+    beam: BeamSpec,
+    spectrum: SpectrumResult,
+    seed_child,
+) -> PointResult:
+    """Add the point's noise, refit its spectrum and compare with its modes."""
     theory_freqs = table.frequencies(plan.direction)
     theory_matrix = table.matrix(plan.direction)
-
-    beam = select_beam(config, plan, omega_z)
-    weights = beam_weights(beam, equilibrium_positions(point_config))
-    damping = plan.damping_rate * (
-        plan.focused_damping_scale if beam.kind == "focused" else 1.0
-    )
-    drive = np.linspace(0.9 * theory_freqs.min(), 1.1 * theory_freqs.max(), plan.scan_points)
-    spectrum = _synthesize(point_config, plan, beam, drive, damping)
     spectrum = _add_noise(spectrum, plan.noise_fraction, np.random.default_rng(seed_child))
 
     result = analyze_spectrum(spectrum, n_modes=theory_freqs.size)
@@ -326,9 +334,9 @@ def _run_point(config: TrapConfig, plan: ExperimentPlan, omega_z: float, seed_ch
             notes.append(f"mode {j}: fitted/predicted overlap only {s:.3f}")
 
     return PointResult(
-        omega_z=omega_z,
+        omega_z=table.config.omega_z,
         beam=beam.kind,
-        drive_weights=weights,
+        drive_weights=beam_weights(beam, equilibrium_positions(table.config)),
         theory_frequencies=theory_freqs,
         theory_components=theory_matrix,
         fitted_frequencies=fitted_freqs,
@@ -350,26 +358,46 @@ def run_experiment(
 ) -> ReproductionReport:
     """Run the closed loop over the plan's grid and score the round trip.
 
-    ``seed`` makes the synthetic measurement noise reproducible (each grid
-    point draws from an independently spawned child stream, so results do
-    not depend on evaluation order). The grid points run one after another;
-    ``threads`` is accepted for compatibility and ignored, because worker
-    threads hold the GIL through the per-point work and ran slower than
-    this serial loop. Raises :class:`SolverError` only when more than half
-    the points fail; individual failures are recorded in their
-    :class:`PointResult`.
+    The loop runs in three phases:
+
+    1. Prepare every grid point: its configuration, its mode table (solved
+       once for all three directions; it gives the theory columns, the
+       integrator's resolution floor and the modal sum), its beam, drive
+       window and damping.
+    2. Synthesize the spectra of all prepared points in one
+       :func:`tapermode.dynamics.synthesize_spectra` call, so the
+       time-domain sources integrate the whole grid in one lockstep.
+    3. Add seeded noise to each spectrum and analyze it against the point's
+       modes. Each grid point draws from an independently spawned child
+       stream of ``seed``, so results do not depend on evaluation order.
+
+    A :class:`TapermodeError` in any phase (an invalid configuration, a
+    diverged trajectory, a fit that does not converge) fails only its point,
+    which is recorded with the reason in its :class:`PointResult`. Raises
+    :class:`SolverError` only when more than half the points fail.
+    ``threads`` is accepted for compatibility and ignored: the points are
+    batched, not spread over worker threads.
     """
-    grid = plan.omega_z_values
-    children = np.random.SeedSequence(seed).spawn(grid.size)
-
-    def solve(i: int) -> PointResult:
-        omega_z = float(grid[i])
+    grid = [float(w) for w in plan.omega_z_values]
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    points: list[PointResult | None] = [None] * len(grid)
+    prepared: dict[int, tuple[ModeTable, DriveScan, BeamSpec]] = {}
+    for i, omega_z in enumerate(grid):
         try:
-            return _run_point(config, plan, omega_z, children[i])
+            prepared[i] = _prepare_point(config, plan, omega_z)
         except TapermodeError as exc:
-            return _failed_point(config, plan, omega_z, str(exc))
+            points[i] = _failed_point(config, plan, omega_z, str(exc))
 
-    points = tuple(solve(i) for i in range(grid.size))
+    columns = tuple(zip(*prepared.values())) or ((), (), ())
+    spectra = synthesize_spectra(*columns, plan.spectrum_source)
+    for (i, (table, _, beam)), spectrum in zip(prepared.items(), spectra):
+        if isinstance(spectrum, TapermodeError):
+            points[i] = _failed_point(config, plan, grid[i], str(spectrum))
+            continue
+        try:
+            points[i] = _score_point(plan, table, beam, spectrum, children[i])
+        except TapermodeError as exc:
+            points[i] = _failed_point(config, plan, grid[i], str(exc))
 
     failures = [p for p in points if p.failure is not None]
     if 2 * len(failures) > len(points):
@@ -379,7 +407,7 @@ def run_experiment(
         raise SolverError(
             f"{len(failures)} of {len(points)} sweep points failed ({detail})"
         )
-    return ReproductionReport(config=config, plan=plan, seed=seed, points=points)
+    return ReproductionReport(config=config, plan=plan, seed=seed, points=tuple(points))
 
 
 @dataclass(frozen=True)

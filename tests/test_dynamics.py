@@ -3,21 +3,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tapermode.core import TWO_PI, TrapConfig, hessian
+from tapermode import dynamics
+from tapermode.core import (
+    TWO_PI,
+    TrapConfig,
+    _acceleration_kernel,
+    _squared_frequencies,
+    hessian,
+)
 from tapermode.dynamics import (
+    BLOWUP_LENGTH_UNITS,
     BeamSpec,
     DriveScan,
     beam_weights,
     linear_response_spectrum,
     ring_down,
     simulate_spectrum,
+    synthesize_spectra,
     total_energy,
     wrap_phase,
 )
 from tapermode.equilibrium import equilibrium_positions
 from tapermode.errors import ConfigError, SimulationError, SolverError
-from tapermode.modes import compute_modes
+from tapermode.modes import compute_modes, coupling_matrix, reference_frequency
 from test_core import dense_gradient
 
 CONFIG = TrapConfig()
@@ -329,6 +340,207 @@ class TestFullModelKernel:
         expected = oscillator.amplitude * np.exp(1j * oscillator.phase)
         measured = full.amplitude * np.exp(1j * full.phase)
         assert np.max(np.abs(measured - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def per_point_spectrum(config, scan, beam, model):
+    """Complex amplitudes Z [M, N] of one point, integrated on its own.
+
+    The per-point ``simulate_spectrum`` from before grid points were batched:
+    the scan points in lockstep on axis -2, every constant a scalar or an
+    [M, N] array of this one point, the same split-damping Verlet step, and
+    a :class:`SimulationError` at the first drive period that ends beyond the
+    blow-up scale.
+    """
+    r0 = equilibrium_positions(config)
+    table = compute_modes(config)
+    omega_fast = max(
+        float(np.max([m.frequency for m in table.modes])),
+        float(np.max(scan.drive_frequencies)),
+    )
+    spp = dynamics._steps_per_period(scan, omega_fast)
+    wd = scan.drive_frequencies
+    if model == "linearized":
+        restoring = (
+            -coupling_matrix(config, beam.direction)
+            * reference_frequency(config, beam.direction) ** 2
+        )
+        shape, observed = (wd.size, config.n_ions), ...
+
+        def force(x):
+            return x @ restoring
+
+    else:
+        shape, observed = (3, wd.size, config.n_ions), "xyz".index(beam.direction)
+        force = _acceleration_kernel(
+            config, r0.T[:, None, :], _squared_frequencies(config), shape
+        )
+    phases = TWO_PI * np.arange(spp) / spp
+    sin_tab, exp_tab = np.sin(phases), np.exp(-1j * phases)
+    push = np.broadcast_to(
+        beam.force_amplitude / config.mass * beam_weights(beam, r0), shape[-2:]
+    ).copy()
+    half_dt = np.broadcast_to(0.5 * ((TWO_PI / wd) / spp)[:, None], shape).copy()
+    gamma = scan.damping_rate
+    shrink, restore, dt = 1.0 - gamma * half_dt, 1.0 / (1.0 + gamma * half_dt), 2.0 * half_dt
+
+    def accel(x, step):
+        a = force(x)
+        a[observed] += sin_tab[step % spp] * push
+        return a
+
+    x, v = np.zeros(shape), np.zeros(shape)
+    accum = np.zeros(shape[-2:], dtype=complex)
+    kick = half_dt * accel(x, 0)
+    for step in range(1, (scan.settle_cycles + scan.measure_cycles) * spp + 1):
+        v *= shrink
+        v += kick
+        x += dt * v
+        kick = half_dt * accel(x, step)
+        v += kick
+        v *= restore
+        if step > scan.settle_cycles * spp:
+            accum += x[observed] * exp_tab[step % spp]
+        if step % spp == 0 and np.max(np.abs(x)) > BLOWUP_LENGTH_UNITS * config.length_scale:
+            raise SimulationError(f"trajectory diverged after {step} steps")
+    return accum * (2.0 / (scan.measure_cycles * spp))
+
+
+def complex_amplitude(spectrum):
+    """The demodulated Z of a time-domain spectrum (phase = arg Z + pi/2)."""
+    return spectrum.amplitude * np.exp(1j * (spectrum.phase - math.pi / 2))
+
+
+def grid_point(omega_z_khz, direction="x", kind="broad", damping=GAMMA, scan_points=3,
+               n_ions=3, force=FORCE, trap=CONFIG, **scan_kwargs):
+    """Mode table, drive scan and beam of one grid point with distinct ωx0, ωy0."""
+    config = trap.replace(
+        n_ions=n_ions, omega_z=TWO_PI * omega_z_khz * 1e3, omega_y0=1.2 * trap.omega_x0
+    )
+    table = compute_modes(config)
+    freqs = table.frequencies(direction)
+    scan = DriveScan(
+        np.linspace(0.97 * freqs[0], 1.03 * freqs[-1], scan_points),
+        damping_rate=damping,
+        **{"settle_cycles": 3, "measure_cycles": 2, **scan_kwargs},
+    )
+    z = equilibrium_positions(config)[:, 2]
+    beam = BeamSpec(kind, force, direction=direction, waist_radius=17e-6,
+                    center_z=float(z[(n_ions - 1) // 2]))
+    return table, scan, beam
+
+
+@pytest.mark.filterwarnings("ignore:settle window")
+class TestGridBatch:
+    """All grid points in one lockstep against each point integrated alone."""
+
+    @staticmethod
+    def assert_matches_per_point(points, spectra, model):
+        for (table, scan, beam), got in zip(points, spectra):
+            expected = per_point_spectrum(table.config, scan, beam, model)
+            measured = complex_amplitude(got)
+            assert np.max(np.abs(measured - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_ions=st.integers(1, 7),
+        direction=st.sampled_from(["x", "y"]),
+        model=st.sampled_from(["linearized", "full"]),
+        scan_points=st.integers(1, 4),
+        grid=st.lists(
+            st.tuples(
+                st.floats(47.0, 205.0),
+                st.sampled_from(["broad", "focused"]),
+                st.sampled_from([0.5, 1.0, 2.0]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_batch_matches_per_point_integration(
+        self, n_ions, direction, model, scan_points, grid
+    ):
+        points = [
+            grid_point(omega_z, direction, kind, scale * GAMMA, scan_points, n_ions)
+            for omega_z, kind, scale in grid
+        ]
+        spectra = synthesize_spectra(*zip(*points), model)
+        self.assert_matches_per_point(points, spectra, model)
+        for got in spectra:
+            assert got.model == model
+            assert got.steps_per_period == dynamics.DEFAULT_STEPS_PER_PERIOD
+
+    @pytest.mark.parametrize("model", ["linearized", "full"])
+    def test_mixed_steps_per_period(self, model):
+        """A requested step snaps to a different count per drive window."""
+        points = [
+            grid_point(47, integrator_step=1e-8),
+            grid_point(205, kind="focused", integrator_step=1e-8),
+            grid_point(120, damping=2 * GAMMA, integrator_step=1.3e-8),
+        ]
+        spectra = synthesize_spectra(*zip(*points), model)
+        assert len({s.steps_per_period for s in spectra}) == 3
+        self.assert_matches_per_point(points, spectra, model)
+
+    @pytest.mark.parametrize("model", ["linearized", "full"])
+    def test_diverging_point_fails_alone(self, model):
+        """A resonant drive with almost no damping grows past the blow-up scale.
+
+        A straight trap keeps the one-ion full model linear, so the runaway
+        grows steadily, like the linearized one, instead of overflowing.
+        """
+        straight = CONFIG.replace(funnel_length=math.inf)
+        kwargs = dict(n_ions=1, trap=straight, settle_cycles=20, measure_cycles=20)
+        points = [
+            grid_point(47, **kwargs),
+            grid_point(100, damping=1.0, force=1e-15, **kwargs),
+            grid_point(205, kind="focused", **kwargs),
+        ]
+        spectra = synthesize_spectra(*zip(*points), model)
+        assert isinstance(spectra[1], SimulationError)
+        assert "diverged after" in str(spectra[1])
+        for i in (0, 2):
+            solo = simulate_spectrum(points[i][0].config, points[i][1], points[i][2], model)
+            assert np.array_equal(spectra[i].amplitude, solo.amplitude)
+            assert np.array_equal(spectra[i].phase, solo.phase)
+
+    def test_chunked_batch_equals_one_lockstep(self, monkeypatch):
+        points = [grid_point(omega_z, kind=kind) for omega_z, kind in
+                  [(47, "broad"), (100, "focused"), (150, "broad"), (205, "focused")]]
+        chunks = []
+        integrate = dynamics._integrate
+
+        def counted(tables, *args):
+            chunks.append(len(tables))
+            return integrate(tables, *args)
+
+        monkeypatch.setattr(dynamics, "_integrate", counted)
+        whole = synthesize_spectra(*zip(*points), "full")
+        monkeypatch.setattr(dynamics, "_LOCKSTEP_BLOCK_ELEMENTS", 2 * 3 * 3 * 3)
+        chunked = synthesize_spectra(*zip(*points), "full")
+        assert chunks == [4, 2, 2]
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a.amplitude, b.amplitude)
+            assert np.array_equal(a.phase, b.phase)
+
+    def test_short_settle_point_warns(self):
+        points = [
+            grid_point(47, settle_cycles=200),
+            grid_point(205, damping=TWO_PI * 100.0, settle_cycles=1, measure_cycles=1),
+        ]
+        with pytest.warns(UserWarning, match="damping times"):
+            spectra = synthesize_spectra(*zip(*points), "linearized")
+        assert all(s.model == "linearized" for s in spectra)
+
+    def test_response_source_is_the_modal_sum(self):
+        points = [grid_point(47), grid_point(205, direction="y", kind="focused")]
+        for (table, scan, beam), got in zip(points, synthesize_spectra(*zip(*points), "response")):
+            expected = linear_response_spectrum(table.config, scan, beam)
+            assert np.array_equal(got.amplitude, expected.amplitude)
+            assert np.array_equal(got.phase, expected.phase)
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(ConfigError, match="spectrum source"):
+            synthesize_spectra(*zip(grid_point(47)), "verlet")
 
 
 class TestStepControl:

@@ -5,7 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from tapermode import modes, pipeline
+from tapermode.analysis import analyze_spectrum
 from tapermode.core import TWO_PI, TrapConfig
+from tapermode.dynamics import DriveScan, beam_weights, synthesize_spectrum
 from tapermode.equilibrium import equilibrium_positions
 from scipy.optimize import linear_sum_assignment
 
@@ -13,10 +16,14 @@ from tapermode.errors import ConfigError, SolverError
 from tapermode.modes import compute_modes
 from tapermode.pipeline import (
     DEFAULT_OMEGA_Z_GRID,
+    SIGN_CHECK_THRESHOLD,
     ExperimentPlan,
+    PointResult,
+    ReproductionReport,
     axial_com_check,
     run_experiment,
     select_beam,
+    _add_noise,
     _match_to_theory,
 )
 
@@ -273,3 +280,98 @@ class TestRunExperiment:
         )
         with pytest.raises(SolverError, match="sweep points failed"):
             run_experiment(CONFIG, plan)
+
+
+def per_point_experiment(config, plan, seed):
+    """The report of :func:`run_experiment`, one grid point after another.
+
+    The loop from before the grid was batched: per point, the plan
+    direction's modes, the beam, the drive window, one
+    ``synthesize_spectrum`` call, the seeded noise and the refit. Every
+    point must succeed.
+    """
+    children = np.random.SeedSequence(seed).spawn(plan.omega_z_values.size)
+    points = []
+    for omega_z, child in zip(plan.omega_z_values, children):
+        omega_z = float(omega_z)
+        point_config = config.replace(omega_z=omega_z)
+        table = compute_modes(point_config, directions=(plan.direction,))
+        theory_freqs = table.frequencies(plan.direction)
+        theory_matrix = table.matrix(plan.direction)
+        beam = select_beam(config, plan, omega_z)
+        scan = DriveScan(
+            np.linspace(0.9 * theory_freqs.min(), 1.1 * theory_freqs.max(), plan.scan_points),
+            damping_rate=plan.damping_rate * (
+                plan.focused_damping_scale if beam.kind == "focused" else 1.0
+            ),
+            settle_cycles=plan.settle_cycles,
+            measure_cycles=plan.measure_cycles,
+            integrator_step=plan.integrator_step,
+            steps_per_period=plan.steps_per_period,
+        )
+        spectrum = synthesize_spectrum(point_config, scan, beam, plan.spectrum_source)
+        spectrum = _add_noise(spectrum, plan.noise_fraction, np.random.default_rng(child))
+        result = analyze_spectrum(spectrum, n_modes=theory_freqs.size)
+        order, signs, strengths = _match_to_theory(result.vectors.components, theory_matrix)
+        fitted_freqs = result.lorentzians.centers[order]
+        fitted_matrix = result.vectors.components[:, order] * signs
+        checked = np.abs(theory_matrix) > SIGN_CHECK_THRESHOLD
+        sign_ok = (np.sign(fitted_matrix) == np.sign(theory_matrix)) | ~checked
+        notes = list(result.vectors.ambiguity_notes) + [
+            f"mode {j}: fitted/predicted overlap only {s:.3f}"
+            for j, s in enumerate(strengths) if s < 0.8
+        ]
+        points.append(PointResult(
+            omega_z=omega_z,
+            beam=beam.kind,
+            drive_weights=beam_weights(beam, equilibrium_positions(point_config)),
+            theory_frequencies=theory_freqs,
+            theory_components=theory_matrix,
+            fitted_frequencies=fitted_freqs,
+            fitted_hwhms=result.lorentzians.hwhms[order],
+            fitted_components=fitted_matrix,
+            frequency_errors=np.abs(fitted_freqs - theory_freqs),
+            component_errors=np.abs(fitted_matrix - theory_matrix),
+            sign_matches=np.all(sign_ok, axis=0),
+            spectrum=spectrum,
+            notes=tuple(notes),
+        ))
+    return ReproductionReport(config=config, plan=plan, seed=seed, points=tuple(points))
+
+
+class TestBatchedGrid:
+    @pytest.mark.filterwarnings("ignore:settle window")
+    @pytest.mark.parametrize("source, settings", [
+        ("full", dict(damping_rate=TWO_PI * 4e3, scan_points=60, settle_cycles=40,
+                      measure_cycles=8)),
+        ("response", dict(scan_points=200)),
+    ])
+    def test_report_equals_the_per_point_loop(self, source, settings):
+        plan = ExperimentPlan(
+            omega_z_values=TWO_PI * np.array([47e3, 100e3, 205e3]),
+            spectrum_source=source,
+            noise_fraction=1e-3,
+            **settings,
+        )
+        batched = run_experiment(CONFIG, plan, seed=3)
+        expected = per_point_experiment(CONFIG, plan, seed=3)
+        assert batched.summary["n_failed"] == 0
+        assert batched.to_json_dict() == expected.to_json_dict()
+        for got, want in zip(batched.points, expected.points):
+            assert np.array_equal(got.spectrum.amplitude, want.spectrum.amplitude)
+            assert np.array_equal(got.spectrum.phase, want.spectrum.phase)
+
+    def test_each_point_solves_its_modes_once(self, monkeypatch):
+        calls = []
+
+        def counted(config, *args, **kwargs):
+            calls.append(config.omega_z)
+            return modes.compute_modes(config, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_modes", counted)
+        monkeypatch.setattr("tapermode.dynamics.compute_modes", counted)
+        plan = ExperimentPlan(
+            omega_z_values=TWO_PI * np.array([47e3, 100e3, 205e3]), **FAST_PLAN_KWARGS
+        )
+        run_experiment(CONFIG, plan)
+        assert calls == list(plan.omega_z_values)
