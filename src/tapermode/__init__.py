@@ -41,7 +41,6 @@ from .dynamics import (
     ring_down,
     simulate_spectrum,
     synthesize_spectra,
-    synthesize_spectrum,
     total_energy,
     wrap_phase,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "simulate_spectrum",
     "site_frequencies",
     "synthesize_spectra",
-    "synthesize_spectrum",
     "total_energy",
     "wrap_phase",
     "__version__",

@@ -28,7 +28,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .dynamics import (
     BeamSpec,
     DriveScan,
     SpectrumResult,
-    synthesize_spectrum,
+    synthesize_spectra,
 )
 from .equilibrium import chain_positions_dimensionless, equilibrium_positions
 from .errors import (
@@ -47,6 +47,7 @@ from .errors import (
     ConfigError,
     SimulationError,
     SolverError,
+    TapermodeError,
 )
 from .modes import compute_modes
 from .pipeline import ExperimentPlan, run_experiment
@@ -224,25 +225,6 @@ def experiment_plan(data: Mapping, grid: np.ndarray, direction: str) -> Experime
 
 # -- output helpers -----------------------------------------------------------
 
-class _CsvTarget:
-    """Write one CSV either to a path or to stdout."""
-
-    def __init__(self, out: str | None):
-        self.out = out
-
-    def __enter__(self):
-        if self.out is None:
-            self._fh = None
-            return csv.writer(sys.stdout)
-        self._fh = open(self.out, "w", encoding="utf-8", newline="")
-        return csv.writer(self._fh)
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            self._fh.close()
-        return False
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -255,12 +237,21 @@ def _write_json(obj: dict, out: str | None) -> None:
     _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
 
 
-def _spectrum_csv(spectrum: SpectrumResult) -> str:
-    """The spectrum as CSV text, one row per (drive frequency, ion).
+def _csv_text(header: list[str], lines: Iterable[str]) -> str:
+    """CSV text: the header row, then the comma-joined data ``lines``, CRLF-terminated.
 
-    Formatted in one pass; the bytes equal a ``csv.writer`` row loop's,
-    since no formatted number needs quoting.
+    Nothing is quoted. No column name, label or ``_fmt`` number holds a
+    comma, quote or line break, so the bytes equal what ``csv.writer`` writes.
     """
+    return "\r\n".join([",".join(header), *lines, ""])
+
+
+def _ion_columns(n_ions: int) -> list[str]:
+    return [f"a_{i + 1}" for i in range(n_ions)]
+
+
+def _spectrum_csv(spectrum: SpectrumResult) -> str:
+    """The spectrum as CSV text, one row per (drive frequency, ion), one f-string each."""
     rows = [
         f"{freq},{i},{amp:{FLOAT_FORMAT}},{phase:{FLOAT_FORMAT}}"
         for freq, amps, phases in zip(
@@ -270,7 +261,7 @@ def _spectrum_csv(spectrum: SpectrumResult) -> str:
         )
         for i, amp, phase in zip(range(1, spectrum.n_ions + 1), amps, phases)
     ]
-    return "\r\n".join(["omega_d_hz,ion_index,amplitude_um,phase_rad", *rows, ""])
+    return _csv_text(["omega_d_hz", "ion_index", "amplitude_um", "phase_rad"], rows)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -281,10 +272,8 @@ def cmd_equilibrium(args) -> int:
     u = chain_positions_dimensionless(config.n_ions)
     scale = config.length_scale
     log.info("solved %d-ion chain, length scale %.6g um", config.n_ions, scale * 1e6)
-    with _CsvTarget(args.out) as writer:
-        writer.writerow(["ion_index", "u", "z0_um"])
-        for i, ui in enumerate(u):
-            writer.writerow([i + 1, _fmt(ui), _fmt(ui * scale * 1e6)])
+    lines = (f"{i + 1},{_fmt(ui)},{_fmt(ui * scale * 1e6)}" for i, ui in enumerate(u))
+    _write_text(_csv_text(["ion_index", "u", "z0_um"], lines), args.out)
     return 0
 
 
@@ -292,17 +281,15 @@ def cmd_modes(args) -> int:
     data = load_config(args.config)
     config = trap_config(data)
     table = compute_modes(config)
-    with _CsvTarget(args.out) as writer:
-        writer.writerow(
-            ["direction", "mode_index", "gamma", "frequency_hz", "PR"]
-            + [f"a_{i + 1}" for i in range(config.n_ions)]
-        )
-        for mode in table.modes:
-            writer.writerow(
-                [mode.direction, mode.index, _fmt(mode.eigenvalue),
-                 _fmt(mode.frequency / TWO_PI), _fmt(mode.participation)]
-                + [_fmt(a) for a in mode.vector]
-            )
+    lines = (
+        ",".join([mode.direction, str(mode.index), _fmt(mode.eigenvalue),
+                  _fmt(mode.frequency / TWO_PI), _fmt(mode.participation),
+                  *map(_fmt, mode.vector)])
+        for mode in table.modes
+    )
+    header = ["direction", "mode_index", "gamma", "frequency_hz", "PR",
+              *_ion_columns(config.n_ions)]
+    _write_text(_csv_text(header, lines), args.out)
     return 0
 
 
@@ -311,27 +298,24 @@ def cmd_sweep(args) -> int:
     config = trap_config(data)
     grid, linear_reference = sweep_settings(data)
     result = run_sweep(config, grid, direction=beam_axis(data))
-    with _CsvTarget(args.out) as writer:
-        writer.writerow(
-            ["omega_z_hz", "mode_label", "frequency_hz"]
-            + [f"a_{i + 1}" for i in range(config.n_ions)]
-            + ["PR", "linear_reference_frequency_hz"]
-        )
-        for point in result.points:
-            for mode in point.modes:
-                writer.writerow(
-                    [_fmt(point.omega_z / TWO_PI), mode.label, _fmt(mode.frequency / TWO_PI)]
-                    + [_fmt(a) for a in mode.vector]
-                    + [_fmt(mode.participation),
-                       _fmt(mode.linear_frequency / TWO_PI) if linear_reference else ""]
-                )
+    lines = (
+        ",".join([_fmt(point.omega_z / TWO_PI), mode.label, _fmt(mode.frequency / TWO_PI),
+                  *map(_fmt, mode.vector), _fmt(mode.participation),
+                  _fmt(mode.linear_frequency / TWO_PI) if linear_reference else ""])
+        for point in result.points
+        for mode in point.modes
+    )
+    header = ["omega_z_hz", "mode_label", "frequency_hz", *_ion_columns(config.n_ions),
+              "PR", "linear_reference_frequency_hz"]
+    _write_text(_csv_text(header, lines), args.out)
     return 0
 
 
 def _synthesize_cli(config: TrapConfig, data: Mapping) -> SpectrumResult:
+    """The ``simulate`` spectrum; one all-direction mode table serves scan window and synthesis."""
     drive = drive_settings(data)
     beam = beam_spec(data, config, drive["force"])
-    table = compute_modes(config, directions=(beam.direction,))
+    table = compute_modes(config)
     freqs = table.frequencies(beam.direction)
     scan = DriveScan(
         drive_frequencies=np.linspace(
@@ -342,7 +326,10 @@ def _synthesize_cli(config: TrapConfig, data: Mapping) -> SpectrumResult:
         measure_cycles=drive["measure_cycles"],
         steps_per_period=drive["steps_per_period"],
     )
-    return synthesize_spectrum(config, scan, beam, drive["model"])
+    (spectrum,) = synthesize_spectra([table], [scan], [beam], drive["model"])
+    if isinstance(spectrum, TapermodeError):
+        raise spectrum
+    return spectrum
 
 
 def cmd_simulate(args) -> int:
@@ -473,34 +460,30 @@ def cmd_pipeline(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report.to_json_dict(), str(out_dir / "report.json"))
 
-    n = config.n_ions
-    with open(out_dir / "fits.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["omega_z_hz", "beam", "mode_index", "frequency_hz", "hwhm_hz"]
-            + [f"a_{i + 1}" for i in range(n)]
-        )
-        for point in report.points:
-            for j in range(point.fitted_frequencies.size):
-                writer.writerow(
-                    [_fmt(point.omega_z / TWO_PI), point.beam, j + 1,
-                     _fmt(point.fitted_frequencies[j] / TWO_PI),
-                     _fmt(point.fitted_hwhms[j] / TWO_PI)]
-                    + [_fmt(a) for a in point.fitted_components[:, j]]
-                )
-    with open(out_dir / "theory.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["omega_z_hz", "mode_index", "frequency_hz"]
-            + [f"a_{i + 1}" for i in range(n)]
-        )
-        for point in report.points:
-            for j in range(point.theory_frequencies.size):
-                writer.writerow(
-                    [_fmt(point.omega_z / TWO_PI), j + 1,
-                     _fmt(point.theory_frequencies[j] / TWO_PI)]
-                    + [_fmt(a) for a in point.theory_components[:, j]]
-                )
+    ions = _ion_columns(config.n_ions)
+    fits = (
+        ",".join([_fmt(point.omega_z / TWO_PI), point.beam, str(j + 1),
+                  _fmt(point.fitted_frequencies[j] / TWO_PI),
+                  _fmt(point.fitted_hwhms[j] / TWO_PI),
+                  *map(_fmt, point.fitted_components[:, j])])
+        for point in report.points
+        for j in range(point.fitted_frequencies.size)
+    )
+    _write_text(
+        _csv_text(["omega_z_hz", "beam", "mode_index", "frequency_hz", "hwhm_hz", *ions], fits),
+        str(out_dir / "fits.csv"),
+    )
+    theory = (
+        ",".join([_fmt(point.omega_z / TWO_PI), str(j + 1),
+                  _fmt(point.theory_frequencies[j] / TWO_PI),
+                  *map(_fmt, point.theory_components[:, j])])
+        for point in report.points
+        for j in range(point.theory_frequencies.size)
+    )
+    _write_text(
+        _csv_text(["omega_z_hz", "mode_index", "frequency_hz", *ions], theory),
+        str(out_dir / "theory.csv"),
+    )
     for k, point in enumerate(report.points):
         if point.spectrum is None:
             continue

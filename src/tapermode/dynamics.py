@@ -33,8 +33,7 @@ schedule, and every point takes exactly the steps it would take on its own.
 A group is split further into chunks whose largest per-step array stays
 under ``_LOCKSTEP_BLOCK_ELEMENTS``, so a long chain on a fine grid does not
 multiply the peak memory by the number of points.
-:func:`simulate_spectrum` and :func:`synthesize_spectrum` are one-element
-calls of the same entry.
+:func:`simulate_spectrum` is a one-element call of the same entry.
 
 Within a point every drive frequency uses the same number of steps per drive
 period, so all scan points share one drive phase table and the demodulation
@@ -562,21 +561,6 @@ def linear_response_spectrum(
     past the radial zigzag instability), where no steady state exists.
     """
     return _modal_response(compute_modes(config), scan, beam)
-
-
-def synthesize_spectrum(
-    config: TrapConfig,
-    scan: DriveScan,
-    beam: BeamSpec,
-    source: str,
-) -> SpectrumResult:
-    """The steady-state spectrum of one of ``SPECTRUM_SOURCES``.
-
-    ``'response'`` is the closed-form modal sum; ``'linearized'`` and
-    ``'full'`` integrate the equations of motion in the time domain. A
-    one-point :func:`synthesize_spectra`.
-    """
-    return _single(synthesize_spectra([compute_modes(config)], [scan], [beam], source))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ to emulate extra damping from the always-on broad beam.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -240,26 +240,7 @@ def _add_noise(spectrum: SpectrumResult, fraction: float, rng) -> SpectrumResult
         spectrum.amplitude.shape
     )
     phase = wrap_phase(spectrum.phase + fraction * rng.standard_normal(spectrum.phase.shape))
-    return SpectrumResult(
-        drive_frequencies=spectrum.drive_frequencies,
-        amplitude=np.clip(amp, 0.0, None),
-        phase=phase,
-        direction=spectrum.direction,
-        damping_rate=spectrum.damping_rate,
-        model=spectrum.model,
-        steps_per_period=spectrum.steps_per_period,
-        settle_cycles=spectrum.settle_cycles,
-        measure_cycles=spectrum.measure_cycles,
-    )
-
-
-def _match_to_theory(fitted: np.ndarray, theory: np.ndarray):
-    """Pair fitted columns with predicted columns by largest |overlap|.
-
-    Returns (order, signs, overlaps): fitted column ``order[j]`` times
-    ``signs[j]`` corresponds to predicted column ``j``.
-    """
-    return assign_columns(theory, fitted)
+    return replace(spectrum, amplitude=np.clip(amp, 0.0, None), phase=phase)
 
 
 def _failed_point(config, plan, omega_z: float, reason: str) -> PointResult:
@@ -319,7 +300,7 @@ def _score_point(
     spectrum = _add_noise(spectrum, plan.noise_fraction, np.random.default_rng(seed_child))
 
     result = analyze_spectrum(spectrum, n_modes=theory_freqs.size)
-    order, signs, strengths = _match_to_theory(result.vectors.components, theory_matrix)
+    order, signs, strengths = assign_columns(theory_matrix, result.vectors.components)
 
     fitted_freqs = result.lorentzians.centers[order]
     fitted_hwhms = result.lorentzians.hwhms[order]
@@ -354,7 +335,6 @@ def run_experiment(
     config: TrapConfig,
     plan: ExperimentPlan,
     seed: int | None = None,
-    threads: int = 1,
 ) -> ReproductionReport:
     """Run the closed loop over the plan's grid and score the round trip.
 
@@ -375,8 +355,6 @@ def run_experiment(
     diverged trajectory, a fit that does not converge) fails only its point,
     which is recorded with the reason in its :class:`PointResult`. Raises
     :class:`SolverError` only when more than half the points fail.
-    ``threads`` is accepted for compatibility and ignored: the points are
-    batched, not spread over worker threads.
     """
     grid = [float(w) for w in plan.omega_z_values]
     children = np.random.SeedSequence(seed).spawn(len(grid))

@@ -55,8 +55,10 @@ def brute_force_chain(n_ions: int) -> np.ndarray:
 
     Independent of the package's Newton solver: sweeps one coordinate at a
     time with a bounded scalar minimizer until the largest move in a full
-    sweep falls below 1e-13. Each scalar problem minimizes the part of the
-    energy that depends on the moving ion, ``t^2/2 + sum_j 1/|t - u_j|``;
+    sweep falls below 1e-9. The bounded method is accurate to about 1e-8
+    relative, so a tighter stop rule would never trigger and every call
+    would run the 500-sweep cap. Each scalar problem minimizes the part of
+    the energy that depends on the moving ion, ``t^2/2 + sum_j 1/|t - u_j|``;
     the rest is constant along that coordinate.
     """
     u = np.linspace(-0.5 * (n_ions - 1), 0.5 * (n_ions - 1), n_ions).tolist()
@@ -77,7 +79,7 @@ def brute_force_chain(n_ions: int) -> np.ndarray:
             )
             moved = max(moved, abs(best.x - u[i]))
             u[i] = float(best.x)
-        if moved < 1e-13:
+        if moved < 1e-9:
             break
     return np.asarray(u)
 
@@ -298,7 +300,7 @@ def test_06_time_domain_matches_linear_response():
 def test_07_closed_loop_recovery_on_the_default_grid():
     start = time.perf_counter()
     plan = ExperimentPlan(beam_crossover=TWO_PI * 110e3)
-    result = run_experiment(TrapConfig(), plan, threads=4)
+    result = run_experiment(TrapConfig(), plan)
     summary = result.summary
     elapsed = time.perf_counter() - start
     report(

@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from tapermode import cli
+from tapermode import cli, modes
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.dynamics import SpectrumResult
+from tapermode.equilibrium import chain_positions_dimensionless
 from tapermode.modes import compute_modes
+from tapermode.pipeline import run_experiment
+from tapermode.sweep import run_sweep
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -137,17 +140,79 @@ class TestSweepCommand:
         assert capsys.readouterr().out == serial
 
 
-def csv_writer_spectrum_rows(writer, spectrum):
-    """The row-by-row ``csv.writer`` loop the spectrum CSV format was defined by."""
-    writer.writerow(["omega_d_hz", "ion_index", "amplitude_um", "phase_rad"])
-    for k, wd in enumerate(spectrum.drive_frequencies):
-        for i in range(spectrum.n_ions):
-            writer.writerow([
-                cli._fmt(wd / TWO_PI),
-                i + 1,
-                cli._fmt(spectrum.amplitude[k, i] * 1e6),
-                cli._fmt(spectrum.phase[k, i]),
-            ])
+def csv_writer_text(header, rows):
+    """The row-by-row ``csv.writer`` rendering every CSV artifact was defined by."""
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return reference.getvalue()
+
+
+def csv_writer_spectrum_rows(spectrum):
+    return csv_writer_text(
+        ["omega_d_hz", "ion_index", "amplitude_um", "phase_rad"],
+        (
+            [cli._fmt(wd / TWO_PI), i + 1, cli._fmt(spectrum.amplitude[k, i] * 1e6),
+             cli._fmt(spectrum.phase[k, i])]
+            for k, wd in enumerate(spectrum.drive_frequencies)
+            for i in range(spectrum.n_ions)
+        ),
+    )
+
+
+def ion_columns(n_ions):
+    return [f"a_{i + 1}" for i in range(n_ions)]
+
+
+class TestTableArtifactsMatchTheCsvWriter:
+    """``equilibrium``, ``modes`` and ``sweep`` write what ``csv.writer`` would."""
+
+    TRAP = {"n_ions": 4, "omega_z_hz": 120e3}
+
+    def run_command(self, tmp_path, command, data):
+        config = write_config(tmp_path, data)
+        out_path = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", config, "--out", str(out_path)]) == 0
+        return out_path.read_bytes()
+
+    def test_equilibrium(self, tmp_path):
+        trap = TrapConfig.from_mapping(self.TRAP)
+        u = chain_positions_dimensionless(trap.n_ions)
+        expected = csv_writer_text(
+            ["ion_index", "u", "z0_um"],
+            ([i + 1, cli._fmt(v), cli._fmt(v * trap.length_scale * 1e6)]
+             for i, v in enumerate(u)),
+        )
+        assert self.run_command(tmp_path, "equilibrium", {"trap": self.TRAP}) == expected.encode()
+
+    def test_modes(self, tmp_path):
+        trap = TrapConfig.from_mapping(self.TRAP)
+        expected = csv_writer_text(
+            ["direction", "mode_index", "gamma", "frequency_hz", "PR", *ion_columns(4)],
+            ([m.direction, m.index, cli._fmt(m.eigenvalue), cli._fmt(m.frequency / TWO_PI),
+              cli._fmt(m.participation), *(cli._fmt(a) for a in m.vector)]
+             for m in compute_modes(trap).modes),
+        )
+        assert self.run_command(tmp_path, "modes", {"trap": self.TRAP}) == expected.encode()
+
+    def test_sweep_without_linear_reference(self, tmp_path):
+        """The disabled reference column is an empty cell in every row."""
+        sweep = {"omega_z_min_hz": 47e3, "omega_z_max_hz": 205e3, "points": 5,
+                 "linear_reference": False}
+        data = {"trap": self.TRAP, "sweep": sweep, "beam": {"axis": "y"}}
+        result = run_sweep(TrapConfig.from_mapping(self.TRAP),
+                           TWO_PI * np.linspace(47e3, 205e3, 5), direction="y")
+        expected = csv_writer_text(
+            ["omega_z_hz", "mode_label", "frequency_hz", *ion_columns(4),
+             "PR", "linear_reference_frequency_hz"],
+            ([cli._fmt(point.omega_z / TWO_PI), m.label, cli._fmt(m.frequency / TWO_PI),
+              *(cli._fmt(a) for a in m.vector), cli._fmt(m.participation), ""]
+             for point in result.points for m in point.modes),
+        )
+        written = self.run_command(tmp_path, "sweep", data)
+        assert b",\r\n" in written
+        assert written == expected.encode()
 
 
 @pytest.mark.parametrize("n_ions", [1, 3, 7])
@@ -162,9 +227,7 @@ def test_spectrum_csv_matches_the_csv_writer_loop(n_ions):
         amplitude=amplitude, phase=phase, direction="x", damping_rate=1.0,
         model="response", steps_per_period=None, settle_cycles=0, measure_cycles=1,
     )
-    reference = io.StringIO(newline="")
-    csv_writer_spectrum_rows(csv.writer(reference), spectrum)
-    assert cli._spectrum_csv(spectrum).encode() == reference.getvalue().encode()
+    assert cli._spectrum_csv(spectrum).encode() == csv_writer_spectrum_rows(spectrum).encode()
 
 
 class TestSimulateAndFit:
@@ -201,6 +264,20 @@ class TestSimulateAndFit:
         assert np.max(np.abs(fitted - theory)) < 0.02
         # localized regime: each mode has a distinct loudest ion
         assert list(np.argmax(np.abs(fitted), axis=0)) == [0, 1, 2]
+
+    def test_simulate_solves_the_modes_once(self, tmp_path, monkeypatch):
+        """One all-direction table gives both the scan window and the spectrum."""
+        calls = []
+
+        def counted(config, *args, **kwargs):
+            calls.append(config)
+            return modes.compute_modes(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_modes", counted)
+        monkeypatch.setattr("tapermode.dynamics.compute_modes", counted)
+        config = write_config(tmp_path, self.CONFIG)
+        assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 1
 
     def test_fit_carries_the_beam_axis(self, tmp_path, monkeypatch):
         data = {**self.CONFIG, "beam": {"axis": "y"}}
@@ -303,6 +380,42 @@ class TestPipelineCommand:
         first = self.run_pipeline(tmp_path, "a", ("--seed", "5"))
         other = self.run_pipeline(tmp_path, "b", ("--seed", "6"))
         assert (first / "report.json").read_bytes() != (other / "report.json").read_bytes()
+
+    def test_failed_point_tables_match_the_csv_writer(self, tmp_path):
+        """``fits.csv`` and ``theory.csv`` keep a failed point's NaN rows, as ``csv.writer`` would."""
+        data = {
+            "trap": {"n_ions": 4},
+            "sweep": {"omega_z_min_hz": 60e3, "omega_z_max_hz": 1.6e6, "points": 2},
+            "drive": {"scan_points": 240},
+            "pipeline": {"spectrum_source": "response", "noise_fraction": 1e-4,
+                         "beam_crossover_hz": 50e3},
+        }
+        config = write_config(tmp_path, data)
+        out_dir = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", config, "--out", str(out_dir), "--seed", "4"]) == 0
+        plan = cli.experiment_plan(data, cli.sweep_settings(data)[0], "x")
+        report = run_experiment(cli.trap_config(data), plan, seed=4)
+        assert report.summary["n_failed"] == 1
+        points = report.points
+        fits = csv_writer_text(
+            ["omega_z_hz", "beam", "mode_index", "frequency_hz", "hwhm_hz", *ion_columns(4)],
+            ([cli._fmt(p.omega_z / TWO_PI), p.beam, j + 1,
+              cli._fmt(p.fitted_frequencies[j] / TWO_PI), cli._fmt(p.fitted_hwhms[j] / TWO_PI),
+              *(cli._fmt(a) for a in p.fitted_components[:, j])]
+             for p in points for j in range(p.fitted_frequencies.size)),
+        )
+        theory = csv_writer_text(
+            ["omega_z_hz", "mode_index", "frequency_hz", *ion_columns(4)],
+            ([cli._fmt(p.omega_z / TWO_PI), j + 1, cli._fmt(p.theory_frequencies[j] / TWO_PI),
+              *(cli._fmt(a) for a in p.theory_components[:, j])]
+             for p in points for j in range(p.theory_frequencies.size)),
+        )
+        assert b"nan" in (out_dir / "fits.csv").read_bytes()
+        assert (out_dir / "fits.csv").read_bytes() == fits.encode()
+        assert (out_dir / "theory.csv").read_bytes() == theory.encode()
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "fits.csv", "report.json", "spectrum_000.csv", "theory.csv",
+        ]
 
     def test_requires_output_directory(self, capsys):
         assert cli.main(["pipeline"]) == 2
