@@ -15,10 +15,14 @@ Conventions
 * Exit codes: 0 success, 2 configuration/input error, 3 solver or
   simulation error, 4 fit error.
 
-The config file is a JSON object with optional sections ``trap``,
-``sweep``, ``drive``, ``beam``, ``analysis``, and ``pipeline``; every
-omitted key falls back to a documented default, and unknown keys are
-rejected by name.
+The config file is a JSON object with optional sections ``trap``, ``sweep``,
+``drive``, ``beam``, ``analysis`` and ``pipeline``, checked whole against
+:data:`SCHEMA`: unknown keys are rejected by name, and each value must have
+its key's JSON type. An integer is a JSON integer (not ``12.0``), a number an
+integer or float, neither a bool or a string; only ``trap.funnel_length_mm``
+(also ``"inf"``), ``drive.steps_per_period`` and ``analysis.noise_seed`` take
+null. Omitted keys take the library's defaults, except that ``simulate``
+drives at Γ = 2π·1000 Hz over 200 scan points, ``pipeline`` at 400 Hz over 800.
 """
 from __future__ import annotations
 
@@ -28,13 +32,15 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .analysis import analyze_spectrum
-from .core import TWO_PI, TrapConfig
+from .core import BOOLEAN, INTEGER, NULL, NUMBER, TRAP_KEYS, TWO_PI, TrapConfig
+from .core import ConfigKey as Key, check_section, section_fields
 from .dynamics import (
+    BEAM_KINDS,
     SPECTRUM_SOURCES,
     BeamSpec,
     DriveScan,
@@ -58,37 +64,43 @@ log = logging.getLogger("tapermode")
 #: Significant digits written to CSV/JSON artifacts.
 FLOAT_FORMAT = ".12g"
 
-_SECTIONS = {"trap", "sweep", "drive", "beam", "analysis", "pipeline"}
-
-_SWEEP_KEYS = {"omega_z_min_hz", "omega_z_max_hz", "points", "linear_reference"}
-_DRIVE_KEYS = {
-    "gamma_hz", "force_amplitude_n", "settle_cycles", "measure_cycles",
-    "steps_per_period", "scan_points", "model",
+#: Config section -> key -> its JSON types and, for the drive, beam and
+#: pipeline sections, the ExperimentPlan field it sets.
+SCHEMA = {
+    "trap": TRAP_KEYS,
+    "sweep": {
+        "omega_z_min_hz": Key(NUMBER), "omega_z_max_hz": Key(NUMBER),
+        "points": Key(INTEGER), "linear_reference": Key(BOOLEAN),
+    },
+    "drive": {
+        "gamma_hz": Key(NUMBER, "damping_rate", TWO_PI),
+        "force_amplitude_n": Key(NUMBER, "force_amplitude", 1.0),
+        "settle_cycles": Key(INTEGER, "settle_cycles"),
+        "measure_cycles": Key(INTEGER, "measure_cycles"),
+        "steps_per_period": Key((int, NULL), "steps_per_period"),
+        "scan_points": Key(INTEGER, "scan_points"), "model": Key(SPECTRUM_SOURCES),
+    },
+    "beam": {
+        "kind": Key(BEAM_KINDS), "waist_um": Key(NUMBER, "beam_waist", 1e-6),
+        "center_ion_index": Key(INTEGER), "center_z_um": Key(NUMBER),
+        "axis": Key(("x", "y")),
+    },
+    "analysis": {"n_peaks": Key(INTEGER), "noise_seed": Key((int, NULL))},
+    "pipeline": {
+        "beam_crossover_hz": Key(NUMBER, "beam_crossover", TWO_PI),
+        "spectrum_source": Key(SPECTRUM_SOURCES, "spectrum_source"),
+        "noise_fraction": Key(NUMBER, "noise_fraction", 1.0),
+        "focused_damping_scale": Key(NUMBER, "focused_damping_scale", 1.0),
+    },
 }
-_BEAM_KEYS = {"kind", "waist_um", "center_ion_index", "center_z_um", "axis"}
-_ANALYSIS_KEYS = {"n_peaks", "noise_seed"}
-_PIPELINE_KEYS = {
-    "beam_crossover_hz", "spectrum_source", "noise_fraction", "focused_damping_scale",
-}
-
-DEFAULT_GAMMA_HZ = 1000.0
-DEFAULT_FORCE_N = 1e-23
-DEFAULT_WAIST_UM = 17.0
-DEFAULT_SCAN_POINTS = 200
 
 
 def _fmt(value: float) -> str:
     return format(float(value), FLOAT_FORMAT)
 
 
-def _check_keys(section: str, data: Mapping, known: set) -> None:
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
-
-
 def load_config(path: str | None) -> dict:
-    """Read and structurally validate the JSON config file."""
+    """Read the JSON config file and check every section and value against :data:`SCHEMA`."""
     if path is None:
         return {}
     try:
@@ -98,13 +110,22 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config top level must be a JSON object")
-    _check_keys("top-level", data, _SECTIONS)
+    check_section("top-level", data, {name: Key((dict,)) for name in SCHEMA})
     for name, section in data.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
+        check_section(name, section, SCHEMA[name])
     return data
+
+
+def _plan_fields(data: Mapping) -> dict:
+    """The ExperimentPlan fields that the config sets, in SI units."""
+    fields = {}
+    for name in ("drive", "beam", "pipeline"):
+        fields.update(section_fields(data.get(name, {}), SCHEMA[name]))
+    return fields
 
 
 def trap_config(data: Mapping) -> TrapConfig:
@@ -114,60 +135,46 @@ def trap_config(data: Mapping) -> TrapConfig:
 def sweep_settings(data: Mapping) -> tuple[np.ndarray, bool]:
     """Axial-frequency grid [rad/s] and the linear-reference flag."""
     section = data.get("sweep", {})
-    _check_keys("sweep", section, _SWEEP_KEYS)
-    lo = float(section.get("omega_z_min_hz", 47e3))
-    hi = float(section.get("omega_z_max_hz", 205e3))
-    n = int(section.get("points", 12))
+    lo = section.get("omega_z_min_hz", 47e3)
+    hi = section.get("omega_z_max_hz", 205e3)
+    n = section.get("points", 12)
     if not 0 < lo <= hi:
         raise ConfigError("need 0 < omega_z_min_hz <= omega_z_max_hz")
     if n < 1 or (n == 1 and lo != hi):
         raise ConfigError("sweep points must be >= 1 (and > 1 unless min == max)")
-    return TWO_PI * np.linspace(lo, hi, n), bool(section.get("linear_reference", True))
+    return TWO_PI * np.linspace(lo, hi, n), section.get("linear_reference", True)
 
 
 def drive_settings(data: Mapping) -> dict:
-    section = data.get("drive", {})
-    _check_keys("drive", section, _DRIVE_KEYS)
-    model = section.get("model", "full")
-    if model not in SPECTRUM_SOURCES:
-        raise ConfigError(f"drive model must be one of {SPECTRUM_SOURCES}, got {model!r}")
+    """``simulate``'s drive as SI ExperimentPlan fields, plus ``model``; cycles
+    left out of the config take DriveScan's defaults."""
     return {
-        "gamma": TWO_PI * float(section.get("gamma_hz", DEFAULT_GAMMA_HZ)),
-        "force": float(section.get("force_amplitude_n", DEFAULT_FORCE_N)),
-        "settle_cycles": int(section.get("settle_cycles", 30)),
-        "measure_cycles": int(section.get("measure_cycles", 20)),
-        "steps_per_period": (
-            int(section["steps_per_period"]) if "steps_per_period" in section else None
-        ),
-        "scan_points": int(section.get("scan_points", DEFAULT_SCAN_POINTS)),
-        "model": model,
+        "damping_rate": TWO_PI * 1000.0,
+        "scan_points": 200,
+        "force_amplitude": ExperimentPlan.force_amplitude,
+        "beam_waist": ExperimentPlan.beam_waist,
+        "model": data.get("drive", {}).get("model", "full"),
+        **_plan_fields(data),
     }
 
 
 def beam_axis(data: Mapping) -> str:
     """The radial axis ('x' or 'y') that every command drives, sweeps or fits along."""
-    axis = data.get("beam", {}).get("axis", "x")
-    if axis not in ("x", "y"):
-        raise ConfigError(f"beam axis must be 'x' or 'y', got {axis!r}")
-    return axis
+    return data.get("beam", {}).get("axis", "x")
 
 
-def beam_spec(data: Mapping, config: TrapConfig, force: float) -> BeamSpec:
-    """Build the excitation beam from the ``beam`` config section."""
+def beam_spec(data: Mapping, config: TrapConfig, drive: Mapping) -> BeamSpec:
+    """Build the excitation beam from the ``beam`` section and :func:`drive_settings`."""
     section = data.get("beam", {})
-    _check_keys("beam", section, _BEAM_KEYS)
-    kind = section.get("kind", "broad")
-    axis = beam_axis(data)
-    if kind == "broad":
+    force, axis = drive["force_amplitude"], beam_axis(data)
+    if section.get("kind", "broad") == "broad":
         return BeamSpec(kind="broad", force_amplitude=force, direction=axis)
-    if kind != "focused":
-        raise ConfigError(f"beam kind must be 'broad' or 'focused', got {kind!r}")
     if "center_ion_index" in section and "center_z_um" in section:
         raise ConfigError("give center_ion_index or center_z_um, not both")
     if "center_z_um" in section:
-        center_z = 1e-6 * float(section["center_z_um"])
+        center_z = 1e-6 * section["center_z_um"]
     else:
-        index = int(section.get("center_ion_index", (config.n_ions + 1) // 2))
+        index = section.get("center_ion_index", (config.n_ions + 1) // 2)
         if not 1 <= index <= config.n_ions:
             raise ConfigError(
                 f"center_ion_index must be in 1..{config.n_ions}, got {index}"
@@ -177,50 +184,22 @@ def beam_spec(data: Mapping, config: TrapConfig, force: float) -> BeamSpec:
         kind="focused",
         force_amplitude=force,
         direction=axis,
-        waist_radius=1e-6 * float(section.get("waist_um", DEFAULT_WAIST_UM)),
+        waist_radius=drive["beam_waist"],
         center_z=center_z,
     )
 
 
 def analysis_settings(data: Mapping, n_ions: int) -> dict:
     section = data.get("analysis", {})
-    _check_keys("analysis", section, _ANALYSIS_KEYS)
-    seed = section.get("noise_seed")
-    return {
-        "n_peaks": int(section.get("n_peaks", n_ions)),
-        "noise_seed": None if seed is None else int(seed),
-    }
+    n_peaks = section.get("n_peaks", n_ions)
+    if n_peaks < 1:
+        raise ConfigError(f"analysis.n_peaks must be at least 1, got {n_peaks}")
+    return {"n_peaks": n_peaks, "noise_seed": section.get("noise_seed")}
 
 
 def experiment_plan(data: Mapping, grid: np.ndarray, direction: str) -> ExperimentPlan:
-    """Assemble the pipeline plan from the drive/beam/pipeline sections."""
-    drive = drive_settings(data)
-    beam_section = data.get("beam", {})
-    _check_keys("beam", beam_section, _BEAM_KEYS)
-    section = data.get("pipeline", {})
-    _check_keys("pipeline", section, _PIPELINE_KEYS)
-    kwargs: dict[str, Any] = {
-        "omega_z_values": grid,
-        "direction": direction,
-        "force_amplitude": drive["force"],
-        "settle_cycles": drive["settle_cycles"],
-        "measure_cycles": drive["measure_cycles"],
-        "steps_per_period": drive["steps_per_period"],
-        "beam_waist": 1e-6 * float(beam_section.get("waist_um", DEFAULT_WAIST_UM)),
-    }
-    if "gamma_hz" in data.get("drive", {}):
-        kwargs["damping_rate"] = drive["gamma"]
-    if "scan_points" in data.get("drive", {}):
-        kwargs["scan_points"] = drive["scan_points"]
-    if "beam_crossover_hz" in section:
-        kwargs["beam_crossover"] = TWO_PI * float(section["beam_crossover_hz"])
-    if "spectrum_source" in section:
-        kwargs["spectrum_source"] = section["spectrum_source"]
-    if "noise_fraction" in section:
-        kwargs["noise_fraction"] = float(section["noise_fraction"])
-    if "focused_damping_scale" in section:
-        kwargs["focused_damping_scale"] = float(section["focused_damping_scale"])
-    return ExperimentPlan(**kwargs)
+    """The pipeline plan: the fields the config sets, ExperimentPlan's defaults for the rest."""
+    return ExperimentPlan(omega_z_values=grid, direction=direction, **_plan_fields(data))
 
 
 # -- output helpers -----------------------------------------------------------
@@ -314,17 +293,16 @@ def cmd_sweep(args) -> int:
 def _synthesize_cli(config: TrapConfig, data: Mapping) -> SpectrumResult:
     """The ``simulate`` spectrum; one all-direction mode table serves scan window and synthesis."""
     drive = drive_settings(data)
-    beam = beam_spec(data, config, drive["force"])
+    beam = beam_spec(data, config, drive)
     table = compute_modes(config)
     freqs = table.frequencies(beam.direction)
     scan = DriveScan(
         drive_frequencies=np.linspace(
             0.9 * freqs.min(), 1.1 * freqs.max(), drive["scan_points"]
         ),
-        damping_rate=drive["gamma"],
-        settle_cycles=drive["settle_cycles"],
-        measure_cycles=drive["measure_cycles"],
-        steps_per_period=drive["steps_per_period"],
+        **{field: drive[field] for field in
+           ("damping_rate", "settle_cycles", "measure_cycles", "steps_per_period")
+           if field in drive},
     )
     (spectrum,) = synthesize_spectra([table], [scan], [beam], drive["model"])
     if isinstance(spectrum, TapermodeError):
@@ -364,28 +342,23 @@ def _read_spectrum_csv(path: str, direction: str) -> SpectrumResult:
                     raise ConfigError(f"{path}: malformed row {row}: {exc}") from exc
     except FileNotFoundError as exc:
         raise ConfigError(f"input file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc}") from exc
     if not cells:
         raise ConfigError(f"{path} contains no data rows")
     freqs = sorted({k[0] for k in cells})
     ions = sorted({k[1] for k in cells})
     if ions != list(range(1, len(ions) + 1)):
         raise ConfigError(f"{path}: ion_index values must be 1..N, got {ions}")
-    amplitude = np.empty((len(freqs), len(ions)))
-    phase = np.empty_like(amplitude)
-    for k, f in enumerate(freqs):
-        for i, ion in enumerate(ions):
-            try:
-                amp, ph = cells[(f, ion)]
-            except KeyError as exc:
-                raise ConfigError(
-                    f"{path}: missing row for omega_d_hz={f:g}, ion_index={ion}"
-                ) from exc
-            amplitude[k, i] = amp * 1e-6
-            phase[k, i] = ph
+    missing = next(((f, ion) for f in freqs for ion in ions if (f, ion) not in cells), None)
+    if missing:
+        f, ion = missing
+        raise ConfigError(f"{path}: missing row for omega_d_hz={f:g}, ion_index={ion}")
+    table = np.array([[cells[(f, ion)] for ion in ions] for f in freqs])  # [F, N, 2]
     return SpectrumResult(
         drive_frequencies=TWO_PI * np.asarray(freqs),
-        amplitude=amplitude,
-        phase=phase,
+        amplitude=table[..., 0] * 1e-6,
+        phase=table[..., 1].copy(),
         direction=direction,
         damping_rate=float("nan"),
         model="loaded",

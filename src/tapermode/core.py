@@ -22,9 +22,10 @@ The natural length unit of the chain is ``lam`` with
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy import constants
@@ -83,7 +84,7 @@ class TrapConfig:
     charge_number: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_ions, int) or self.n_ions < 1:
+        if type(self.n_ions) is not int or self.n_ions < 1:
             raise ConfigError(f"n_ions must be a positive integer, got {self.n_ions!r}")
         if not self.omega_z > 0:
             raise ConfigError(f"omega_z must be positive, got {self.omega_z!r}")
@@ -101,7 +102,7 @@ class TrapConfig:
             raise ConfigError("funnel_length must be positive (use inf for no taper)")
         if not self.mass > 0:
             raise ConfigError("mass must be positive")
-        if not isinstance(self.charge_number, int) or self.charge_number < 1:
+        if type(self.charge_number) is not int or self.charge_number < 1:
             raise ConfigError("charge_number must be a positive integer")
 
     # -- derived quantities ---------------------------------------------------
@@ -160,62 +161,84 @@ class TrapConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 
-    # -- file-facing conversion (Hz / amu) ------------------------------------
+    # -- file-facing conversion (Hz / mm / amu) -------------------------------
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "TrapConfig":
-        """Build a config from a JSON-style mapping with Hz/amu/mm units.
-
-        Recognized keys: ``n_ions``, ``omega_z_hz``, ``omega_x0_hz``,
-        ``omega_y0_hz``, ``funnel_length_mm`` (number, or null/"inf" for a
-        straight trap), ``ion_mass_amu``, ``charge_multiple``. Unknown keys
-        raise :class:`ConfigError` so typos do not silently fall back to
-        defaults.
-        """
-        known = {
-            "n_ions", "omega_z_hz", "omega_x0_hz", "omega_y0_hz",
-            "funnel_length_mm", "ion_mass_amu", "charge_multiple",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown trap config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        if "n_ions" in data:
-            kwargs["n_ions"] = data["n_ions"]
-        if "omega_z_hz" in data:
-            kwargs["omega_z"] = TWO_PI * float(data["omega_z_hz"])
-        if "omega_x0_hz" in data:
-            kwargs["omega_x0"] = TWO_PI * float(data["omega_x0_hz"])
-        if "omega_y0_hz" in data:
-            kwargs["omega_y0"] = TWO_PI * float(data["omega_y0_hz"])
-        if "funnel_length_mm" in data:
-            raw = data["funnel_length_mm"]
-            if raw is None or (isinstance(raw, str) and raw.lower() in ("inf", "infinity")):
-                kwargs["funnel_length"] = math.inf
-            else:
-                kwargs["funnel_length"] = 1e-3 * float(raw)
-        if "ion_mass_amu" in data:
-            kwargs["mass"] = float(data["ion_mass_amu"]) * constants.atomic_mass
-        if "charge_multiple" in data:
-            kwargs["charge_number"] = data["charge_multiple"]
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:  # wrong key types (e.g. n_ions: "three")
-            raise ConfigError(str(exc)) from exc
+        """Build a config from a ``trap`` config section; unknown keys and
+        wrongly typed values raise :class:`ConfigError`."""
+        check_section("trap", data, TRAP_KEYS)
+        return cls(**section_fields(data, TRAP_KEYS))
 
     def to_mapping(self) -> dict[str, Any]:
-        """Inverse of :meth:`from_mapping` (Hz / amu / mm units, JSON-safe)."""
-        return {
-            "n_ions": self.n_ions,
-            "omega_z_hz": self.omega_z / TWO_PI,
-            "omega_x0_hz": self.omega_x0 / TWO_PI,
-            "omega_y0_hz": self.omega_y0 / TWO_PI,
-            "funnel_length_mm": (
-                None if math.isinf(self.funnel_length) else 1e3 * self.funnel_length
-            ),
-            "ion_mass_amu": self.mass / constants.atomic_mass,
-            "charge_multiple": self.charge_number,
+        """Inverse of :meth:`from_mapping` (Hz / mm / amu units, JSON-safe)."""
+        mapping = {
+            key: getattr(self, spec.field) if spec.scale is None
+            else getattr(self, spec.field) / spec.scale
+            for key, spec in TRAP_KEYS.items()
         }
+        # null for a straight trap; 1e3 * length keeps the last digit of length / 1e-3
+        mapping["funnel_length_mm"] = (
+            None if math.isinf(self.funnel_length) else 1e3 * self.funnel_length
+        )
+        return mapping
+
+
+# -- config-file schema -------------------------------------------------------
+
+#: JSON types a config value may have, as tuples of Python types and literal
+#: strings. An integer is never a bool and a number is never a numeric string.
+INTEGER = (int,)
+NUMBER = (int, float)
+BOOLEAN = (bool,)
+NULL = type(None)
+_TYPE_NAMES = {
+    int: "an integer", float: "a float", bool: "true or false", NULL: "null",
+    dict: "a JSON object",
+}
+
+
+class ConfigKey(NamedTuple):
+    """One key of a config section: its JSON types and the field it sets."""
+
+    types: tuple
+    field: str | None = None    #: the library field the key sets, if any
+    scale: float | None = None  #: SI value of one file unit; None takes the value as it is
+
+
+def check_section(name: str, data: Mapping[str, Any], keys: Mapping[str, ConfigKey]) -> None:
+    """Raise :class:`ConfigError` unless config section ``name`` holds only
+    ``keys``, each with a value of one of its types."""
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        types = keys[key].types
+        if type(value) not in types and value not in types:  # a type, or a literal string
+            expected = " or ".join(_TYPE_NAMES.get(t) or json.dumps(t) for t in types)
+            raise ConfigError(f"{name}.{key} must be {expected}, got {json.dumps(value)}")
+
+
+def section_fields(data: Mapping[str, Any], keys: Mapping[str, ConfigKey]) -> dict[str, Any]:
+    """The fields that a checked config section sets, each scaled to SI (null as inf)."""
+    return {
+        keys[key].field: value if keys[key].scale is None
+        else keys[key].scale * float("inf" if value is None else value)
+        for key, value in data.items()
+        if keys[key].field is not None
+    }
+
+
+#: The ``trap`` config section. A null or "inf" funnel length is a straight trap.
+TRAP_KEYS = {
+    "n_ions": ConfigKey(INTEGER, "n_ions"),
+    "omega_z_hz": ConfigKey(NUMBER, "omega_z", TWO_PI),
+    "omega_x0_hz": ConfigKey(NUMBER, "omega_x0", TWO_PI),
+    "omega_y0_hz": ConfigKey(NUMBER, "omega_y0", TWO_PI),
+    "funnel_length_mm": ConfigKey((*NUMBER, NULL, "inf"), "funnel_length", 1e-3),
+    "ion_mass_amu": ConfigKey(NUMBER, "mass", constants.atomic_mass),
+    "charge_multiple": ConfigKey(INTEGER, "charge_number"),
+}
 
 
 def _pair_geometry(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

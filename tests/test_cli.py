@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from tapermode.core import TWO_PI, TrapConfig
 from tapermode.dynamics import SpectrumResult
 from tapermode.equilibrium import chain_positions_dimensionless
 from tapermode.modes import compute_modes
-from tapermode.pipeline import run_experiment
+from tapermode.pipeline import ExperimentPlan, run_experiment
 from tapermode.sweep import run_sweep
 
 
@@ -122,7 +124,7 @@ class TestSweepCommand:
     def test_axial_beam_axis_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, {"beam": {"axis": "z"}})
         assert cli.main(["sweep", "--config", config]) == 2
-        assert "must be 'x' or 'y'" in capsys.readouterr().err
+        assert 'beam.axis must be "x" or "y"' in capsys.readouterr().err
 
     def test_thread_environment_is_ignored(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, self.CONFIG)
@@ -301,14 +303,14 @@ class TestSimulateAndFit:
         assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 0
         axial = write_config(tmp_path, {**self.CONFIG, "beam": {"axis": "z"}}, "axial.json")
         assert cli.main(["fit", str(spectrum_path), "--config", axial]) == 2
-        assert "must be 'x' or 'y'" in capsys.readouterr().err
+        assert 'beam.axis must be "x" or "y"' in capsys.readouterr().err
 
     def test_simulate_rejects_axial_beam_axis(self, tmp_path, capsys):
         """An axial spectrum is refused where it would be written, not only by fit."""
         spectrum_path = tmp_path / "spectrum.csv"
         axial = write_config(tmp_path, {**self.CONFIG, "beam": {"axis": "z"}})
         assert cli.main(["simulate", "--config", axial, "--out", str(spectrum_path)]) == 2
-        assert "beam axis must be 'x' or 'y'" in capsys.readouterr().err
+        assert 'beam.axis must be "x" or "y"' in capsys.readouterr().err
         assert not spectrum_path.exists()
 
     def test_flat_spectrum_exits_4(self, tmp_path, capsys):
@@ -324,6 +326,15 @@ class TestSimulateAndFit:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert cli.main(["fit", str(tmp_path / "absent.csv")]) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_missing_spectrum_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text(
+            "omega_d_hz,ion_index,amplitude_um,phase_rad\r\n"
+            "1000,1,1,0\r\n1000,2,1,0\r\n1001,1,1,0\r\n", encoding="utf-8",
+        )
+        assert cli.main(["fit", str(path)]) == 2
+        assert "missing row for omega_d_hz=1001, ion_index=2" in capsys.readouterr().err
 
     def test_bad_spectrum_columns_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -457,3 +468,172 @@ class TestConfigErrors:
     def test_verbose_flag_accepted(self, capsys):
         assert cli.main(["equilibrium", "--verbose"]) == 0
         capsys.readouterr()
+
+
+#: The type of every key, written out independently of ``cli.SCHEMA``.
+SCHEMA_KEY_TYPES = {
+    "trap": {
+        "n_ions": "integer", "omega_z_hz": "number", "omega_x0_hz": "number",
+        "omega_y0_hz": "number", "funnel_length_mm": "length", "ion_mass_amu": "number",
+        "charge_multiple": "integer",
+    },
+    "sweep": {
+        "omega_z_min_hz": "number", "omega_z_max_hz": "number", "points": "integer",
+        "linear_reference": "boolean",
+    },
+    "drive": {
+        "gamma_hz": "number", "force_amplitude_n": "number", "settle_cycles": "integer",
+        "measure_cycles": "integer", "steps_per_period": "integer or null",
+        "scan_points": "integer", "model": "choice",
+    },
+    "beam": {
+        "kind": "choice", "waist_um": "number", "center_ion_index": "integer",
+        "center_z_um": "number", "axis": "choice",
+    },
+    "analysis": {"n_peaks": "integer", "noise_seed": "integer or null"},
+    "pipeline": {
+        "beam_crossover_hz": "number", "spectrum_source": "choice",
+        "noise_fraction": "number", "focused_damping_scale": "number",
+    },
+}
+#: Values of the wrong JSON type for each kind of key.
+WRONG_VALUES = {
+    "integer": ["3", 2.5, 12.0, True, None, [1]],
+    "integer or null": ["3", 2.5, True, [1]],
+    "number": ["30", True, None, [1.0]],
+    "length": ["1.81", "Infinity", True, [1.81]],
+    "boolean": ["false", 1, None, [True]],
+    "choice": ["bogus", 1, True, None, ["x"]],
+}
+WRONG_TYPE_CASES = [
+    pytest.param(section, key, value, id=f"{section}.{key}={json.dumps(value)}")
+    for section, keys in SCHEMA_KEY_TYPES.items()
+    for key, kind in keys.items()
+    for value in WRONG_VALUES[kind]
+]
+
+
+class TestConfigSchema:
+    """Every config value is checked against its key's JSON type before any command runs."""
+
+    def test_schema_covers_exactly_these_keys(self):
+        assert {name: set(keys) for name, keys in cli.SCHEMA.items()} == {
+            name: set(keys) for name, keys in SCHEMA_KEY_TYPES.items()
+        }
+
+    @pytest.mark.parametrize("section, key, value", WRONG_TYPE_CASES)
+    def test_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, section, key, value):
+        config = write_config(tmp_path, {section: {key: value}})
+        runs = [
+            [command, "--config", config]
+            for command in ("equilibrium", "modes", "sweep", "simulate")
+        ] + [
+            ["fit", str(tmp_path / "absent.csv"), "--config", config],
+            ["pipeline", "--config", config, "--out", str(tmp_path / "run")],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert f"error: {section}.{key} must be " in err
+            assert f"got {json.dumps(value)}" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [1.81, 2, None, "inf"])
+    def test_funnel_length_takes_numbers_null_and_inf(self, tmp_path, value):
+        config = write_config(tmp_path, {"trap": {"funnel_length_mm": value}})
+        assert cli.main(["equilibrium", "--config", config, "--out", str(tmp_path / "e.csv")]) == 0
+
+    def test_nulls_select_the_defaults(self, tmp_path):
+        data = cli.load_config(write_config(
+            tmp_path, {"drive": {"steps_per_period": None}, "analysis": {"noise_seed": None}}))
+        assert cli.drive_settings(data)["steps_per_period"] is None
+        assert cli.analysis_settings(data, 3)["noise_seed"] is None
+
+    def test_non_object_section(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"trap": [1]})
+        assert cli.main(["equilibrium", "--config", config]) == 2
+        assert "top-level.trap must be a JSON object, got [1]" in capsys.readouterr().err
+
+    def test_zero_peaks_is_a_config_error(self, tmp_path, capsys):
+        spectrum_path = tmp_path / "spectrum.csv"
+        config = write_config(tmp_path, {"drive": {"model": "response"}})
+        assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 0
+        zero = write_config(tmp_path, {"analysis": {"n_peaks": 0}}, "zero.json")
+        assert cli.main(["fit", str(spectrum_path), "--config", zero]) == 2
+        assert "analysis.n_peaks must be at least 1, got 0" in capsys.readouterr().err
+
+
+class TestCommandDefaults:
+    """``simulate`` and ``pipeline`` differ in damping and scan points, and in nothing else."""
+
+    GRID = TWO_PI * np.array([50e3, 60e3])
+
+    def test_simulate_and_pipeline_defaults(self):
+        drive = cli.drive_settings({})
+        plan = cli.experiment_plan({}, self.GRID, "x")
+        assert drive["damping_rate"] == TWO_PI * 1000.0
+        assert drive["scan_points"] == 200
+        assert drive["model"] == "full"
+        assert plan.damping_rate == TWO_PI * 400.0
+        assert plan.scan_points == 800
+        assert (drive["force_amplitude"], drive["beam_waist"]) == (
+            plan.force_amplitude, plan.beam_waist)
+        assert cli.experiment_plan({}, self.GRID, "x").to_mapping() == ExperimentPlan(
+            omega_z_values=self.GRID).to_mapping()
+
+    def test_plan_keys_convert_to_si(self):
+        data = {
+            "drive": {"gamma_hz": 500, "force_amplitude_n": 2e-23, "settle_cycles": 40,
+                      "measure_cycles": 12, "steps_per_period": 64, "scan_points": 300},
+            "beam": {"waist_um": 20},
+            "pipeline": {"beam_crossover_hz": 90e3, "spectrum_source": "linearized",
+                         "noise_fraction": 0, "focused_damping_scale": 2},
+        }
+        plan = cli.experiment_plan(data, self.GRID, "y")
+        assert plan.to_mapping() == ExperimentPlan(
+            omega_z_values=self.GRID, direction="y", damping_rate=TWO_PI * 500.0,
+            force_amplitude=2e-23, settle_cycles=40, measure_cycles=12, steps_per_period=64,
+            scan_points=300, beam_waist=1e-6 * 20, beam_crossover=TWO_PI * 90e3,
+            spectrum_source="linearized", noise_fraction=0.0, focused_damping_scale=2.0,
+        ).to_mapping()
+
+
+class TestUnreadableInput:
+    """Input files that cannot be read as UTF-8 text are configuration errors, not crashes."""
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"trap": {"n_ions": 3}} é'.encode("latin-1"))
+        assert cli.main(["equilibrium", "--config", str(path)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert cli.main(["equilibrium", "--config", str(tmp_path)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_spectrum_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            "omega_d_hz,ion_index,amplitude_um,phase_rad\r\n1000,1,1,0 é\r\n".encode("latin-1")
+        )
+        assert cli.main(["fit", str(path)]) == 2
+        assert "cannot read input file" in capsys.readouterr().err
+
+    def test_spectrum_is_a_directory(self, tmp_path, capsys):
+        assert cli.main(["fit", str(tmp_path)]) == 2
+        assert "cannot read input file" in capsys.readouterr().err
+
+
+def test_readme_config_runs_every_command(tmp_path):
+    """The README's "full set" config block is accepted by every command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config file\n.*?```json\n(.*?)```", readme, re.S)
+    assert block is not None
+    config = write_config(tmp_path, json.loads(block.group(1)))
+    for command in ("equilibrium", "modes", "sweep"):
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+    spectrum = str(tmp_path / "spectrum.csv")
+    with pytest.warns(UserWarning, match="settle window"):
+        assert cli.main(["simulate", "--config", config, "--out", spectrum]) == 0
+    assert cli.main(["fit", spectrum, "--config", config, "--out", str(tmp_path / "f.json")]) == 0
+    assert cli.main(["pipeline", "--config", config, "--out", str(tmp_path / "run")]) == 0

@@ -112,6 +112,22 @@ class TestTrapConfig:
         with pytest.raises(ConfigError, match="typo_key"):
             TrapConfig.from_mapping({"typo_key": 1})
 
+    @pytest.mark.parametrize("data", [
+        {"n_ions": "three"}, {"n_ions": True}, {"n_ions": 3.0}, {"omega_z_hz": "x"},
+        {"omega_x0_hz": None}, {"funnel_length_mm": [1.81]}, {"ion_mass_amu": False},
+        {"charge_multiple": 1.5},
+    ])
+    def test_mapping_rejects_wrong_types(self, data):
+        (key,) = data
+        with pytest.raises(ConfigError, match=f"^trap\\.{key} must be "):
+            TrapConfig.from_mapping(data)
+
+    def test_bools_are_not_counts(self):
+        with pytest.raises(ConfigError, match="n_ions"):
+            TrapConfig(n_ions=True)
+        with pytest.raises(ConfigError, match="charge_number"):
+            TrapConfig(charge_number=True)
+
     def test_mapping_null_funnel_means_straight_trap(self):
         config = TrapConfig.from_mapping({"funnel_length_mm": None})
         assert math.isinf(config.funnel_length)
