@@ -53,7 +53,6 @@ from .errors import (
     TapermodeError,
 )
 from .modes import (
-    Mode,
     ModeTable,
     compute_modes,
     coupling_matrix,
@@ -70,7 +69,7 @@ from .pipeline import (
     run_experiment,
     select_beam,
 )
-from .sweep import SweepPoint, SweepResult, TrackedMode, match_columns, run_sweep
+from .sweep import SweepResult, match_columns, run_sweep
 
 __version__ = "0.1.0"
 
@@ -83,7 +82,6 @@ __all__ = [
     "ExperimentPlan",
     "FixedCenterFit",
     "LorentzianFit",
-    "Mode",
     "ModeTable",
     "ModeVectorEstimate",
     "PointResult",
@@ -94,10 +92,8 @@ __all__ = [
     "SolverError",
     "SpectrumAnalysis",
     "SpectrumResult",
-    "SweepPoint",
     "SweepResult",
     "TapermodeError",
-    "TrackedMode",
     "TrapConfig",
     "analyze_spectrum",
     "axial_com_check",

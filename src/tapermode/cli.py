@@ -148,7 +148,7 @@ def sweep_settings(data: Mapping) -> tuple[np.ndarray, bool]:
 def drive_settings(data: Mapping) -> dict:
     """``simulate``'s drive as SI ExperimentPlan fields, plus ``model``; cycles
     left out of the config take DriveScan's defaults."""
-    return {
+    drive = {
         "damping_rate": TWO_PI * 1000.0,
         "scan_points": 200,
         "force_amplitude": ExperimentPlan.force_amplitude,
@@ -156,6 +156,9 @@ def drive_settings(data: Mapping) -> dict:
         "model": data.get("drive", {}).get("model", "full"),
         **_plan_fields(data),
     }
+    if drive["scan_points"] < 1:
+        raise ConfigError(f"drive.scan_points must be at least 1, got {drive['scan_points']}")
+    return drive
 
 
 def beam_axis(data: Mapping) -> str:
@@ -260,11 +263,13 @@ def cmd_modes(args) -> int:
     data = load_config(args.config)
     config = trap_config(data)
     table = compute_modes(config)
+    rows = zip(table.directions, table.all_eigenvalues.tolist(), table.all_frequencies.tolist(),
+               table.all_participation.tolist(), np.swapaxes(table.all_vectors, 1, 2))
     lines = (
-        ",".join([mode.direction, str(mode.index), _fmt(mode.eigenvalue),
-                  _fmt(mode.frequency / TWO_PI), _fmt(mode.participation),
-                  *map(_fmt, mode.vector)])
-        for mode in table.modes
+        ",".join([direction, str(k + 1), _fmt(value), _fmt(freq / TWO_PI), _fmt(ratio),
+                  *map(_fmt, vector)])
+        for direction, *modes in rows
+        for k, (value, freq, ratio, vector) in enumerate(zip(*modes))
     )
     header = ["direction", "mode_index", "gamma", "frequency_hz", "PR",
               *_ion_columns(config.n_ions)]
@@ -277,12 +282,14 @@ def cmd_sweep(args) -> int:
     config = trap_config(data)
     grid, linear_reference = sweep_settings(data)
     result = run_sweep(config, grid, direction=beam_axis(data))
+    rows = zip(result.omega_z.tolist(), result.frequencies.tolist(),
+               np.swapaxes(result.vectors, 1, 2), result.participation.tolist(),
+               result.linear_frequencies.tolist())
     lines = (
-        ",".join([_fmt(point.omega_z / TWO_PI), mode.label, _fmt(mode.frequency / TWO_PI),
-                  *map(_fmt, mode.vector), _fmt(mode.participation),
-                  _fmt(mode.linear_frequency / TWO_PI) if linear_reference else ""])
-        for point in result.points
-        for mode in point.modes
+        ",".join([_fmt(omega_z / TWO_PI), label, _fmt(freq / TWO_PI), *map(_fmt, vector),
+                  _fmt(ratio), _fmt(linear / TWO_PI) if linear_reference else ""])
+        for omega_z, *modes in rows
+        for label, freq, vector, ratio, linear in zip(result.labels, *modes)
     )
     header = ["omega_z_hz", "mode_label", "frequency_hz", *_ion_columns(config.n_ions),
               "PR", "linear_reference_frequency_hz"]

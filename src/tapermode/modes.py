@@ -25,7 +25,9 @@ fully localized, N when uniformly shared.
 All eigenproblems go through one stacked solve, :func:`_eigensystem`: it
 takes matrices ``[M, N, N]`` (the directions of :func:`compute_modes`, or
 every point of a sweep in :func:`tapermode.sweep.run_sweep`), checks
-stability, and fixes signs and participation ratios column by column.
+stability, and fixes signs and participation ratios column by column. Its
+stacks are the only stored form of the solved modes: a :class:`ModeTable`
+holds them read-only, one row per direction, and builds no per-mode record.
 
 For a straight trap (t = 0) A shares its eigenvectors with K, whatever
 beta is, and its eigenvalues are ``1 + beta^2 kappa_k`` with ``kappa_k``
@@ -38,7 +40,7 @@ the Coulomb coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -123,54 +125,43 @@ def _eigensystem(mats: np.ndarray, where: Callable[[int], str]):
 
 
 @dataclass(frozen=True)
-class Mode:
-    """One normal mode of the chain."""
-
-    direction: str        #: 'x', 'y' or 'z'
-    index: int            #: 1-based rank by ascending frequency within the direction
-    eigenvalue: float     #: dimensionless stiffness eigenvalue
-    frequency: float      #: angular frequency [rad/s]
-    vector: np.ndarray    #: normalized eigenvector [N], largest component positive
-    participation: float  #: participation ratio 1/sum a^4
-
-
-@dataclass(frozen=True)
 class ModeTable:
-    """All 3N normal modes of a configuration, grouped by direction."""
+    """The normal modes of a configuration along the solved directions, as arrays.
+
+    Row i of every stack belongs to ``directions[i]``; within a row the modes
+    go by ascending frequency, so column k of ``all_vectors[i]`` is the
+    eigenvector of ``all_eigenvalues[i, k]``. Every stack is read-only.
+    """
 
     config: TrapConfig
-    positions_dimensionless: np.ndarray
-    modes: tuple[Mode, ...] = field(repr=False)
-    #: direction -> read-only (eigenvalues [N], frequencies [N], eigenvector
-    #: matrix [N, N]); the ``Mode`` records hold views of the same arrays.
-    _arrays: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    directions: tuple[str, ...]
+    all_eigenvalues: np.ndarray = field(repr=False)    #: dimensionless eigenvalues [D, N]
+    all_frequencies: np.ndarray = field(repr=False)    #: angular frequencies [D, N] [rad/s]
+    all_vectors: np.ndarray = field(repr=False)        #: eigenvectors [D, N, N]
+    all_participation: np.ndarray = field(repr=False)  #: participation ratios [D, N]
 
-    def by_direction(self, direction: str) -> list[Mode]:
-        """Modes along one direction, ascending frequency."""
+    def _row(self, direction: str) -> int:
         if direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {direction!r}")
-        return [m for m in self.modes if m.direction == direction]
-
-    def _solved(self, direction: str, which: int) -> np.ndarray:
-        if direction not in DIRECTIONS:
-            raise ConfigError(f"unknown direction {direction!r}")
-        if direction not in self._arrays:
+        if direction not in self.directions:
             raise ConfigError(f"direction {direction!r} was not computed")
-        return self._arrays[direction][which]
+        return self.directions.index(direction)
 
     def eigenvalues(self, direction: str) -> np.ndarray:
         """Dimensionless stiffness eigenvalues along one direction, ascending (read-only)."""
-        return self._solved(direction, 0)
+        return self.all_eigenvalues[self._row(direction)]
 
     def frequencies(self, direction: str) -> np.ndarray:
         """Angular frequencies [rad/s] along one direction, ascending (read-only)."""
-        return self._solved(direction, 1)
+        return self.all_frequencies[self._row(direction)]
 
     def matrix(self, direction: str) -> np.ndarray:
         """Eigenvector matrix [N, N], column k = mode of ascending rank k (read-only)."""
-        return self._solved(direction, 2)
+        return self.all_vectors[self._row(direction)]
+
+    def participation(self, direction: str) -> np.ndarray:
+        """Participation ratios along one direction, by ascending rank (read-only)."""
+        return self.all_participation[self._row(direction)]
 
 
 def coupling_matrix(config: TrapConfig, direction: str, u: np.ndarray | None = None) -> np.ndarray:
@@ -207,20 +198,7 @@ def compute_modes(config: TrapConfig, directions: tuple[str, ...] = DIRECTIONS) 
     freqs = np.sqrt(values) * units[:, None]
     for array in (values, vectors, participation, freqs):
         array.setflags(write=False)
-    modes = tuple(
-        Mode(
-            direction=direction,
-            index=k + 1,
-            eigenvalue=float(values[i, k]),
-            frequency=float(freqs[i, k]),
-            vector=vectors[i, :, k],
-            participation=float(participation[i, k]),
-        )
-        for i, direction in enumerate(directions)
-        for k in range(u.size)
-    )
-    arrays = {d: (values[i], freqs[i], vectors[i]) for i, d in enumerate(directions)}
-    return ModeTable(config=config, positions_dimensionless=u, modes=modes, _arrays=arrays)
+    return ModeTable(config, directions, values, freqs, vectors, participation)
 
 
 def site_frequencies(config: TrapConfig, direction: str = "x") -> np.ndarray:

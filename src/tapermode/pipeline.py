@@ -354,8 +354,11 @@ def run_experiment(
     A :class:`TapermodeError` in any phase (an invalid configuration, a
     diverged trajectory, a fit that does not converge) fails only its point,
     which is recorded with the reason in its :class:`PointResult`. Raises
-    :class:`SolverError` only when more than half the points fail.
+    :class:`SolverError` only when more than half the points fail, and
+    :class:`ConfigError` for a negative ``seed``.
     """
+    if seed is not None and seed < 0:
+        raise ConfigError(f"noise seed must be a non-negative integer, got {seed}")
     grid = [float(w) for w in plan.omega_z_values]
     children = np.random.SeedSequence(seed).spawn(len(grid))
     points: list[PointResult | None] = [None] * len(grid)

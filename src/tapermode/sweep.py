@@ -14,12 +14,16 @@ stiffness matrices of the whole grid are ``I + t_k diag(u) + beta_k^2 K``
 with one Coulomb matrix K: they are built as one ``[P, N, N]`` stack and
 solved in one stacked eigensolve.
 
-Each tracked mode also carries the frequency the same mode would have in the
+Each track also carries the frequency the same mode would have in the
 equivalent untapered trap (funnel length -> inf), the natural reference when
 plotting taper-induced structure. In that trap the radial eigenvectors are
 those of K at every axial frequency and the eigenvalues are
 ``1 + beta_k^2 kappa`` (kappa the eigenvalues of K), so one eigensolve of K
 gives the reference for the whole grid.
+
+A :class:`SweepResult` holds the tracked stacks as read-only arrays and
+builds no per-mode object. Its ``points`` property builds :class:`SweepPoint`
+records when read, only because the ``perfbench/`` harness reads them.
 """
 from __future__ import annotations
 
@@ -60,10 +64,32 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The tracked radial modes of a sweep, as read-only arrays.
+
+    Axis 0 is the point, by ascending ``omega_z``. ``frequencies[p, k]`` and
+    column k of ``vectors[p]`` belong to track ``labels[k]`` at point p.
+    """
+
     config: TrapConfig                 #: base configuration (omega_z varies)
     direction: str
     labels: tuple[str, ...]
-    points: tuple[SweepPoint, ...] = field(repr=False)
+    omega_z: np.ndarray = field(repr=False)             #: axial frequencies [P] [rad/s]
+    eigenvalues: np.ndarray = field(repr=False)         #: dimensionless eigenvalues [P, N]
+    frequencies: np.ndarray = field(repr=False)         #: angular frequencies [P, N] [rad/s]
+    vectors: np.ndarray = field(repr=False)             #: [P, N, N], sign-continuous tracks
+    participation: np.ndarray = field(repr=False)       #: participation ratios [P, N]
+    linear_frequencies: np.ndarray = field(repr=False)  #: untapered trap [P, N] [rad/s]
+
+    @property
+    def points(self) -> tuple[SweepPoint, ...]:
+        """Per-point records, built from the arrays on every read."""
+        rows = zip(self.omega_z.tolist(), self.eigenvalues.tolist(), self.frequencies.tolist(),
+                   np.swapaxes(self.vectors, 1, 2), self.participation.tolist(),
+                   self.linear_frequencies.tolist())
+        return tuple(
+            SweepPoint(omega_z, tuple(map(TrackedMode, self.labels, *fields)))
+            for omega_z, *fields in rows
+        )
 
 
 def assign_columns(reference: np.ndarray, candidate: np.ndarray):
@@ -145,38 +171,15 @@ def run_sweep(
         vectors[k] = vectors[k][:, order] * signs
         values[k] = values[k][order]
         participation[k] = participation[k][order]
-    vectors.setflags(write=False)
 
     # Name the tracks by which untapered mode they become at the highest
     # omega_z (the collective end, where that identification is sharp).
     linear_rank, _, _ = assign_columns(vectors[-1], linear_vectors)
     labels = _mode_labels(config.n_ions, linear_rank)
 
-    rows = zip(
-        omegas.tolist(),
-        values.tolist(),
-        (np.sqrt(values) * units).tolist(),
-        vectors,
-        participation.tolist(),
-        (np.sqrt(linear_values) * units)[:, linear_rank].tolist(),
-    )
-    points = tuple(
-        SweepPoint(
-            omega_z=omega_z,
-            modes=tuple(
-                TrackedMode(
-                    label=label,
-                    eigenvalue=value,
-                    frequency=frequency,
-                    vector=vector,
-                    participation=ratio,
-                    linear_frequency=linear,
-                )
-                for label, value, frequency, vector, ratio, linear in zip(
-                    labels, vals, freqs, vecs.T, ratios, linears
-                )
-            ),
-        )
-        for omega_z, vals, freqs, vecs, ratios, linears in rows
-    )
-    return SweepResult(config=config, direction=direction, labels=labels, points=points)
+    frequencies = np.sqrt(values) * units
+    linear_frequencies = (np.sqrt(linear_values) * units)[:, linear_rank]
+    for array in (omegas, values, frequencies, vectors, participation, linear_frequencies):
+        array.setflags(write=False)
+    return SweepResult(config, direction, labels, omegas, values, frequencies, vectors,
+                       participation, linear_frequencies)

@@ -140,10 +140,10 @@ def test_02_straight_trap_closed_forms():
             funnel_length=np.inf,
         )
         table = compute_modes(config, ("x",))
-        eigenvalues = np.array([m.eigenvalue for m in table.by_direction("x")])
+        eigenvalues = table.eigenvalues("x")
         expected = np.array([1.0 - 2.4 * beta**2, 1.0 - beta**2, 1.0])
         worst_eig = max(worst_eig, float(np.max(np.abs(eigenvalues - expected))))
-        com = table.by_direction("x")[-1].vector
+        com = table.matrix("x")[:, -1]
         worst_com = max(worst_com, float(np.max(np.abs(com - 1.0 / np.sqrt(3.0)))))
     report(
         2,
@@ -204,16 +204,14 @@ def test_04_localization_transition():
     start = time.perf_counter()
     config_local = TrapConfig(omega_z=TWO_PI * 47e3)
     table_local = compute_modes(config_local, ("x",))
-    prs = np.array([m.participation for m in table_local.by_direction("x")])
+    prs = table_local.participation("x")
     freqs_local = table_local.frequencies("x")
     site = np.sort(site_frequencies(config_local, "x"))
     site_gap = float(np.max(np.abs(freqs_local - site) / site))
 
     config_coll = TrapConfig(omega_z=TWO_PI * 205e3)
     table_coll = compute_modes(config_coll, ("x",))
-    min_component = min(
-        float(np.min(np.abs(m.vector))) for m in table_coll.by_direction("x")
-    )
+    min_component = float(np.min(np.abs(table_coll.matrix("x"))))
     freqs_coll = table_coll.frequencies("x")
 
     spread_local = float(freqs_local.max() - freqs_local.min())
@@ -244,10 +242,10 @@ def test_04_localization_transition():
 def test_05_highest_mode_sits_at_the_wide_spacing_end():
     config = TrapConfig(omega_z=TWO_PI * 205e3)
     table = compute_modes(config, ("x",))
-    top = table.by_direction("x")[-1]
-    u = table.positions_dimensionless
+    top = table.matrix("x")[:, -1]
+    u = chain_positions_dimensionless(config.n_ions)
     factors = 1.0 + (2.0 * config.length_scale / config.funnel_length) * u
-    loudest = int(np.argmax(np.abs(top.vector)))
+    loudest = int(np.argmax(np.abs(top)))
     expected = int(np.argmax(factors))
     report(
         5,
@@ -326,14 +324,14 @@ def test_08_global_drive_cannot_reach_the_alternating_mode():
     ):
         table = compute_modes(config, ("x",))
         alternating = None
-        for mode in table.by_direction("x"):
-            signs = np.sign(mode.vector[np.abs(mode.vector) > 1e-12])
+        for k, vector in enumerate(table.matrix("x").T):
+            signs = np.sign(vector[np.abs(vector) > 1e-12])
             if np.count_nonzero(np.diff(signs)) == 2:
-                alternating = mode
+                alternating = k
         assert alternating is not None
-        positions = table.positions_dimensionless * config.length_scale
-        loudest = int(np.argmax(np.abs(alternating.vector)))
-        scan = DriveScan(np.array([alternating.frequency]), damping_rate=gamma)
+        positions = chain_positions_dimensionless(config.n_ions) * config.length_scale
+        loudest = int(np.argmax(np.abs(table.matrix("x")[:, alternating])))
+        scan = DriveScan(table.frequencies("x")[[alternating]], damping_rate=gamma)
         broad = linear_response_spectrum(config, scan, BeamSpec("broad", 1e-23))
         focused = linear_response_spectrum(
             config,

@@ -4,10 +4,14 @@ import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tapermode import cli, modes
 from tapermode.core import TWO_PI, TrapConfig
@@ -189,12 +193,13 @@ class TestTableArtifactsMatchTheCsvWriter:
         assert self.run_command(tmp_path, "equilibrium", {"trap": self.TRAP}) == expected.encode()
 
     def test_modes(self, tmp_path):
-        trap = TrapConfig.from_mapping(self.TRAP)
+        table = compute_modes(TrapConfig.from_mapping(self.TRAP))
         expected = csv_writer_text(
             ["direction", "mode_index", "gamma", "frequency_hz", "PR", *ion_columns(4)],
-            ([m.direction, m.index, cli._fmt(m.eigenvalue), cli._fmt(m.frequency / TWO_PI),
-              cli._fmt(m.participation), *(cli._fmt(a) for a in m.vector)]
-             for m in compute_modes(trap).modes),
+            ([d, k + 1, cli._fmt(table.eigenvalues(d)[k]),
+              cli._fmt(table.frequencies(d)[k] / TWO_PI), cli._fmt(table.participation(d)[k]),
+              *(cli._fmt(a) for a in table.matrix(d)[:, k])]
+             for d in ("x", "y", "z") for k in range(4)),
         )
         assert self.run_command(tmp_path, "modes", {"trap": self.TRAP}) == expected.encode()
 
@@ -208,9 +213,11 @@ class TestTableArtifactsMatchTheCsvWriter:
         expected = csv_writer_text(
             ["omega_z_hz", "mode_label", "frequency_hz", *ion_columns(4),
              "PR", "linear_reference_frequency_hz"],
-            ([cli._fmt(point.omega_z / TWO_PI), m.label, cli._fmt(m.frequency / TWO_PI),
-              *(cli._fmt(a) for a in m.vector), cli._fmt(m.participation), ""]
-             for point in result.points for m in point.modes),
+            ([cli._fmt(result.omega_z[p] / TWO_PI), label,
+              cli._fmt(result.frequencies[p, k] / TWO_PI),
+              *(cli._fmt(a) for a in result.vectors[p, :, k]),
+              cli._fmt(result.participation[p, k]), ""]
+             for p in range(5) for k, label in enumerate(result.labels)),
         )
         written = self.run_command(tmp_path, "sweep", data)
         assert b",\r\n" in written
@@ -230,6 +237,43 @@ def test_spectrum_csv_matches_the_csv_writer_loop(n_ions):
         model="response", steps_per_period=None, settle_cycles=0, measure_cycles=1,
     )
     assert cli._spectrum_csv(spectrum).encode() == csv_writer_spectrum_rows(spectrum).encode()
+
+
+#: Largest relative change of a value written with FLOAT_FORMAT's 12
+#: significant digits and read back: half a unit in the 12th digit, plus a
+#: few roundings of the unit conversions.
+CSV_RTOL = 5e-12 + 8 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_ions=st.integers(1, 8),
+    n_freqs=st.integers(8, 40),
+    direction=st.sampled_from(["x", "y"]),
+    data=st.data(),
+)
+def test_spectrum_csv_round_trip(n_ions, n_freqs, direction, data):
+    """Reading a written spectrum gives back its frequencies, amplitudes and phases."""
+    start_hz = data.draw(st.floats(1e3, 1e7))
+    steps = data.draw(hnp.arrays(float, n_freqs - 1, elements=st.floats(1e-6, 1e-2)))
+    shape = (n_freqs, n_ions)
+    amplitude = data.draw(hnp.arrays(
+        float, shape, elements=st.floats(0.0, 1e-4, allow_subnormal=False)))
+    phase = data.draw(hnp.arrays(
+        float, shape, elements=st.floats(-math.pi, math.pi, exclude_min=True)))
+    spectrum = SpectrumResult(
+        drive_frequencies=TWO_PI * start_hz * np.cumprod(np.append(1.0, 1.0 + steps)),
+        amplitude=amplitude, phase=phase, direction=direction, damping_rate=1.0,
+        model="response", steps_per_period=None, settle_cycles=0, measure_cycles=1,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spectrum.csv"
+        path.write_text(cli._spectrum_csv(spectrum), encoding="utf-8", newline="")
+        loaded = cli._read_spectrum_csv(str(path), direction)
+    assert loaded.direction == direction
+    for name in ("drive_frequencies", "amplitude", "phase"):
+        np.testing.assert_allclose(getattr(loaded, name), getattr(spectrum, name),
+                                   rtol=CSV_RTOL, atol=0.0, err_msg=name)
 
 
 class TestSimulateAndFit:
@@ -311,6 +355,15 @@ class TestSimulateAndFit:
         axial = write_config(tmp_path, {**self.CONFIG, "beam": {"axis": "z"}})
         assert cli.main(["simulate", "--config", axial, "--out", str(spectrum_path)]) == 2
         assert 'beam.axis must be "x" or "y"' in capsys.readouterr().err
+        assert not spectrum_path.exists()
+
+    @pytest.mark.parametrize("points", [-1, 0])
+    def test_no_scan_points_exits_2(self, tmp_path, capsys, points):
+        data = {**self.CONFIG, "drive": {**self.CONFIG["drive"], "scan_points": points}}
+        spectrum_path = tmp_path / "spectrum.csv"
+        config = write_config(tmp_path, data)
+        assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 2
+        assert f"drive.scan_points must be at least 1, got {points}" in capsys.readouterr().err
         assert not spectrum_path.exists()
 
     def test_flat_spectrum_exits_4(self, tmp_path, capsys):
@@ -427,6 +480,21 @@ class TestPipelineCommand:
         assert sorted(f.name for f in out_dir.iterdir()) == [
             "fits.csv", "report.json", "spectrum_000.csv", "theory.csv",
         ]
+
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**self.CONFIG, "analysis": {"noise_seed": -1}})
+        out_dir = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", config, "--out", str(out_dir)]) == 2
+        assert "noise seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.CONFIG)
+        out_dir = tmp_path / "run"
+        rc = cli.main(["pipeline", "--config", config, "--out", str(out_dir), "--seed", "-1"])
+        assert rc == 2
+        assert "noise seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_requires_output_directory(self, capsys):
         assert cli.main(["pipeline"]) == 2
@@ -637,3 +705,14 @@ def test_readme_config_runs_every_command(tmp_path):
         assert cli.main(["simulate", "--config", config, "--out", spectrum]) == 0
     assert cli.main(["fit", spectrum, "--config", config, "--out", str(tmp_path / "f.json")]) == 0
     assert cli.main(["pipeline", "--config", config, "--out", str(tmp_path / "run")]) == 0
+
+
+def test_readme_api_block_runs():
+    """The README's "Quick start (API)" block runs against the current API."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start \(API\)\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    namespace = {}
+    with pytest.warns(UserWarning, match="settle window"):
+        exec(compile(block.group(1), "README.md", "exec"), namespace)
+    assert namespace["sweep"].frequencies.shape == (12, 3)

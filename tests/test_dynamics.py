@@ -354,7 +354,7 @@ def per_point_spectrum(config, scan, beam, model):
     r0 = equilibrium_positions(config)
     table = compute_modes(config)
     omega_fast = max(
-        float(np.max([m.frequency for m in table.modes])),
+        float(np.max(table.all_frequencies)),
         float(np.max(scan.drive_frequencies)),
     )
     spp = dynamics._steps_per_period(scan, omega_fast)
@@ -500,6 +500,27 @@ class TestGridBatch:
         assert "diverged after" in str(spectra[1])
         for i in (0, 2):
             solo = simulate_spectrum(points[i][0].config, points[i][1], points[i][2], model)
+            assert np.array_equal(spectra[i].amplitude, solo.amplitude)
+            assert np.array_equal(spectra[i].phase, solo.phase)
+
+    def test_diverging_tapered_point_fails_alone(self):
+        """In the funnel a hard drive turns the radial confinement negative.
+
+        The one-ion state then overflows within one drive period, before the
+        once-per-period check zeroes it. That fails only its own point,
+        without a floating-point warning.
+        """
+        kwargs = dict(n_ions=1, settle_cycles=20, measure_cycles=20)
+        points = [
+            grid_point(47, **kwargs),
+            grid_point(100, damping=1.0, force=1e-13, **kwargs),
+            grid_point(205, kind="focused", **kwargs),
+        ]
+        spectra = synthesize_spectra(*zip(*points), "full")
+        assert isinstance(spectra[1], SimulationError)
+        assert "diverged after" in str(spectra[1])
+        for i in (0, 2):
+            solo = simulate_spectrum(points[i][0].config, points[i][1], points[i][2], "full")
             assert np.array_equal(spectra[i].amplitude, solo.amplitude)
             assert np.array_equal(spectra[i].phase, solo.phase)
 

@@ -34,32 +34,30 @@ class TestClosedForms:
     def test_straight_trap_radial_eigenvalues(self, beta):
         config = straight_config_with_beta(beta)
         assert config.beta("x") == pytest.approx(beta, rel=1e-12)
-        modes = compute_modes(config, directions=("x",)).by_direction("x")
-        eigenvalues = sorted(m.eigenvalue for m in modes)
+        eigenvalues = sorted(compute_modes(config, directions=("x",)).eigenvalues("x"))
         expected = sorted([1.0, 1.0 - beta**2, 1.0 - 2.4 * beta**2])
         assert eigenvalues == pytest.approx(expected, abs=1e-9)
 
     def test_straight_trap_axial_eigenvalues(self):
         config = straight_config_with_beta(0.1)
-        modes = compute_modes(config, directions=("z",)).by_direction("z")
-        assert [m.eigenvalue for m in modes] == pytest.approx([1.0, 3.0, 29.0 / 5.0], abs=1e-9)
+        eigenvalues = compute_modes(config, directions=("z",)).eigenvalues("z")
+        assert list(eigenvalues) == pytest.approx([1.0, 3.0, 29.0 / 5.0], abs=1e-9)
 
     def test_center_of_mass_mode_is_uniform(self):
         config = straight_config_with_beta(0.1)
-        modes = compute_modes(config, directions=("x",)).by_direction("x")
-        com = modes[-1]  # eigenvalue 1 is the largest radial eigenvalue
-        assert com.eigenvalue == pytest.approx(1.0, abs=1e-12)
-        assert com.vector == pytest.approx(np.ones(3) / math.sqrt(3), abs=1e-9)
-        assert com.frequency == pytest.approx(config.omega_x, rel=1e-12)
+        table = compute_modes(config, directions=("x",))
+        # eigenvalue 1 is the largest radial eigenvalue
+        assert table.eigenvalues("x")[-1] == pytest.approx(1.0, abs=1e-12)
+        assert table.matrix("x")[:, -1] == pytest.approx(np.ones(3) / math.sqrt(3), abs=1e-9)
+        assert table.frequencies("x")[-1] == pytest.approx(config.omega_x, rel=1e-12)
 
     def test_straight_trap_radial_patterns(self):
         config = straight_config_with_beta(0.1)
-        modes = compute_modes(config, directions=("x",)).by_direction("x")
-        zigzag, rocking, _ = modes
+        zigzag, rocking, _ = compute_modes(config, directions=("x",)).matrix("x").T
         s6, s2 = 1 / math.sqrt(6), 1 / math.sqrt(2)
-        assert np.abs(zigzag.vector) == pytest.approx([s6, 2 * s6, s6], abs=1e-9)
-        assert np.sign(zigzag.vector[0]) != np.sign(zigzag.vector[1])
-        assert np.abs(rocking.vector) == pytest.approx([s2, 0.0, s2], abs=1e-9)
+        assert np.abs(zigzag) == pytest.approx([s6, 2 * s6, s6], abs=1e-9)
+        assert np.sign(zigzag[0]) != np.sign(zigzag[1])
+        assert np.abs(rocking) == pytest.approx([s2, 0.0, s2], abs=1e-9)
 
 
 class TestCouplingMatrices:
@@ -105,28 +103,27 @@ class TestModeTable:
     def test_frequencies_ascend_and_indices_are_one_based(self):
         table = compute_modes(TrapConfig())
         for direction in ("x", "y", "z"):
-            modes = table.by_direction(direction)
-            freqs = [m.frequency for m in modes]
+            freqs = list(table.frequencies(direction))
             assert freqs == sorted(freqs)
-            assert [m.index for m in modes] == [1, 2, 3]
+            assert len(freqs) == 3  # one mode per ion; the file index is rank + 1
 
     def test_eigenvectors_orthonormal(self):
         table = compute_modes(TrapConfig())
         for direction in ("x", "y", "z"):
-            matrix = np.column_stack([m.vector for m in table.by_direction(direction)])
+            matrix = table.matrix(direction)
             assert np.allclose(matrix.T @ matrix, np.eye(3), atol=1e-12)
 
     def test_canonical_sign_convention(self):
         assert canonical_sign(np.array([0.1, -0.9, 0.2]))[1] > 0
         table = compute_modes(TrapConfig())
-        for mode in table.modes:
-            assert mode.vector[np.argmax(np.abs(mode.vector))] > 0
+        for vector in table.all_vectors.transpose(0, 2, 1).reshape(-1, 3):
+            assert vector[np.argmax(np.abs(vector))] > 0
 
     def test_participation_ratio_bounds(self):
         assert participation_ratio(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
         assert participation_ratio(np.ones(4) / 2.0) == pytest.approx(4.0)
-        for mode in compute_modes(TrapConfig()).modes:
-            assert 1.0 <= mode.participation <= 3.0 + 1e-12
+        for ratio in compute_modes(TrapConfig()).all_participation.ravel():
+            assert 1.0 <= ratio <= 3.0 + 1e-12
 
     def test_helpers_work_column_by_column(self):
         rng = np.random.default_rng(3)
@@ -139,21 +136,28 @@ class TestModeTable:
                 assert np.array_equal(signed[m, :, k], canonical_sign(stack[m, :, k]))
                 assert ratios[m, k] == pytest.approx(participation_ratio(stack[m, :, k]), rel=1e-14)
 
-    def test_arrays_are_the_mode_records(self):
+    def test_accessors_are_read_only_rows_of_the_stacks(self):
         table = compute_modes(TrapConfig(n_ions=4))
-        for direction in ("x", "y", "z"):
-            modes = table.by_direction(direction)
-            assert np.array_equal(table.eigenvalues(direction), [m.eigenvalue for m in modes])
-            assert np.array_equal(table.frequencies(direction), [m.frequency for m in modes])
-            assert np.array_equal(table.matrix(direction), np.column_stack([m.vector for m in modes]))
-            for array in (table.eigenvalues(direction), table.frequencies(direction),
-                          table.matrix(direction), modes[0].vector):
-                assert not array.flags.writeable
+        assert table.directions == ("x", "y", "z")
+        stacks = (table.all_eigenvalues, table.all_frequencies, table.all_vectors,
+                  table.all_participation)
+        assert [s.shape for s in stacks] == [(3, 4), (3, 4), (3, 4, 4), (3, 4)]
+        assert all(not s.flags.writeable for s in stacks)
+        for i, direction in enumerate(table.directions):
+            rows = (table.eigenvalues(direction), table.frequencies(direction),
+                    table.matrix(direction), table.participation(direction))
+            for row, stack in zip(rows, stacks):
+                assert np.array_equal(row, stack[i])
+                assert not row.flags.writeable
+            assert np.array_equal(table.participation(direction),
+                                  participation_ratio(table.matrix(direction)))
 
     def test_directions_not_computed_are_rejected(self):
         table = compute_modes(TrapConfig(), directions=("x",))
         with pytest.raises(ConfigError, match="not computed"):
             table.frequencies("y")
+        with pytest.raises(ConfigError, match="not computed"):
+            table.participation("z")
         with pytest.raises(ConfigError, match="unknown"):
             table.matrix("q")
 
@@ -171,31 +175,31 @@ class TestModeTable:
 class TestTaperedRegimes:
     def test_weak_confinement_localizes_modes(self):
         config = TrapConfig().replace(omega_z=TWO_PI * 47e3)
-        modes = compute_modes(config, directions=("x",)).by_direction("x")
-        for mode in modes:
-            assert mode.participation < 1.05
+        table = compute_modes(config, directions=("x",))
+        for ratio in table.participation("x"):
+            assert ratio < 1.05
         # each mode belongs to one ion, in axial order
-        assert [int(np.argmax(np.abs(m.vector))) for m in modes] == [0, 1, 2]
+        assert list(np.argmax(np.abs(table.matrix("x")), axis=0)) == [0, 1, 2]
 
     def test_site_frequencies_match_localized_modes(self):
         config = TrapConfig().replace(omega_z=TWO_PI * 47e3)
-        modes = compute_modes(config, directions=("x",)).by_direction("x")
+        freqs = compute_modes(config, directions=("x",)).frequencies("x")
         sites = site_frequencies(config, "x")
-        for mode, site in zip(modes, sites):
-            assert abs(mode.frequency - site) / site < 0.005
+        for freq, site in zip(freqs, sites):
+            assert abs(freq - site) / site < 0.005
 
     def test_strong_confinement_delocalizes_modes(self):
         config = TrapConfig().replace(omega_z=TWO_PI * 205e3)
-        modes = compute_modes(config, directions=("x",)).by_direction("x")
-        for mode in modes:
-            assert np.min(np.abs(mode.vector)) > 0.1
-            assert mode.participation > 2.0
+        table = compute_modes(config, directions=("x",))
+        for vector, ratio in zip(table.matrix("x").T, table.participation("x")):
+            assert np.min(np.abs(vector)) > 0.1
+            assert ratio > 2.0
 
     def test_linear_reference_strips_the_taper(self):
         config = TrapConfig()
         reference = linear_reference(config, "x")
         assert math.isinf(reference.config.funnel_length)
-        gammas = sorted(m.eigenvalue for m in reference.by_direction("x"))
+        gammas = sorted(reference.eigenvalues("x"))
         beta = config.beta("x")
         assert gammas == pytest.approx(
             [1.0 - 2.4 * beta**2, 1.0 - beta**2, 1.0], abs=1e-12

@@ -40,8 +40,7 @@ def per_point_sweep(config, omega_z_values, direction):
     n = config.n_ions
     vectors, freqs, vals, prev = [], [], [], None
     for table, _ in solved:
-        modes = table.by_direction(direction)
-        mat = np.column_stack([m.vector for m in modes])
+        mat = table.matrix(direction)
         order, signs = np.arange(n), np.ones(n)
         if prev is not None:
             overlap = prev.T @ mat
@@ -52,14 +51,13 @@ def per_point_sweep(config, omega_z_values, direction):
             signs = np.where(matched < 0.0, -1.0, 1.0)
         prev = mat = mat[:, order] * signs
         vectors.append(mat)
-        freqs.append(np.array([m.frequency for m in modes])[order])
-        vals.append(np.array([m.eigenvalue for m in modes])[order])
-    last_linear = np.column_stack([m.vector for m in solved[-1][1].by_direction(direction)])
+        freqs.append(table.frequencies(direction)[order])
+        vals.append(table.eigenvalues(direction)[order])
+    last_linear = solved[-1][1].matrix(direction)
     _, linear_rank = linear_sum_assignment(-np.abs(vectors[-1].T @ last_linear))
     labels = (tuple(THREE_ION_LABELS[r] for r in linear_rank) if n == 3
               else tuple(f"m{r + 1}" for r in linear_rank))
-    linear = [np.array([m.frequency for m in lin.by_direction(direction)])[linear_rank]
-              for _, lin in solved]
+    linear = [lin.frequencies(direction)[linear_rank] for _, lin in solved]
     return labels, {
         "eigenvalue": np.array(vals),
         "frequency": np.array(freqs),
@@ -70,10 +68,13 @@ def per_point_sweep(config, omega_z_values, direction):
 
 
 def sweep_arrays(result):
-    """The fields of a :class:`SweepResult` as arrays, laid out as in :func:`per_point_sweep`."""
+    """The fields of a :class:`SweepResult`, laid out as in :func:`per_point_sweep`."""
     return {
-        name: np.array([[getattr(m, name) for m in p.modes] for p in result.points])
-        for name in ("eigenvalue", "frequency", "participation", "linear_frequency", "vector")
+        "eigenvalue": result.eigenvalues,
+        "frequency": result.frequencies,
+        "participation": result.participation,
+        "linear_frequency": result.linear_frequencies,
+        "vector": np.swapaxes(result.vectors, 1, 2),
     }
 
 
@@ -143,47 +144,68 @@ class TestRunSweep:
         assert result.labels == THREE_ION_LABELS
         assert result.direction == "x"
         # at the collective end the tracked frequencies sit in label order
-        last = result.points[-1].modes
-        assert last[0].frequency < last[1].frequency < last[2].frequency
+        last = result.frequencies[-1]
+        assert last[0] < last[1] < last[2]
 
     def test_points_sorted_even_for_unsorted_input(self):
         result = run_sweep(TrapConfig(), GRID[::-1])
-        omegas = [p.omega_z for p in result.points]
+        omegas = list(result.omega_z)
         assert omegas == sorted(omegas)
         assert omegas == pytest.approx(list(GRID))
 
     def test_tracks_are_continuous(self):
         result = run_sweep(TrapConfig(), GRID)
-        for k in range(len(result.points) - 1):
-            for a, b in zip(result.points[k].modes, result.points[k + 1].modes):
-                assert a.label == b.label
-                assert float(a.vector @ b.vector) > 0.8
+        for k in range(result.omega_z.size - 1):
+            for a, b in zip(result.vectors[k].T, result.vectors[k + 1].T):
+                assert float(a @ b) > 0.8
 
     def test_localized_to_collective_transition(self):
         result = run_sweep(TrapConfig(), GRID)
-        first, last = result.points[0], result.points[-1]
-        assert all(m.participation < 1.05 for m in first.modes)
-        assert all(m.participation > 2.0 for m in last.modes)
+        first, last = result.participation[0], result.participation[-1]
+        assert all(ratio < 1.05 for ratio in first)
+        assert all(ratio > 2.0 for ratio in last)
 
     def test_linear_reference_matches_closed_forms(self):
         result = run_sweep(TrapConfig(), GRID[::6])
         gamma_of = {"com": 0.0, "rocking": 1.0, "zigzag": 12.0 / 5.0}
-        for point in result.points:
-            cfg = TrapConfig().replace(omega_z=point.omega_z)
+        for omega_z, linears in zip(result.omega_z, result.linear_frequencies):
+            cfg = TrapConfig().replace(omega_z=float(omega_z))
             beta = cfg.beta("x")
-            for mode in point.modes:
-                expected = cfg.omega_x * math.sqrt(1.0 - gamma_of[mode.label] * beta**2)
-                assert mode.linear_frequency == pytest.approx(expected, rel=1e-9)
+            for label, linear in zip(result.labels, linears):
+                expected = cfg.omega_x * math.sqrt(1.0 - gamma_of[label] * beta**2)
+                assert linear == pytest.approx(expected, rel=1e-9)
 
     def test_threads_do_not_change_results(self):
         serial = run_sweep(TrapConfig(), GRID, threads=1)
         parallel = run_sweep(TrapConfig(), GRID, threads=4)
-        for p1, p2 in zip(serial.points, parallel.points):
-            assert p1.omega_z == p2.omega_z
-            for m1, m2 in zip(p1.modes, p2.modes):
-                assert m1.label == m2.label
-                assert m1.frequency == m2.frequency
-                assert np.array_equal(m1.vector, m2.vector)
+        assert np.array_equal(serial.omega_z, parallel.omega_z)
+        assert serial.labels == parallel.labels
+        assert np.array_equal(serial.frequencies, parallel.frequencies)
+        assert np.array_equal(serial.vectors, parallel.vectors)
+
+    def test_arrays_are_read_only_with_one_row_per_point(self):
+        result = run_sweep(TrapConfig(n_ions=4), GRID)
+        p, n = GRID.size, 4
+        shapes = {"omega_z": (p,), "eigenvalues": (p, n), "frequencies": (p, n),
+                  "vectors": (p, n, n), "participation": (p, n), "linear_frequencies": (p, n)}
+        for name, shape in shapes.items():
+            array = getattr(result, name)
+            assert array.shape == shape, name
+            assert not array.flags.writeable, name
+
+    def test_points_view_equals_the_arrays(self):
+        result = run_sweep(TrapConfig(n_ions=4), GRID)
+        points = result.points
+        assert len(points) == GRID.size
+        for p, point in enumerate(points):
+            assert point.omega_z == result.omega_z[p]
+            assert tuple(m.label for m in point.modes) == result.labels
+            for k, mode in enumerate(point.modes):
+                assert mode.eigenvalue == result.eigenvalues[p, k]
+                assert mode.frequency == result.frequencies[p, k]
+                assert np.array_equal(mode.vector, result.vectors[p, :, k])
+                assert mode.participation == result.participation[p, k]
+                assert mode.linear_frequency == result.linear_frequencies[p, k]
 
     def test_generic_labels_for_other_chain_sizes(self):
         config = TrapConfig().replace(n_ions=4)
