@@ -72,7 +72,7 @@ def lorentzian_sum(
     return float(offset) + (np.atleast_1d(heights) / (1.0 + t**2)).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LorentzianFit:
     """Free sum-of-Lorentzians fit, peaks sorted by ascending center."""
 
@@ -90,7 +90,7 @@ class LorentzianFit:
         return self.centers.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedCenterFit:
     """One modal-sum fit of all ions' complex responses, centers frozen."""
 
@@ -100,7 +100,7 @@ class FixedCenterFit:
     hwhms: np.ndarray          #: [K] amplitude half-widths sqrt(3) Gamma_k / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeVectorEstimate:
     """Signed, normalized eigenvector estimates from fitted heights."""
 
@@ -110,7 +110,7 @@ class ModeVectorEstimate:
     ambiguity_notes: tuple[str, ...]  #: components whose sign is uncertain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumAnalysis:
     """Bundle of the full chain: free fit, residue fit, eigenvectors."""
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .analysis import analyze_spectrum
 from .core import BOOLEAN, INTEGER, NULL, NUMBER, TRAP_KEYS, TWO_PI, TrapConfig
-from .core import ConfigKey as Key, check_section, section_fields
+from .core import ConfigKey as Key, check_array_budget, check_section, section_fields
 from .dynamics import (
     BEAM_KINDS,
     SPECTRUM_SOURCES,
@@ -142,6 +142,7 @@ def sweep_settings(data: Mapping) -> tuple[np.ndarray, bool]:
         raise ConfigError("need 0 < omega_z_min_hz <= omega_z_max_hz")
     if n < 1 or (n == 1 and lo != hi):
         raise ConfigError("sweep points must be >= 1 (and > 1 unless min == max)")
+    check_array_budget(f"sweep.points = {n}", (n,))
     return TWO_PI * np.linspace(lo, hi, n), section.get("linear_reference", True)
 
 
@@ -158,6 +159,7 @@ def drive_settings(data: Mapping) -> dict:
     }
     if drive["scan_points"] < 1:
         raise ConfigError(f"drive.scan_points must be at least 1, got {drive['scan_points']}")
+    check_array_budget(f"drive.scan_points = {drive['scan_points']}", (drive["scan_points"],))
     return drive
 
 

@@ -45,6 +45,18 @@ DEFAULT_MASS = 40.0 * constants.atomic_mass
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
+#: Largest float64 array [bytes] that one count of a config may ask for (an
+#: N x N matrix, the omega_z grid, a sweep stack, the pipeline's spectra). It
+#: is checked before allocating; peak memory is a small multiple of it.
+MAX_ARRAY_BYTES = 1 << 30
+
+
+def check_array_budget(what: str, shape: tuple[int, ...]) -> None:
+    """Raise :class:`ConfigError` naming ``what`` if a float64 ``shape`` is over budget."""
+    if 8 * math.prod(shape) > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{what} needs a {8 * math.prod(shape) / 2**30:.3g} GiB array, "
+                          f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB budget")
+
 
 def axis_index(direction: str) -> int:
     """Map a direction name ('x', 'y', 'z') to its coordinate index."""
@@ -86,6 +98,7 @@ class TrapConfig:
     def __post_init__(self) -> None:
         if type(self.n_ions) is not int or self.n_ions < 1:
             raise ConfigError(f"n_ions must be a positive integer, got {self.n_ions!r}")
+        check_array_budget(f"n_ions = {self.n_ions}", (self.n_ions, self.n_ions))
         if not self.omega_z > 0:
             raise ConfigError(f"omega_z must be positive, got {self.omega_z!r}")
         if not (self.omega_x0 > 0 and self.omega_y0 > 0):

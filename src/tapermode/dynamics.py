@@ -84,7 +84,7 @@ TWO_PI = 2.0 * math.pi
 #: (drive or mode) must be covered by at least this many steps.
 MIN_STEPS_PER_FASTEST_PERIOD = 20
 
-#: Steps per drive period used when no integrator step is requested.
+#: Steps per drive period used when a scan pins none.
 DEFAULT_STEPS_PER_PERIOD = 96
 
 #: Integration aborts when any ion strays this many chain length units
@@ -163,7 +163,7 @@ def beam_weights(beam: BeamSpec, positions: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * (z - beam.center_z) ** 2 / beam.waist_radius**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveScan:
     """A steady-state frequency scan of the driven chain.
 
@@ -175,20 +175,16 @@ class DriveScan:
         Velocity damping rate Gamma [1/s] (> 0; the steady state needs it).
     settle_cycles, measure_cycles:
         Drive periods integrated before / during demodulation.
-    integrator_step:
-        Requested time step [s]. The actual step is snapped down to an
-        integer number per drive period (per scan point) so demodulation
-        windows close exactly; ``None`` uses ``DEFAULT_STEPS_PER_PERIOD``.
     steps_per_period:
-        Pin the shared per-period step count directly instead (mutually
-        exclusive with ``integrator_step``).
+        The one step request: integrator steps per drive period, shared by all
+        scan points so demodulation windows close exactly. ``None`` takes
+        ``DEFAULT_STEPS_PER_PERIOD`` or the resolution floor, if higher.
     """
 
     drive_frequencies: np.ndarray
     damping_rate: float
     settle_cycles: int = 30
     measure_cycles: int = 20
-    integrator_step: float | None = None
     steps_per_period: int | None = None
 
     def __post_init__(self) -> None:
@@ -202,15 +198,11 @@ class DriveScan:
             raise ConfigError("damping_rate must be positive")
         if self.settle_cycles < 0 or self.measure_cycles < 1:
             raise ConfigError("need settle_cycles >= 0 and measure_cycles >= 1")
-        if self.integrator_step is not None and self.steps_per_period is not None:
-            raise ConfigError("give integrator_step or steps_per_period, not both")
-        if self.integrator_step is not None and not self.integrator_step > 0:
-            raise ConfigError("integrator_step must be positive or None")
         if self.steps_per_period is not None and self.steps_per_period < 1:
             raise ConfigError("steps_per_period must be a positive count or None")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Amplitude and phase of every ion at every scanned drive frequency."""
 
@@ -252,17 +244,7 @@ def _steps_per_period(scan: DriveScan, omega_fast: float) -> int:
                 f"need at least {needed}"
             )
         return scan.steps_per_period
-    if scan.integrator_step is None:
-        return max(DEFAULT_STEPS_PER_PERIOD, needed)
-    spp = math.ceil(TWO_PI / (w_min * scan.integrator_step))
-    if spp < needed:
-        max_step = TWO_PI / (MIN_STEPS_PER_FASTEST_PERIOD * omega_fast)
-        raise ConfigError(
-            f"integrator_step {scan.integrator_step:.3e} s gives fewer than "
-            f"{MIN_STEPS_PER_FASTEST_PERIOD} steps per fastest period; "
-            f"use a step <= {max_step:.3e} s"
-        )
-    return spp
+    return max(DEFAULT_STEPS_PER_PERIOD, needed)
 
 
 def _warn_short_settle(scan: DriveScan) -> None:
@@ -566,7 +548,7 @@ def linear_response_spectrum(
     return _modal_response(compute_modes(config), scan, beam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingDown:
     """Free relaxation of a displaced chain under damping."""
 
@@ -581,12 +563,12 @@ def ring_down(
     displacement: np.ndarray,
     damping_rate: float,
     duration: float,
-    integrator_step: float | None = None,
 ) -> RingDown:
     """Relax the chain from ``equilibrium + displacement`` with no drive.
 
-    Samples positions, velocities, and the energy above equilibrium once per
-    fastest mode period. Uses the full nonlinear forces.
+    Takes a fixed 48 steps per fastest mode period and samples positions,
+    velocities, and the energy above equilibrium once per such period. Uses
+    the full nonlinear forces.
     """
     if not damping_rate >= 0:
         raise ConfigError("damping_rate must be non-negative")
@@ -595,25 +577,18 @@ def ring_down(
     table = compute_modes(config)
     omega_fast = float(np.max([table.frequencies(d) for d in DIRECTIONS]))
     t_fast = TWO_PI / omega_fast
-    dt = t_fast / 48.0 if integrator_step is None else float(integrator_step)
-    if dt > t_fast / MIN_STEPS_PER_FASTEST_PERIOD:
-        raise ConfigError(
-            f"integrator_step {dt:.3e} s gives fewer than "
-            f"{MIN_STEPS_PER_FASTEST_PERIOD} steps per fastest period "
-            f"({t_fast:.3e} s)"
-        )
+    dt = t_fast / 48.0
     r0 = equilibrium_positions(config)
     disp = np.asarray(displacement, dtype=float)
     if disp.shape != r0.shape:
         raise ConfigError(f"displacement must have shape {r0.shape}, got {disp.shape}")
     n_steps = math.ceil(duration / dt)
-    sample_every = max(1, round(t_fast / dt))
     origin = r0.T
     force = _acceleration_kernel(config, origin, _squared_frequencies(config), origin.shape)
     x, v = disp.T.copy(), np.zeros(r0.T.shape)
     steps, xs, vs = [0], [x.copy()], [v.copy()]
     for step in _verlet(lambda x, _: force(x), x, v, 0.5 * dt, damping_rate, n_steps):
-        if step % sample_every == 0 or step == n_steps:
+        if step % 48 == 0 or step == n_steps:
             steps.append(step)
             xs.append(x.copy())
             vs.append(v.copy())

@@ -13,6 +13,13 @@ The solution depends only on the ion count; physical positions follow by
 scaling with the chain length unit ``lam`` of the configuration.  A damped
 Newton iteration with the analytic Jacobian converges to machine precision
 in a few steps from an equally spaced seed.
+
+Past about 130 ions float64 cannot reach max|g| < ``GRADIENT_TOLERANCE``:
+rounding u moves g_i by up to eps (|J| |u|)_i (|J| the entrywise absolute
+Jacobian), and max|g| bottoms out at 0.2-0.3 eps max_i (|J| |u|)_i for
+N = 50-1000. A stalled line search is accepted within ``ROUNDOFF_MULTIPLE``
+times that floor. J = I - 2K is diagonally dominant by 1 in every row, so
+||J^-1||_inf <= 1: an accepted u is within max|g| of the exact equilibrium.
 """
 from __future__ import annotations
 
@@ -24,6 +31,8 @@ from .core import TrapConfig
 from .errors import SolverError
 
 GRADIENT_TOLERANCE = 1e-12
+#: Multiple of eps max_i (|J| |u|)_i up to which a stalled iterate is accepted.
+ROUNDOFF_MULTIPLE = 4.0
 MAX_ITERATIONS = 200
 
 
@@ -88,6 +97,9 @@ def _solve_dimensionless(n_ions: int) -> tuple[float, ...]:
                     break
             scale *= 0.5
         else:
+            floor = np.finfo(float).eps * float(np.max(np.abs(axial_curvature(u)) @ np.abs(u)))
+            if norm <= ROUNDOFF_MULTIPLE * floor:
+                return tuple(float(v) for v in u)
             raise SolverError(
                 f"equilibrium line search stalled for {n_ions} ions "
                 f"(residual {norm:.3e})"

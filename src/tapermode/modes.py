@@ -124,7 +124,7 @@ def _eigensystem(mats: np.ndarray, where: Callable[[int], str]):
     return values, vectors, participation_ratio(vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTable:
     """The normal modes of a configuration along the solved directions, as arrays.
 

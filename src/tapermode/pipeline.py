@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import analyze_spectrum, fit_lorentzian_sum
-from .core import TWO_PI, TrapConfig
+from .core import TWO_PI, TrapConfig, check_array_budget
 from .dynamics import (
     SPECTRUM_SOURCES,
     BeamSpec,
@@ -51,7 +51,7 @@ DEFAULT_OMEGA_Z_GRID = TWO_PI * np.linspace(47e3, 205e3, 12)
 SIGN_CHECK_THRESHOLD = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentPlan:
     """Sweep grid plus every knob of the emulated measurement."""
 
@@ -64,7 +64,6 @@ class ExperimentPlan:
     beam_waist: float = 17e-6                 #: Gaussian 1/e^2 radius [m]
     settle_cycles: int = 30
     measure_cycles: int = 20
-    integrator_step: float | None = None
     steps_per_period: int | None = None
     spectrum_source: str = "response"
     noise_fraction: float = 0.0
@@ -106,7 +105,6 @@ class ExperimentPlan:
             "beam_waist_m": self.beam_waist,
             "settle_cycles": self.settle_cycles,
             "measure_cycles": self.measure_cycles,
-            "integrator_step_s": self.integrator_step,
             "steps_per_period": self.steps_per_period,
             "spectrum_source": self.spectrum_source,
             "noise_fraction": self.noise_fraction,
@@ -114,7 +112,7 @@ class ExperimentPlan:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointResult:
     """Prediction-vs-refit comparison at one axial confinement.
 
@@ -138,7 +136,7 @@ class PointResult:
     failure: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReproductionReport:
     """Everything :func:`run_experiment` measured, plus a summary."""
 
@@ -281,7 +279,6 @@ def _prepare_point(
         ),
         settle_cycles=plan.settle_cycles,
         measure_cycles=plan.measure_cycles,
-        integrator_step=plan.integrator_step,
         steps_per_period=plan.steps_per_period,
     )
     return table, scan, beam
@@ -355,10 +352,13 @@ def run_experiment(
     diverged trajectory, a fit that does not converge) fails only its point,
     which is recorded with the reason in its :class:`PointResult`. Raises
     :class:`SolverError` only when more than half the points fail, and
-    :class:`ConfigError` for a negative ``seed``.
+    :class:`ConfigError` for a negative ``seed`` or a grid whose spectra,
+    grid points x scan points x ions, exceed ``core.MAX_ARRAY_BYTES``.
     """
     if seed is not None and seed < 0:
         raise ConfigError(f"noise seed must be a non-negative integer, got {seed}")
+    shape = (plan.omega_z_values.size, plan.scan_points, config.n_ions)
+    check_array_budget(f"spectra of grid x scan points x ions = {shape}", shape)
     grid = [float(w) for w in plan.omega_z_values]
     children = np.random.SeedSequence(seed).spawn(len(grid))
     points: list[PointResult | None] = [None] * len(grid)
@@ -400,12 +400,7 @@ class AxialComCheck:
     relative_error: float
 
 
-def axial_com_check(
-    config: TrapConfig,
-    damping_rate: float = TWO_PI * 200.0,
-    force_amplitude: float = 1e-23,
-    scan_points: int = 201,
-) -> AxialComCheck:
+def axial_com_check(config: TrapConfig) -> AxialComCheck:
     """Drive the chain uniformly along z and refit the centre-of-mass peak.
 
     Uniform drive couples only to the centre-of-mass mode, whose frequency
@@ -414,10 +409,10 @@ def axial_com_check(
     """
     nominal = config.omega_z
     scan = DriveScan(
-        drive_frequencies=np.linspace(0.9 * nominal, 1.1 * nominal, scan_points),
-        damping_rate=damping_rate,
+        drive_frequencies=np.linspace(0.9 * nominal, 1.1 * nominal, 201),
+        damping_rate=TWO_PI * 200.0,
     )
-    beam = BeamSpec(kind="broad", force_amplitude=force_amplitude, direction="z")
+    beam = BeamSpec(kind="broad", force_amplitude=1e-23, direction="z")
     spectrum = linear_response_spectrum(config, scan, beam)
     fit = fit_lorentzian_sum(spectrum.drive_frequencies, spectrum.summed_amplitude(), 1)
     fitted = float(fit.centers[0])

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import TWO_PI, TrapConfig
+from .core import TWO_PI, TrapConfig, check_array_budget
 from .equilibrium import chain_positions_dimensionless, coulomb_matrix
 from .errors import ConfigError, SolverError
 from .modes import _eigensystem, _require_stable, radial_coupling_matrix
@@ -44,7 +44,7 @@ TRACKING_OVERLAP_MIN = 0.5
 THREE_ION_LABELS = ("zigzag", "rocking", "com")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackedMode:
     """One mode at one sweep point, carrying its tracked identity."""
 
@@ -56,13 +56,13 @@ class TrackedMode:
     linear_frequency: float     #: same mode in the untapered trap [rad/s]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepPoint:
     omega_z: float                     #: axial angular frequency [rad/s]
     modes: tuple[TrackedMode, ...]     #: fixed label order across points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """The tracked radial modes of a sweep, as read-only arrays.
 
@@ -149,6 +149,7 @@ def run_sweep(
     omegas = np.sort(np.asarray(omega_z_values, dtype=float))
     if omegas.size < 1:
         raise ConfigError("sweep needs at least one omega_z value")
+    check_array_budget(f"{omegas.size} sweep points", (omegas.size, config.n_ions, config.n_ions))
     configs = [config.replace(omega_z=float(w)) for w in omegas]
     betas = np.array([c.beta(direction) for c in configs])
     units = np.array([c.radial_frequency(direction) for c in configs])[:, None]

@@ -527,6 +527,22 @@ class TestConfigErrors:
         assert cli.main(["modes", "--config", config]) == 2
         assert "configuration invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, data, names", [
+        ("equilibrium", {"trap": {"n_ions": 100_000}}, "n_ions = 100000 needs a 74.5 GiB"),
+        ("pipeline", {"trap": {"n_ions": 100_000}}, "n_ions = 100000 needs a 74.5 GiB"),
+        ("sweep", {"sweep": {"points": 10**11}}, "sweep.points = 100000000000 needs a 745 GiB"),
+        ("pipeline", {"sweep": {"points": 10**11}}, "sweep.points = 100000000000 needs"),
+        ("simulate", {"drive": {"scan_points": 10**11}}, "drive.scan_points = 100000000000"),
+        ("pipeline", {"drive": {"scan_points": 10**11}}, "x ions = (12, 100000000000, 3)"),
+    ])
+    def test_oversize_count_exits_2_before_allocating(self, tmp_path, capsys, command, data,
+                                                      names):
+        config = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert names in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_top_level(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")

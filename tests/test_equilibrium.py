@@ -4,10 +4,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapermode.core import TrapConfig
 from tapermode.equilibrium import (
     GRADIENT_TOLERANCE,
+    ROUNDOFF_MULTIPLE,
     axial_curvature,
     axial_gradient,
     chain_positions_dimensionless,
@@ -33,6 +36,58 @@ def test_three_ion_outer_positions():
     assert u[2] == pytest.approx(1.0772, abs=1e-4)
     assert u[2] == pytest.approx(1.077217345015942, abs=1e-12)
     assert u == pytest.approx(-u[::-1], abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_ions=st.integers(1, 60))
+def test_equilibrium_is_mirror_symmetric(n_ions):
+    """u and its mirror image -u[::-1] both lie within max|g| < 1e-12 of the
+    one symmetric root (||J^-1||_inf <= 1), so they differ by under 2e-12."""
+    u = chain_positions_dimensionless(n_ions)
+    assert np.max(np.abs(u + u[::-1])) <= 2 * GRADIENT_TOLERANCE
+
+
+def longdouble_gradient(u):
+    """The force balance residual g(u) evaluated in extended precision."""
+    u = np.asarray(u, dtype=np.longdouble)
+    diff = u[:, None] - u[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return u - np.sum(np.sign(diff) / diff**2, axis=1)
+
+
+def longdouble_equilibrium(u):
+    """Newton refinement of ``u`` with the residual in extended precision.
+
+    ``numpy.linalg`` takes no extended precision, so each correction is
+    solved in float64; the iteration still converges to the extended root,
+    whose own residual is far below float64's floor.
+    """
+    u = np.asarray(u, dtype=np.longdouble)
+    for _ in range(8):
+        g = longdouble_gradient(u)
+        u = u + np.linalg.solve(axial_curvature(u.astype(float)), -g.astype(float))
+    return u
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="no extended precision on this platform")
+@pytest.mark.parametrize("n_ions", [150, 300])
+def test_long_chain_stops_at_the_round_off_floor(n_ions):
+    """Past ~130 ions max|g| < 1e-12 is out of float64's reach.
+
+    The solver stops at its round-off floor instead. The documented
+    tolerance: every position lies within max|g(u)| of the exact root,
+    because ||J^-1||_inf <= 1.
+    """
+    u = chain_positions_dimensionless(n_ions)
+    assert np.all(np.diff(u) > 0)
+    scale = np.max(np.abs(axial_curvature(u)) @ np.abs(u))
+    residual = float(np.max(np.abs(longdouble_gradient(u))))
+    assert residual <= ROUNDOFF_MULTIPLE * np.finfo(float).eps * scale
+    reference = longdouble_equilibrium(u)
+    reference_residual = np.max(np.abs(longdouble_gradient(reference)))
+    assert reference_residual <= ROUNDOFF_MULTIPLE * np.finfo(np.longdouble).eps * scale
+    assert float(np.max(np.abs(u - reference))) <= residual
 
 
 @pytest.mark.parametrize("n_ions", [2, 3, 5, 8])

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapermode.core import TWO_PI, TrapConfig
-from tapermode.equilibrium import axial_curvature, chain_positions_dimensionless
+from tapermode.equilibrium import axial_curvature, chain_positions_dimensionless, coulomb_matrix
 from tapermode.errors import ConfigError, SolverError
 from tapermode.modes import (
     canonical_sign,
@@ -69,6 +71,18 @@ class TestCouplingMatrices:
         axial = axial_curvature(u)
         expected = np.eye(4) + taper * np.diag(u) - 0.5 * beta**2 * (axial - np.eye(4))
         assert np.allclose(radial, expected, atol=1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_ions=st.integers(1, 40), beta=st.floats(0.0, 2.0), taper=st.floats(0.0, 0.5))
+    def test_eigenvalues_sum_to_the_trace(self, n_ions, beta, taper):
+        """sum_k gamma_k = trace(I + t diag(u) + beta^2 K) = N + beta^2 trace(K),
+        since sum u = 0 by mirror symmetry."""
+        u = chain_positions_dimensionless(n_ions)
+        radial = radial_coupling_matrix(u, beta, taper)
+        expected = n_ions + beta**2 * np.trace(coulomb_matrix(u))
+        # eigvalsh is backward stable: each eigenvalue within ~N eps ||A||
+        bound = 8 * n_ions**2 * np.finfo(float).eps * np.max(np.abs(radial).sum(axis=1))
+        assert abs(np.sum(np.linalg.eigvalsh(radial)) - expected) <= bound
 
     def test_matrices_are_symmetric(self):
         u = chain_positions_dimensionless(5)

@@ -8,13 +8,13 @@ import pytest
 from tapermode import modes, pipeline
 from tapermode.analysis import analyze_spectrum
 from tapermode.core import TWO_PI, TrapConfig
-from tapermode.dynamics import DriveScan, beam_weights, synthesize_spectra
+from tapermode.dynamics import DriveScan, beam_weights, ring_down, synthesize_spectra
 from tapermode.equilibrium import equilibrium_positions
 from scipy.optimize import linear_sum_assignment
 
 from tapermode.errors import ConfigError, SolverError
 from tapermode.modes import compute_modes
-from tapermode.sweep import assign_columns
+from tapermode.sweep import assign_columns, run_sweep
 from tapermode.pipeline import (
     DEFAULT_OMEGA_Z_GRID,
     SIGN_CHECK_THRESHOLD,
@@ -131,6 +131,38 @@ class TestMatchToTheory:
         assert strengths == pytest.approx(np.ones(3), abs=1e-12)
 
 
+def array_records():
+    """One record of every frozen type that holds arrays, from fresh solves."""
+    grid = TWO_PI * np.array([60e3, 120e3])
+    table = compute_modes(CONFIG)
+    sweep = run_sweep(CONFIG, grid)
+    report = run_experiment(CONFIG, ExperimentPlan(omega_z_values=grid, **FAST_PLAN_KWARGS))
+    point = report.points[0]
+    fits = analyze_spectrum(point.spectrum, n_modes=3)
+    return [
+        table, sweep, sweep.points[0], sweep.points[0].modes[0],
+        DriveScan(table.frequencies("x"), damping_rate=1.0), point.spectrum,
+        ring_down(CONFIG, np.full((3, 3), 1e-8), TWO_PI * 1e3, 1e-6),
+        report.plan, point, report, fits.lorentzians, fits.per_ion, fits.vectors, fits,
+    ]
+
+
+def test_array_records_compare_by_identity():
+    """A generated ``__eq__`` over ndarray fields raises instead of answering."""
+    first, second = array_records(), array_records()
+    assert [type(r).__name__ for r in first] == [
+        "ModeTable", "SweepResult", "SweepPoint", "TrackedMode", "DriveScan",
+        "SpectrumResult", "RingDown", "ExperimentPlan", "PointResult",
+        "ReproductionReport", "LorentzianFit", "FixedCenterFit", "ModeVectorEstimate",
+        "SpectrumAnalysis",
+    ]
+    for a, b in zip(first, second):
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 class TestAxialComCheck:
     @pytest.mark.parametrize("n_ions", [1, 3])
     def test_matches_the_confinement_exactly(self, n_ions):
@@ -148,6 +180,13 @@ class TestAxialComCheck:
 
 
 class TestRunExperiment:
+    def test_oversize_spectra_rejected_before_preparing(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_prepare_point", None)  # never reached
+        plan = ExperimentPlan(omega_z_values=TWO_PI * np.array([47e3, 100e3]),
+                              scan_points=1 << 27)
+        with pytest.raises(ConfigError, match=r"\(2, 134217728, 3\) needs a 6 GiB array"):
+            run_experiment(CONFIG, plan)
+
     def test_three_point_loop_report(self):
         plan = ExperimentPlan(
             omega_z_values=TWO_PI * np.array([47e3, 100e3, 205e3]),
@@ -296,7 +335,6 @@ def per_point_experiment(config, plan, seed):
             ),
             settle_cycles=plan.settle_cycles,
             measure_cycles=plan.measure_cycles,
-            integrator_step=plan.integrator_step,
             steps_per_period=plan.steps_per_period,
         )
         (spectrum,) = synthesize_spectra(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from tapermode import sweep
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.equilibrium import chain_positions_dimensionless, coulomb_matrix
 from tapermode.errors import ConfigError, SolverError
@@ -215,6 +216,12 @@ class TestRunSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(TrapConfig(), [])
+
+    def test_oversize_stack_rejected_before_solving(self, monkeypatch):
+        """200 points at 1000 ions ask for a 1.5 GiB [P, N, N] stack."""
+        monkeypatch.setattr(sweep, "_eigensystem", None)  # never reached
+        with pytest.raises(ConfigError, match="200 sweep points needs a 1.49 GiB array"):
+            run_sweep(TrapConfig(n_ions=1000), TWO_PI * np.linspace(47e3, 48e3, 200))
 
     def test_axial_direction_rejected(self):
         with pytest.raises(ConfigError, match="not radial"):
