@@ -56,7 +56,6 @@ from .modes import (
     ModeTable,
     compute_modes,
     coupling_matrix,
-    linear_reference,
     participation_ratio,
     site_frequencies,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "fit_profile",
     "gradient",
     "hessian",
-    "linear_reference",
     "linear_response_spectrum",
     "lorentzian_sum",
     "match_columns",

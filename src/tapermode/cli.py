@@ -55,7 +55,7 @@ from .errors import (
     SolverError,
     TapermodeError,
 )
-from .modes import compute_modes
+from .modes import DIRECTIONS, compute_modes
 from .pipeline import ExperimentPlan, run_experiment
 from .sweep import run_sweep
 
@@ -265,7 +265,7 @@ def cmd_modes(args) -> int:
     data = load_config(args.config)
     config = trap_config(data)
     table = compute_modes(config)
-    rows = zip(table.directions, table.all_eigenvalues.tolist(), table.all_frequencies.tolist(),
+    rows = zip(DIRECTIONS, table.all_eigenvalues.tolist(), table.all_frequencies.tolist(),
                table.all_participation.tolist(), np.swapaxes(table.all_vectors, 1, 2))
     lines = (
         ",".join([direction, str(k + 1), _fmt(value), _fmt(freq / TWO_PI), _fmt(ratio),

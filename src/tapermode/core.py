@@ -46,8 +46,9 @@ DEFAULT_MASS = 40.0 * constants.atomic_mass
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 #: Largest float64 array [bytes] that one count of a config may ask for (an
-#: N x N matrix, the omega_z grid, a sweep stack, the pipeline's spectra). It
-#: is checked before allocating; peak memory is a small multiple of it.
+#: N x N matrix, the omega_z grid, a sweep stack, the pipeline's spectra, the
+#: force kernel's pair arrays). It is checked before allocating; peak memory
+#: is a small multiple of it.
 MAX_ARRAY_BYTES = 1 << 30
 
 
@@ -56,6 +57,15 @@ def check_array_budget(what: str, shape: tuple[int, ...]) -> None:
     if 8 * math.prod(shape) > MAX_ARRAY_BYTES:
         raise ConfigError(f"{what} needs a {8 * math.prod(shape) / 2**30:.3g} GiB array, "
                           f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB budget")
+
+
+def check_pair_budget(n_ions: int, batch: tuple[int, ...] = ()) -> None:
+    """Raise :class:`ConfigError` if the force kernel's incidence matrix [N, P] or the
+    separations [3, *batch, P] of its P = N(N-1)/2 pairs in ``batch`` chains are over budget."""
+    pairs = n_ions * (n_ions - 1) // 2
+    check_array_budget(f"the pair incidence matrix of {n_ions} ions", (n_ions, pairs))
+    check_array_budget(f"the pair separations of {math.prod(batch)} chains of {n_ions} ions",
+                       (3, *batch, pairs))
 
 
 def axis_index(direction: str) -> int:
@@ -148,8 +158,6 @@ class TrapConfig:
     @property
     def taper_ratio(self) -> float:
         """Dimensionless taper strength 2 lam / L (0 for a linear trap)."""
-        if math.isinf(self.funnel_length):
-            return 0.0
         return 2.0 * self.length_scale / self.funnel_length
 
     def beta(self, direction: str = "x") -> float:
@@ -166,8 +174,6 @@ class TrapConfig:
 
     def funnel_factor(self, z: np.ndarray | float) -> np.ndarray | float:
         """Radial stiffness scaling (1 + 2 z / L) at axial position z [m]."""
-        if math.isinf(self.funnel_length):
-            return np.ones_like(np.asarray(z, dtype=float)) if np.ndim(z) else 1.0
         return 1.0 + 2.0 * np.asarray(z, dtype=float) / self.funnel_length
 
     def replace(self, **changes: Any) -> "TrapConfig":
@@ -324,9 +330,10 @@ def _acceleration_kernel(
     ``-2 (wx^2 x, wy^2 y) z / L`` and ``-(wx^2 x^2 + wy^2 y^2) / L``. Every
     constant is built here, once, and broadcast to full size, so a call is a
     short run of same-shape array operations. N = 1 has no pairs and gives
-    the trap term alone.
+    the trap term alone. Over-budget pair arrays raise :class:`ConfigError`.
     """
     n = config.n_ions
+    check_pair_budget(n, shape[1:-1])
     first, second = np.triu_indices(n, 1)
     pairs = np.arange(first.size)
     incidence = np.zeros((n, pairs.size))
@@ -339,7 +346,7 @@ def _acceleration_kernel(
     omega_sq = np.asarray(omega_sq, dtype=float)
     omega_sq = omega_sq.reshape(omega_sq.shape + (1,) * (len(shape) - omega_sq.ndim))
     stiffness = np.broadcast_to(omega_sq, shape).copy()
-    inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
+    inv_l = 1.0 / config.funnel_length
 
     def accel(x: np.ndarray) -> np.ndarray:
         d = x @ incidence
@@ -369,7 +376,7 @@ def hessian(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
     fz = config.funnel_factor(z)
     m = config.mass
     wx2, wy2, wz2 = config.omega_x**2, config.omega_y**2, config.omega_z**2
-    inv_l = 0.0 if math.isinf(config.funnel_length) else 1.0 / config.funnel_length
+    inv_l = 1.0 / config.funnel_length
 
     trap = np.zeros((n, 3, 3))
     trap[:, 0, 0] = m * fz * wx2

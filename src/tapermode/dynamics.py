@@ -19,19 +19,20 @@ over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
 its constants once per spectrum or ring-down, not once per step.
 
 The time-domain spectra of a whole grid of configurations are integrated in
-one lockstep by :func:`synthesize_spectra`. The state holds the grid points
-on axis -3 and each point's scan points on axis -2: [P, M, N] for the
-linearized model, [3, P, M, N] for the full one. The per-point constants
-(equilibrium origin, trap frequencies, time step, drive weights, damping,
-blow-up scale) are arrays along the grid axis. Points share a lockstep only
-when they share its step schedule: the number of steps per drive period,
-which each point derives from its own resolution floor exactly as it would
-alone, and the settle and measure cycles. They must also share the state
-shape, the driven axis and the force kernel's common constants (ion count,
-mass, charge, funnel length). So a grid splits into one group per distinct
-schedule, and every point takes exactly the steps it would take on its own.
-A group is split further into chunks whose largest per-step array stays
-under ``_LOCKSTEP_BLOCK_ELEMENTS``, so a long chain on a fine grid does not
+one lockstep by :func:`synthesize_spectra`. The state is component-major
+[C, P, M, N]: the grid points on axis -3 and each point's scan points on
+axis -2, with C = 1 (the driven direction) for the linearized model and
+C = 3 for the full one. The per-point constants (equilibrium origin, trap
+frequencies, time step, drive weights, damping, blow-up scale) are arrays
+along the grid axis. Points share a lockstep only when they share its step
+schedule: the number of steps per drive period, which each point derives
+from its own resolution floor exactly as it would alone, and the settle and
+measure cycles. They must also share the state shape, the driven axis and
+the force kernel's common constants (ion count, mass, charge, funnel
+length). So a grid splits into one group per distinct schedule, and every
+point takes exactly the steps it would take on its own. A group is split
+further into chunks whose largest per-step array stays under
+``_LOCKSTEP_BLOCK_ELEMENTS``, so a long chain on a fine grid does not
 multiply the peak memory by the number of points.
 :func:`simulate_spectrum` is a one-element call of the same entry.
 
@@ -62,7 +63,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import EllipsisType
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -72,11 +72,12 @@ from .core import (
     _acceleration_kernel,
     _squared_frequencies,
     axis_index,
+    check_pair_budget,
     potential_energy,
 )
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError, TapermodeError
-from .modes import DIRECTIONS, ModeTable, compute_modes, coupling_matrix, reference_frequency
+from .modes import ModeTable, compute_modes, coupling_matrix, reference_frequency
 
 TWO_PI = 2.0 * math.pi
 
@@ -294,7 +295,7 @@ def _verlet(
 def _lockstep_verlet(
     force: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, ...],
-    observed: int | EllipsisType,
+    observed: int,
     push: np.ndarray,
     dt: np.ndarray,
     gamma: np.ndarray,
@@ -305,11 +306,11 @@ def _lockstep_verlet(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate every scan point of every grid point from rest and demodulate.
 
-    The state has ``shape`` with the P grid points on axis -3 and their M
-    scan points on axis -2: [P, M, N] for one direction, [3, P, M, N]
-    component-major for the full chain. ``force(x)`` is the undriven
-    acceleration at displacements ``x`` from equilibrium; ``x[observed]`` is
-    the driven direction, which feels the extra acceleration ``push`` [P, N]
+    The state has the component-major ``shape`` [C, P, M, N]: the P grid
+    points, their M scan points and N ions of C = 1 direction (linearized)
+    or C = 3 (the full chain). ``force(x)`` is the undriven acceleration at
+    displacements ``x`` from equilibrium; ``x[observed]`` is the driven
+    direction, which feels the extra acceleration ``push`` [P, N]
     sin(2 pi k / spp) at drive phase index k. ``dt`` [P, M] is each scan
     point's step; ``gamma`` [P] and ``blowup`` [P] are each grid point's
     damping rate and largest allowed displacement.
@@ -374,20 +375,19 @@ def _integrate(
     config, scan, direction = configs[0], scans[0], beams[0].direction
     origins = [equilibrium_positions(c) for c in configs]
     wd = np.stack([s.drive_frequencies for s in scans])
-    shape: tuple[int, ...] = (len(configs), wd.shape[1], config.n_ions)
+    shape = (len(configs), wd.shape[1], config.n_ions)
     if model == "linearized":
         restoring = np.stack([
             -coupling_matrix(c, direction) * reference_frequency(c, direction) ** 2
             for c in configs
         ])
-        observed: int | EllipsisType = ...
+        shape, observed = (1, *shape), 0
 
         def force(x: np.ndarray) -> np.ndarray:
             return x @ restoring
 
     else:
-        shape = (3, *shape)
-        observed = axis_index(direction)
+        shape, observed = (3, *shape), axis_index(direction)
         force = _acceleration_kernel(
             config,
             np.stack([r0.T for r0 in origins], axis=1)[:, :, None, :],
@@ -460,16 +460,16 @@ def synthesize_spectra(
 
     Entry i drives ``tables[i].config`` with ``beams[i]`` over ``scans[i]``;
     ``tables[i]`` is its solved :func:`tapermode.modes.compute_modes` table,
-    with all three directions for the time-domain sources (the fastest mode
-    sets the resolution floor). ``'response'`` evaluates the closed-form
-    modal sum point by point. ``'linearized'`` and ``'full'`` integrate the
-    equations of motion from rest, all grid points in lockstep (see the
-    module docstring), with exactly the steps each point would take alone.
+    whose fastest mode in any direction sets the time-domain resolution
+    floor. ``'response'`` evaluates the closed-form modal sum point by point.
+    ``'linearized'`` and ``'full'`` integrate the equations of motion from
+    rest, all grid points in lockstep (see the module docstring), with
+    exactly the steps each point would take alone.
 
-    A point that fails (a step request below the resolution floor, a
-    trajectory that diverges) gets its :class:`TapermodeError` in place of
-    its spectrum and leaves the other points unchanged. An unknown
-    ``source`` raises :class:`ConfigError`.
+    A point that fails (a step request below the resolution floor, full-model
+    pair arrays over ``core.MAX_ARRAY_BYTES``, a trajectory that diverges)
+    gets its :class:`TapermodeError` in place of its spectrum and leaves the
+    other points unchanged. An unknown ``source`` raises :class:`ConfigError`.
     """
     if source not in SPECTRUM_SOURCES:
         raise ConfigError(
@@ -482,7 +482,9 @@ def synthesize_spectra(
             if source == "response":
                 results[i] = _modal_response(table, scan, beam)
                 continue
-            omega_fast = float(np.max([table.frequencies(d) for d in DIRECTIONS]))
+            if source == "full":
+                check_pair_budget(table.config.n_ions, (scan.drive_frequencies.size,))
+            omega_fast = float(table.all_frequencies.max())
             spp = _steps_per_period(scan, max(omega_fast, float(np.max(scan.drive_frequencies))))
         except TapermodeError as exc:
             results[i] = exc
@@ -505,14 +507,6 @@ def synthesize_spectra(
     return results
 
 
-def _single(results: list[SpectrumResult | TapermodeError]) -> SpectrumResult:
-    """The one spectrum of a one-point :func:`synthesize_spectra`, or its error raised."""
-    (result,) = results
-    if isinstance(result, TapermodeError):
-        raise result
-    return result
-
-
 def simulate_spectrum(
     config: TrapConfig,
     scan: DriveScan,
@@ -532,7 +526,10 @@ def simulate_spectrum(
         raise ConfigError(
             f"unknown model {model!r}; simulate_spectrum integrates 'linearized' or 'full'"
         )
-    return _single(synthesize_spectra([compute_modes(config)], [scan], [beam], model))
+    (result,) = synthesize_spectra([compute_modes(config)], [scan], [beam], model)
+    if isinstance(result, TapermodeError):
+        raise result
+    return result
 
 
 def linear_response_spectrum(
@@ -568,14 +565,14 @@ def ring_down(
 
     Takes a fixed 48 steps per fastest mode period and samples positions,
     velocities, and the energy above equilibrium once per such period. Uses
-    the full nonlinear forces.
+    the full nonlinear forces. Raises :class:`ConfigError` if their pair
+    arrays are over ``core.MAX_ARRAY_BYTES``.
     """
     if not damping_rate >= 0:
         raise ConfigError("damping_rate must be non-negative")
     if not duration > 0:
         raise ConfigError("duration must be positive")
-    table = compute_modes(config)
-    omega_fast = float(np.max([table.frequencies(d) for d in DIRECTIONS]))
+    omega_fast = float(compute_modes(config).all_frequencies.max())
     t_fast = TWO_PI / omega_fast
     dt = t_fast / 48.0
     r0 = equilibrium_positions(config)

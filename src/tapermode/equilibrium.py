@@ -74,11 +74,10 @@ def axial_curvature(u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _solve_dimensionless(n_ions: int) -> tuple[float, ...]:
-    if n_ions == 1:
-        return (0.0,)
     # Damped Newton with backtracking from an equally spaced, strictly
     # ordered seed; every accepted trial keeps the ordering, so the convex
-    # ordered-domain energy guarantees descent at small enough steps.
+    # ordered-domain energy guarantees descent at small enough steps. A
+    # single ion's seed, u = 0, is already the equilibrium.
     u = 2.0 * (np.arange(n_ions) - (n_ions - 1) / 2.0)
     grad = axial_gradient(u)
     norm = float(np.max(np.abs(grad)))

@@ -44,9 +44,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TrapConfig
+from .core import TrapConfig, axis_index
 from .equilibrium import axial_curvature, chain_positions_dimensionless, coulomb_matrix
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 
 DIRECTIONS = ("x", "y", "z")
 
@@ -108,6 +108,16 @@ def _require_stable(values: np.ndarray, where: Callable[[int], str]) -> None:
         )
 
 
+def _funnel_cause(config: TrapConfig, u: np.ndarray) -> str:
+    """Ion 1 past half the funnel length, or ''; its site factor ``1 + 2z/L <= 0`` makes
+    the radial diagonal ``1 + t u_1 + beta^2 K_11``, so the lowest eigenvalue, negative."""
+    factor = 1.0 + config.taper_ratio * u[0]
+    return "" if factor > 0.0 else (
+        f" (ion 1 sits at z = {1e3 * config.length_scale * u[0]:.4g} mm, past half the "
+        f"funnel length L/2 = {0.5e3 * config.funnel_length:.4g} mm, so its radial site "
+        f"factor 1 + 2z/L = {factor:.4g} is not positive)")
+
+
 def _eigensystem(mats: np.ndarray, where: Callable[[int], str]):
     """Solve a stack of dimensionless stiffness matrices ``mats`` [M, N, N] at once.
 
@@ -126,42 +136,34 @@ def _eigensystem(mats: np.ndarray, where: Callable[[int], str]):
 
 @dataclass(frozen=True, eq=False)
 class ModeTable:
-    """The normal modes of a configuration along the solved directions, as arrays.
+    """The normal modes of a configuration along x, y and z, as arrays.
 
-    Row i of every stack belongs to ``directions[i]``; within a row the modes
+    Row i of every stack belongs to ``DIRECTIONS[i]``; within a row the modes
     go by ascending frequency, so column k of ``all_vectors[i]`` is the
     eigenvector of ``all_eigenvalues[i, k]``. Every stack is read-only.
     """
 
     config: TrapConfig
-    directions: tuple[str, ...]
-    all_eigenvalues: np.ndarray = field(repr=False)    #: dimensionless eigenvalues [D, N]
-    all_frequencies: np.ndarray = field(repr=False)    #: angular frequencies [D, N] [rad/s]
-    all_vectors: np.ndarray = field(repr=False)        #: eigenvectors [D, N, N]
-    all_participation: np.ndarray = field(repr=False)  #: participation ratios [D, N]
-
-    def _row(self, direction: str) -> int:
-        if direction not in DIRECTIONS:
-            raise ConfigError(f"unknown direction {direction!r}")
-        if direction not in self.directions:
-            raise ConfigError(f"direction {direction!r} was not computed")
-        return self.directions.index(direction)
+    all_eigenvalues: np.ndarray = field(repr=False)    #: dimensionless eigenvalues [3, N]
+    all_frequencies: np.ndarray = field(repr=False)    #: angular frequencies [3, N] [rad/s]
+    all_vectors: np.ndarray = field(repr=False)        #: eigenvectors [3, N, N]
+    all_participation: np.ndarray = field(repr=False)  #: participation ratios [3, N]
 
     def eigenvalues(self, direction: str) -> np.ndarray:
         """Dimensionless stiffness eigenvalues along one direction, ascending (read-only)."""
-        return self.all_eigenvalues[self._row(direction)]
+        return self.all_eigenvalues[axis_index(direction)]
 
     def frequencies(self, direction: str) -> np.ndarray:
         """Angular frequencies [rad/s] along one direction, ascending (read-only)."""
-        return self.all_frequencies[self._row(direction)]
+        return self.all_frequencies[axis_index(direction)]
 
     def matrix(self, direction: str) -> np.ndarray:
         """Eigenvector matrix [N, N], column k = mode of ascending rank k (read-only)."""
-        return self.all_vectors[self._row(direction)]
+        return self.all_vectors[axis_index(direction)]
 
     def participation(self, direction: str) -> np.ndarray:
         """Participation ratios along one direction, by ascending rank (read-only)."""
-        return self.all_participation[self._row(direction)]
+        return self.all_participation[axis_index(direction)]
 
 
 def coupling_matrix(config: TrapConfig, direction: str, u: np.ndarray | None = None) -> np.ndarray:
@@ -170,9 +172,7 @@ def coupling_matrix(config: TrapConfig, direction: str, u: np.ndarray | None = N
         u = chain_positions_dimensionless(config.n_ions)
     if direction == "z":
         return axial_curvature(u)
-    if direction in ("x", "y"):
-        return radial_coupling_matrix(u, config.beta(direction), config.taper_ratio)
-    raise ConfigError(f"unknown direction {direction!r}")
+    return radial_coupling_matrix(u, config.beta(direction), config.taper_ratio)
 
 
 def reference_frequency(config: TrapConfig, direction: str) -> float:
@@ -180,25 +180,24 @@ def reference_frequency(config: TrapConfig, direction: str) -> float:
     return config.omega_z if direction == "z" else config.radial_frequency(direction)
 
 
-def compute_modes(config: TrapConfig, directions: tuple[str, ...] = DIRECTIONS) -> ModeTable:
-    """Solve the normal modes of ``config`` along the given directions.
+def compute_modes(config: TrapConfig) -> ModeTable:
+    """Solve the normal modes of ``config`` along x, y and z.
 
-    The directions' matrices are solved as one stack. Raises
+    The three directions' matrices are solved as one stack. Raises
     :class:`SolverError` if any eigenvalue is non-positive (the on-axis chain
     is no longer a stable equilibrium, e.g. past the radial zigzag
-    instability).
+    instability, or with an end ion past half the funnel length).
     """
-    directions = tuple(directions)
     u = chain_positions_dimensionless(config.n_ions)
     values, vectors, participation = _eigensystem(
-        np.stack([coupling_matrix(config, d, u) for d in directions]),
-        lambda i: f"direction {directions[i]!r}",
+        np.stack([coupling_matrix(config, d, u) for d in DIRECTIONS]),
+        lambda i: f"direction {DIRECTIONS[i]!r}" + (_funnel_cause(config, u) if i < 2 else ""),
     )
-    units = np.array([reference_frequency(config, d) for d in directions])
+    units = np.array([reference_frequency(config, d) for d in DIRECTIONS])
     freqs = np.sqrt(values) * units[:, None]
     for array in (values, vectors, participation, freqs):
         array.setflags(write=False)
-    return ModeTable(config, directions, values, freqs, vectors, participation)
+    return ModeTable(config, values, freqs, vectors, participation)
 
 
 def site_frequencies(config: TrapConfig, direction: str = "x") -> np.ndarray:
@@ -207,12 +206,5 @@ def site_frequencies(config: TrapConfig, direction: str = "x") -> np.ndarray:
     The taper shifts each ion's local radial confinement; in the localized
     regime every mode frequency sits close to one of these site values.
     """
-    if direction not in ("x", "y"):
-        raise ConfigError("site frequencies are defined for radial directions")
     u = chain_positions_dimensionless(config.n_ions)
-    return reference_frequency(config, direction) * np.sqrt(1.0 + config.taper_ratio * u)
-
-
-def linear_reference(config: TrapConfig, direction: str = "x") -> ModeTable:
-    """Modes of the same configuration with the taper switched off (L = inf)."""
-    return compute_modes(config.replace(funnel_length=float("inf")), (direction,))
+    return config.radial_frequency(direction) * np.sqrt(1.0 + config.taper_ratio * u)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import analyze_spectrum, fit_lorentzian_sum
-from .core import TWO_PI, TrapConfig, check_array_budget
+from .core import TWO_PI, TrapConfig, check_array_budget, check_pair_budget
 from .dynamics import (
     SPECTRUM_SOURCES,
     BeamSpec,
@@ -352,13 +352,16 @@ def run_experiment(
     diverged trajectory, a fit that does not converge) fails only its point,
     which is recorded with the reason in its :class:`PointResult`. Raises
     :class:`SolverError` only when more than half the points fail, and
-    :class:`ConfigError` for a negative ``seed`` or a grid whose spectra,
-    grid points x scan points x ions, exceed ``core.MAX_ARRAY_BYTES``.
+    :class:`ConfigError` for a negative ``seed``, a grid whose spectra,
+    grid points x scan points x ions, exceed ``core.MAX_ARRAY_BYTES``, or
+    (``spectrum_source='full'``) a point whose pair arrays exceed it.
     """
     if seed is not None and seed < 0:
         raise ConfigError(f"noise seed must be a non-negative integer, got {seed}")
     shape = (plan.omega_z_values.size, plan.scan_points, config.n_ions)
     check_array_budget(f"spectra of grid x scan points x ions = {shape}", shape)
+    if plan.spectrum_source == "full":
+        check_pair_budget(config.n_ions, (plan.scan_points,))
     grid = [float(w) for w in plan.omega_z_values]
     children = np.random.SeedSequence(seed).spawn(len(grid))
     points: list[PointResult | None] = [None] * len(grid)

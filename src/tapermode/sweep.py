@@ -35,7 +35,7 @@ from scipy.optimize import linear_sum_assignment
 from .core import TWO_PI, TrapConfig, check_array_budget
 from .equilibrium import chain_positions_dimensionless, coulomb_matrix
 from .errors import ConfigError, SolverError
-from .modes import _eigensystem, _require_stable, radial_coupling_matrix
+from .modes import _eigensystem, _funnel_cause, _require_stable, radial_coupling_matrix
 
 TRACKING_OVERLAP_MIN = 0.5
 
@@ -143,7 +143,8 @@ def run_sweep(
     ascending order. The stiffness matrices of all points are solved in one
     stacked eigensolve, and the untapered reference in one eigensolve of the
     Coulomb matrix. Raises :class:`SolverError` naming the first axial
-    frequency [Hz] at which the chain is unstable. ``threads`` is accepted
+    frequency [Hz] at which the chain is unstable, and the end ion if it sits
+    past half the funnel length there. ``threads`` is accepted
     for compatibility and ignored.
     """
     omegas = np.sort(np.asarray(omega_z_values, dtype=float))
@@ -159,7 +160,8 @@ def run_sweep(
         return f"direction {direction!r} at omega_z = {omegas[k] / TWO_PI:.6g} Hz"
 
     values, vectors, participation = _eigensystem(
-        radial_coupling_matrix(u, betas, [c.taper_ratio for c in configs]), where
+        radial_coupling_matrix(u, betas, [c.taper_ratio for c in configs]),
+        lambda k: where(k) + _funnel_cause(configs[k], u),
     )
     kappa, linear_vectors = np.linalg.eigh(coulomb_matrix(u))
     linear_values = 1.0 + betas[:, None] ** 2 * kappa

@@ -139,7 +139,7 @@ def test_02_straight_trap_closed_forms():
             omega_y0=omega_x0,
             funnel_length=np.inf,
         )
-        table = compute_modes(config, ("x",))
+        table = compute_modes(config)
         eigenvalues = table.eigenvalues("x")
         expected = np.array([1.0 - 2.4 * beta**2, 1.0 - beta**2, 1.0])
         worst_eig = max(worst_eig, float(np.max(np.abs(eigenvalues - expected))))
@@ -203,14 +203,14 @@ def test_03_derivatives_match_finite_differences():
 def test_04_localization_transition():
     start = time.perf_counter()
     config_local = TrapConfig(omega_z=TWO_PI * 47e3)
-    table_local = compute_modes(config_local, ("x",))
+    table_local = compute_modes(config_local)
     prs = table_local.participation("x")
     freqs_local = table_local.frequencies("x")
     site = np.sort(site_frequencies(config_local, "x"))
     site_gap = float(np.max(np.abs(freqs_local - site) / site))
 
     config_coll = TrapConfig(omega_z=TWO_PI * 205e3)
-    table_coll = compute_modes(config_coll, ("x",))
+    table_coll = compute_modes(config_coll)
     min_component = float(np.min(np.abs(table_coll.matrix("x"))))
     freqs_coll = table_coll.frequencies("x")
 
@@ -241,7 +241,7 @@ def test_04_localization_transition():
 
 def test_05_highest_mode_sits_at_the_wide_spacing_end():
     config = TrapConfig(omega_z=TWO_PI * 205e3)
-    table = compute_modes(config, ("x",))
+    table = compute_modes(config)
     top = table.matrix("x")[:, -1]
     u = chain_positions_dimensionless(config.n_ions)
     factors = 1.0 + (2.0 * config.length_scale / config.funnel_length) * u
@@ -263,7 +263,7 @@ def test_06_time_domain_matches_linear_response():
     worst_phase = 0.0
     for omega_z_hz in (47e3, 135e3, 205e3):
         config = TrapConfig(omega_z=TWO_PI * omega_z_hz)
-        freqs = compute_modes(config, ("x",)).frequencies("x")
+        freqs = compute_modes(config).frequencies("x")
         scan = DriveScan(
             np.linspace(0.97 * freqs.min(), 1.03 * freqs.max(), 60),
             damping_rate=gamma,
@@ -322,7 +322,7 @@ def test_08_global_drive_cannot_reach_the_alternating_mode():
         ("straight", TrapConfig(funnel_length=np.inf)),
         ("tapered-205kHz", TrapConfig(omega_z=TWO_PI * 205e3)),
     ):
-        table = compute_modes(config, ("x",))
+        table = compute_modes(config)
         alternating = None
         for k, vector in enumerate(table.matrix("x").T):
             signs = np.sign(vector[np.abs(vector) > 1e-12])

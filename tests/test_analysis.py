@@ -143,7 +143,7 @@ class TestFixedCenters:
     def test_noiseless_response_recovers_the_modes(self, n_ions):
         """Centers at the true frequencies: the eigenvectors come back to round-off."""
         config = TrapConfig(n_ions=n_ions)
-        table = compute_modes(config, ("x",))
+        table = compute_modes(config)
         freqs = table.frequencies("x")
         gamma = TWO_PI * 2e3
         scan = DriveScan(np.linspace(0.9 * freqs[0], 1.1 * freqs[-1], 800), gamma)
@@ -273,7 +273,7 @@ class TestAnalyzeSpectrum:
         damping here matches how the fit is used downstream (narrow lines).
         """
         config = TrapConfig()
-        table = compute_modes(config, ("x",))
+        table = compute_modes(config)
         freqs = table.frequencies("x")
         grid = np.linspace(0.9 * freqs[0], 1.1 * freqs[-1], 800)
         scan = DriveScan(grid, damping_rate=TWO_PI * 400.0)
@@ -294,7 +294,7 @@ class TestAnalyzeSpectrum:
 
     def test_n_modes_override(self):
         config = TrapConfig()
-        freqs = compute_modes(config, ("x",)).frequencies("x")
+        freqs = compute_modes(config).frequencies("x")
         grid = np.linspace(0.98 * freqs[2], 1.02 * freqs[2], 120)
         scan = DriveScan(grid, damping_rate=TWO_PI * 2e3)
         spectrum = linear_response_spectrum(config, scan, BeamSpec("broad", 1e-23))

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tapermode import cli, modes
+from tapermode import cli, core, modes
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.dynamics import SpectrumResult
-from tapermode.equilibrium import chain_positions_dimensionless
+from tapermode.equilibrium import chain_positions_dimensionless, equilibrium_positions
 from tapermode.modes import compute_modes
 from tapermode.pipeline import ExperimentPlan, run_experiment
 from tapermode.sweep import run_sweep
@@ -97,6 +97,14 @@ class TestModesCommand:
         assert cli.main(["modes", "--config", config]) == 3
         assert "unstable" in capsys.readouterr().err
 
+    def test_end_ion_past_the_funnel_exits_3_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"trap": {"n_ions": 100, "omega_z_hz": 10e3}})
+        assert cli.main(["modes", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "non-positive stiffness eigenvalue -0.015103" in err
+        assert "ion 1 sits at z = -0.9176 mm, past half the funnel length L/2 = 0.905 mm" in err
+        assert "1 + 2z/L = -0.01397 is not positive" in err
+
 
 class TestSweepCommand:
     CONFIG = {
@@ -124,6 +132,24 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", config, "--out", str(out_path)]) == 0
         rows = read_csv(str(out_path))
         assert all(r[7] == "" for r in rows[1:])
+
+    @pytest.mark.parametrize("section, message", [
+        ({"omega_z_min_hz": 0}, "need 0 < omega_z_min_hz <= omega_z_max_hz"),
+        ({"omega_z_min_hz": 2e5, "omega_z_max_hz": 1e5}, "need 0 < omega_z_min_hz"),
+        ({"points": 0}, "sweep points must be >= 1 (and > 1 unless min == max)"),
+        ({"points": 1}, "sweep points must be >= 1 (and > 1 unless min == max)"),
+    ])
+    def test_invalid_range_exits_2(self, tmp_path, capsys, section, message):
+        config = write_config(tmp_path, {"sweep": section})
+        assert cli.main(["sweep", "--config", config]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_single_point_range(self, tmp_path):
+        data = {"sweep": {"omega_z_min_hz": 8e4, "omega_z_max_hz": 8e4, "points": 1}}
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, data),
+                         "--out", str(out_path)]) == 0
+        assert {row[0] for row in read_csv(str(out_path))[1:]} == {"80000"}
 
     def test_axial_beam_axis_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, {"beam": {"axis": "z"}})
@@ -299,7 +325,7 @@ class TestSimulateAndFit:
         assert set(result) == {"lorentzians", "per_ion", "eigenvectors", "warnings"}
 
         trap = TrapConfig.from_mapping(self.CONFIG["trap"])
-        table = compute_modes(trap, ("x",))
+        table = compute_modes(trap)
         theory_hz = table.frequencies("x") / TWO_PI
         centers = np.array(result["lorentzians"]["centers_hz"])
         hwhm_hz = 2000.0 / 2.0
@@ -365,6 +391,51 @@ class TestSimulateAndFit:
         assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 2
         assert f"drive.scan_points must be at least 1, got {points}" in capsys.readouterr().err
         assert not spectrum_path.exists()
+
+    def test_focused_beam_centre_by_ion_index_or_position(self, tmp_path):
+        """Either key centres the beam on the same ion, which is then the loudest."""
+        z_um = 1e6 * equilibrium_positions(TrapConfig.from_mapping(self.CONFIG["trap"]))[:, 2]
+        for index in (1, 3):
+            spectra = []
+            for centre in ({"center_ion_index": index}, {"center_z_um": z_um[index - 1]}):
+                data = {**self.CONFIG, "beam": {"kind": "focused", "waist_um": 5.0, **centre}}
+                out = tmp_path / "spectrum.csv"
+                assert cli.main(["simulate", "--config", write_config(tmp_path, data),
+                                 "--out", str(out)]) == 0
+                amplitude = np.array([float(r[2]) for r in read_csv(str(out))[1:]])
+                spectra.append(amplitude.reshape(-1, 3))
+            np.testing.assert_allclose(spectra[0], spectra[1], rtol=1e-9)
+            assert np.argmax(spectra[0].sum(axis=0)) == index - 1
+
+    @pytest.mark.parametrize("beam, message", [
+        ({"center_ion_index": 2, "center_z_um": 0.0},
+         "give center_ion_index or center_z_um, not both"),
+        ({"center_ion_index": 0}, "center_ion_index must be in 1..3, got 0"),
+        ({"center_ion_index": 4}, "center_ion_index must be in 1..3, got 4"),
+    ])
+    def test_focused_beam_centre_errors_exit_2(self, tmp_path, capsys, beam, message):
+        data = {**self.CONFIG, "beam": {"kind": "focused", **beam}}
+        assert cli.main(["simulate", "--config", write_config(tmp_path, data)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_point_error_is_raised(self, tmp_path, capsys):
+        """A step request below the resolution floor fails the one point, so simulate exits 2."""
+        data = {**self.CONFIG, "drive": {**self.CONFIG["drive"], "model": "full",
+                                         "steps_per_period": 4}}
+        assert cli.main(["simulate", "--config", write_config(tmp_path, data)]) == 2
+        assert "steps_per_period 4 gives fewer than 20 steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1000,one,1,0\r\n", "malformed row"),
+        ("", "contains no data rows"),
+        ("1000,2,1,0\r\n1000,3,1,0\r\n", "ion_index values must be 1..N, got [2, 3]"),
+    ])
+    def test_unreadable_spectrum_rows_exit_2(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("omega_d_hz,ion_index,amplitude_um,phase_rad\r\n" + rows,
+                        encoding="utf-8")
+        assert cli.main(["fit", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_flat_spectrum_exits_4(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -541,6 +612,18 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert cli.main([command, "--config", config, "--out", str(out)]) == 2
         assert names in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_oversize_pair_arrays_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        """16 scan points x 3 pairs of full-model separations over a lowered budget."""
+        data = {"sweep": {"points": 2}, "drive": {"scan_points": 16, "model": "full"},
+                "pipeline": {"spectrum_source": "full"}}
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 1000)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 2
+        assert "the pair separations of 16 chains of 3 ions needs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_top_level(self, tmp_path, capsys):

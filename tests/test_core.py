@@ -1,5 +1,6 @@
 """Potential energy, gradient, and Hessian of the trapped chain."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import constants
 
+from tapermode import core
 from tapermode.core import (
     TWO_PI,
     TrapConfig,
+    check_pair_budget,
     gradient,
     hessian,
     potential_energy,
@@ -255,6 +258,25 @@ class TestDerivatives:
         got = gradient(config, np.array([[x, y, z]]))
         assert got.shape == (1, 3)
         assert np.max(np.abs(got[0] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n_ions, batch, names", [
+        (646, (), "the pair incidence matrix of 646 ions needs a 1 GiB array"),
+        (335, (800,), "the pair separations of 800 chains of 335 ions needs a 1 GiB array"),
+    ])
+    def test_pair_budget_bounds_the_kernel_arrays(self, n_ions, batch, names):
+        """The N x N(N-1)/2 incidence matrix and the 3 x batch x N(N-1)/2 separations."""
+        check_pair_budget(n_ions - 1, batch)
+        with pytest.raises(ConfigError, match=re.escape(names)):
+            check_pair_budget(n_ions, batch)
+
+    def test_gradient_checks_the_pair_budget_first(self, monkeypatch):
+        config = TrapConfig(n_ions=5)
+        positions = np.array(random_states(config, 4, seed=3))
+        gradient(config, positions)
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 8 * 3 * 4 * 10 - 1)
+        with pytest.raises(ConfigError, match="pair separations of 4 chains of 5 ions"):
+            gradient(config, positions)
+        gradient(config, positions[0])
 
     def test_gradient_vanishes_at_equilibrium(self):
         config = TrapConfig()

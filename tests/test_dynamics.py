@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapermode import dynamics
+from tapermode import core, dynamics
 from tapermode.core import (
     TWO_PI,
     TrapConfig,
@@ -42,7 +42,7 @@ SETTLE, MEASURE, SPP = 140, 16, 128
 
 @pytest.fixture(scope="module")
 def scan():
-    freqs = compute_modes(CONFIG, ("x",)).frequencies("x")
+    freqs = compute_modes(CONFIG).frequencies("x")
     grid = np.linspace(0.97 * freqs[0], 1.03 * freqs[-1], 7)
     return DriveScan(
         grid,
@@ -291,7 +291,7 @@ class TestFullModelKernel:
 
     @staticmethod
     def short_scan(config, direction):
-        freqs = compute_modes(config, (direction,)).frequencies(direction)
+        freqs = compute_modes(config).frequencies(direction)
         grid = np.linspace(0.97 * freqs[0], 1.03 * freqs[-1], 5)
         return DriveScan(grid, damping_rate=GAMMA, settle_cycles=10, measure_cycles=4,
                          steps_per_period=96)
@@ -519,6 +519,20 @@ class TestGridBatch:
             assert np.array_equal(spectra[i].amplitude, solo.amplitude)
             assert np.array_equal(spectra[i].phase, solo.phase)
 
+    def test_oversize_full_point_fails_alone(self, monkeypatch):
+        """Full-model pair arrays over the budget fail their point, before allocating."""
+        points = [grid_point(47), grid_point(100, scan_points=40), grid_point(205)]
+        # room for the lockstep of the two small points: 2 x 3 scan points x 3 pairs
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 8 * 3 * 2 * 3 * 3)
+        spectra = synthesize_spectra(*zip(*points), "full")
+        assert isinstance(spectra[1], ConfigError)
+        assert "pair separations of 40 chains of 3 ions" in str(spectra[1])
+        for i in (0, 2):
+            solo = simulate_spectrum(points[i][0].config, points[i][1], points[i][2], "full")
+            assert np.array_equal(spectra[i].amplitude, solo.amplitude)
+        # the linearized model has no pair arrays
+        assert not isinstance(synthesize_spectra(*zip(*points), "linearized")[1], ConfigError)
+
     def test_chunked_batch_equals_one_lockstep(self, monkeypatch):
         points = [grid_point(omega_z, kind=kind) for omega_z, kind in
                   [(47, "broad"), (100, "focused"), (150, "broad"), (205, "focused")]]
@@ -627,6 +641,12 @@ class TestRingDown:
         v[0, 0] = 0.1
         kinetic = total_energy(CONFIG, r0, v) - total_energy(CONFIG, r0, 0 * v)
         assert kinetic == pytest.approx(0.5 * CONFIG.mass * 0.01, rel=1e-9)
+
+    def test_oversize_pair_arrays_raise(self, monkeypatch):
+        config = TrapConfig(n_ions=5)
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 8 * 5 * 10 - 1)
+        with pytest.raises(ConfigError, match="pair incidence matrix of 5 ions"):
+            ring_down(config, np.zeros((5, 3)), GAMMA, 1e-5)
 
     def test_validation(self):
         displacement = np.zeros((3, 3))

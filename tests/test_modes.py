@@ -7,17 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tapermode.core import TWO_PI, TrapConfig
-from tapermode.equilibrium import axial_curvature, chain_positions_dimensionless, coulomb_matrix
+from tapermode.equilibrium import (
+    axial_curvature,
+    chain_positions_dimensionless,
+    coulomb_matrix,
+    equilibrium_positions,
+)
 from tapermode.errors import ConfigError, SolverError
 from tapermode.modes import (
+    DIRECTIONS,
     canonical_sign,
     compute_modes,
     coupling_matrix,
-    linear_reference,
     participation_ratio,
     radial_coupling_matrix,
     site_frequencies,
 )
+
+from reference_modes import linear_reference
 
 
 def straight_config_with_beta(beta, omega_x0=TWO_PI * 1e6):
@@ -36,26 +43,38 @@ class TestClosedForms:
     def test_straight_trap_radial_eigenvalues(self, beta):
         config = straight_config_with_beta(beta)
         assert config.beta("x") == pytest.approx(beta, rel=1e-12)
-        eigenvalues = sorted(compute_modes(config, directions=("x",)).eigenvalues("x"))
+        eigenvalues = sorted(compute_modes(config).eigenvalues("x"))
         expected = sorted([1.0, 1.0 - beta**2, 1.0 - 2.4 * beta**2])
         assert eigenvalues == pytest.approx(expected, abs=1e-9)
 
     def test_straight_trap_axial_eigenvalues(self):
         config = straight_config_with_beta(0.1)
-        eigenvalues = compute_modes(config, directions=("z",)).eigenvalues("z")
+        eigenvalues = compute_modes(config).eigenvalues("z")
         assert list(eigenvalues) == pytest.approx([1.0, 3.0, 29.0 / 5.0], abs=1e-9)
 
     def test_center_of_mass_mode_is_uniform(self):
         config = straight_config_with_beta(0.1)
-        table = compute_modes(config, directions=("x",))
+        table = compute_modes(config)
         # eigenvalue 1 is the largest radial eigenvalue
         assert table.eigenvalues("x")[-1] == pytest.approx(1.0, abs=1e-12)
         assert table.matrix("x")[:, -1] == pytest.approx(np.ones(3) / math.sqrt(3), abs=1e-9)
         assert table.frequencies("x")[-1] == pytest.approx(config.omega_x, rel=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(beta2=st.floats(1e-4, 5.0 / 12.0, exclude_max=True))
+    def test_three_ion_closed_forms_below_the_zigzag(self, beta2):
+        """x: {1 - 12/5 beta^2, 1 - beta^2, 1}; axial: {1, 3, 29/5}, for any beta^2 < 5/12."""
+        config = straight_config_with_beta(math.sqrt(beta2))
+        table = compute_modes(config)
+        beta2 = config.beta("x") ** 2
+        assert list(table.eigenvalues("x")) == pytest.approx(
+            [1.0 - 12.0 / 5.0 * beta2, 1.0 - beta2, 1.0], abs=1e-9
+        )
+        assert list(table.eigenvalues("z")) == pytest.approx([1.0, 3.0, 29.0 / 5.0], abs=1e-9)
+
     def test_straight_trap_radial_patterns(self):
         config = straight_config_with_beta(0.1)
-        zigzag, rocking, _ = compute_modes(config, directions=("x",)).matrix("x").T
+        zigzag, rocking, _ = compute_modes(config).matrix("x").T
         s6, s2 = 1 / math.sqrt(6), 1 / math.sqrt(2)
         assert np.abs(zigzag) == pytest.approx([s6, 2 * s6, s6], abs=1e-9)
         assert np.sign(zigzag[0]) != np.sign(zigzag[1])
@@ -152,12 +171,11 @@ class TestModeTable:
 
     def test_accessors_are_read_only_rows_of_the_stacks(self):
         table = compute_modes(TrapConfig(n_ions=4))
-        assert table.directions == ("x", "y", "z")
         stacks = (table.all_eigenvalues, table.all_frequencies, table.all_vectors,
                   table.all_participation)
         assert [s.shape for s in stacks] == [(3, 4), (3, 4), (3, 4, 4), (3, 4)]
         assert all(not s.flags.writeable for s in stacks)
-        for i, direction in enumerate(table.directions):
+        for i, direction in enumerate(DIRECTIONS):
             rows = (table.eigenvalues(direction), table.frequencies(direction),
                     table.matrix(direction), table.participation(direction))
             for row, stack in zip(rows, stacks):
@@ -167,29 +185,39 @@ class TestModeTable:
                                   participation_ratio(table.matrix(direction)))
 
     def test_directions_not_computed_are_rejected(self):
-        table = compute_modes(TrapConfig(), directions=("x",))
-        with pytest.raises(ConfigError, match="not computed"):
-            table.frequencies("y")
-        with pytest.raises(ConfigError, match="not computed"):
-            table.participation("z")
+        table = compute_modes(TrapConfig())
         with pytest.raises(ConfigError, match="unknown"):
             table.matrix("q")
 
     def test_unstable_mode_raises_solver_error(self):
         # strong axial confinement drives the lowest radial eigenvalue below 0
         config = straight_config_with_beta(0.7)
-        with pytest.raises(SolverError, match="unstable"):
-            compute_modes(config, directions=("x",))
+        with pytest.raises(SolverError, match="unstable") as info:
+            compute_modes(config)
+        # a zigzag instability has no funnel cause to name
+        assert str(info.value).endswith("the on-axis chain is unstable for this configuration")
 
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ConfigError):
-            compute_modes(TrapConfig(), directions=("q",))
+    def test_end_ion_past_the_funnel_is_named(self):
+        """At N = 100 and 10 kHz ion 1 sits past L/2, where 1 + 2z/L < 0."""
+        config = TrapConfig(n_ions=100, omega_z=TWO_PI * 10e3)
+        z1 = equilibrium_positions(config)[0, 2]
+        assert -z1 > config.funnel_length / 2
+        with pytest.raises(SolverError) as info:
+            compute_modes(config)
+        message = str(info.value)
+        assert message.startswith(
+            f"direction 'x' (ion 1 sits at z = {1e3 * z1:.4g} mm, past half the funnel length "
+            f"L/2 = 0.905 mm, so its radial site factor 1 + 2z/L = "
+            f"{config.funnel_factor(z1):.4g} is not positive) has non-positive stiffness "
+            "eigenvalue -0.0151"
+        )
+        assert "-0.9176 mm" in message and "-0.01397" in message
 
 
 class TestTaperedRegimes:
     def test_weak_confinement_localizes_modes(self):
         config = TrapConfig().replace(omega_z=TWO_PI * 47e3)
-        table = compute_modes(config, directions=("x",))
+        table = compute_modes(config)
         for ratio in table.participation("x"):
             assert ratio < 1.05
         # each mode belongs to one ion, in axial order
@@ -197,21 +225,21 @@ class TestTaperedRegimes:
 
     def test_site_frequencies_match_localized_modes(self):
         config = TrapConfig().replace(omega_z=TWO_PI * 47e3)
-        freqs = compute_modes(config, directions=("x",)).frequencies("x")
+        freqs = compute_modes(config).frequencies("x")
         sites = site_frequencies(config, "x")
         for freq, site in zip(freqs, sites):
             assert abs(freq - site) / site < 0.005
 
     def test_strong_confinement_delocalizes_modes(self):
         config = TrapConfig().replace(omega_z=TWO_PI * 205e3)
-        table = compute_modes(config, directions=("x",))
+        table = compute_modes(config)
         for vector, ratio in zip(table.matrix("x").T, table.participation("x")):
             assert np.min(np.abs(vector)) > 0.1
             assert ratio > 2.0
 
     def test_linear_reference_strips_the_taper(self):
         config = TrapConfig()
-        reference = linear_reference(config, "x")
+        reference = linear_reference(config)
         assert math.isinf(reference.config.funnel_length)
         gammas = sorted(reference.eigenvalues("x"))
         beta = config.beta("x")

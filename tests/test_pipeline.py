@@ -12,7 +12,7 @@ from tapermode.dynamics import DriveScan, beam_weights, ring_down, synthesize_sp
 from tapermode.equilibrium import equilibrium_positions
 from scipy.optimize import linear_sum_assignment
 
-from tapermode.errors import ConfigError, SolverError
+from tapermode.errors import AnalysisError, ConfigError, SolverError
 from tapermode.modes import compute_modes
 from tapermode.sweep import assign_columns, run_sweep
 from tapermode.pipeline import (
@@ -122,7 +122,7 @@ class TestMatchToTheory:
         assert strengths == pytest.approx(ref_strengths, abs=1e-14)
 
     def test_recovers_permutation_and_signs(self):
-        theory = compute_modes(CONFIG, ("x",)).matrix("x")
+        theory = compute_modes(CONFIG).matrix("x")
         perm = np.array([2, 0, 1])
         flips = np.array([-1.0, 1.0, -1.0])
         fitted = theory[:, perm] * flips
@@ -187,6 +187,13 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=r"\(2, 134217728, 3\) needs a 6 GiB array"):
             run_experiment(CONFIG, plan)
 
+    def test_oversize_pair_arrays_rejected_before_preparing(self, monkeypatch):
+        """800 scan points of 335 ions ask for 1 GiB of full-model pair separations."""
+        monkeypatch.setattr(pipeline, "_prepare_point", None)  # never reached
+        plan = ExperimentPlan(spectrum_source="full")
+        with pytest.raises(ConfigError, match="800 chains of 335 ions needs a 1 GiB array"):
+            run_experiment(TrapConfig(n_ions=335), plan)
+
     def test_three_point_loop_report(self):
         plan = ExperimentPlan(
             omega_z_values=TWO_PI * np.array([47e3, 100e3, 205e3]),
@@ -230,14 +237,14 @@ class TestRunExperiment:
         ]
         assert spreads[1] < spreads[0]
         for omega_z, fitted_spread in zip(plan.omega_z_values, spreads):
-            table = compute_modes(CONFIG.replace(omega_z=omega_z), ("x",))
+            table = compute_modes(CONFIG.replace(omega_z=omega_z))
             freqs = table.frequencies("x")
             assert fitted_spread == pytest.approx(freqs.max() - freqs.min(), rel=0.02)
 
         straight = CONFIG.replace(funnel_length=math.inf)
         straight_spreads = []
         for omega_z in plan.omega_z_values:
-            freqs = compute_modes(straight.replace(omega_z=omega_z), ("x",)).frequencies("x")
+            freqs = compute_modes(straight.replace(omega_z=omega_z)).frequencies("x")
             straight_spreads.append(float(freqs.max() - freqs.min()))
         assert straight_spreads[1] > straight_spreads[0]
 
@@ -302,6 +309,41 @@ class TestRunExperiment:
         assert json_dict["points"][-1]["failure"] == bad.failure
         assert json_dict["points"][0]["failure"] is None
 
+    def test_diverging_full_model_point_fails_alone(self):
+        """A drive that a broad-beam point cannot hold, and its damped focused points can.
+
+        At one ion the weakly confined broad point, with an eighth of the
+        focused points' damping, is pushed past the funnel and diverges; the
+        others refit.
+        """
+        plan = ExperimentPlan(
+            omega_z_values=TWO_PI * np.array([47e3, 150e3, 205e3]), spectrum_source="full",
+            force_amplitude=1.7e-17, scan_points=40, settle_cycles=100, measure_cycles=4,
+            damping_rate=TWO_PI * 10e3, focused_damping_scale=8.0,
+        )
+        report = run_experiment(TrapConfig(n_ions=1), plan, seed=1)
+        assert [p.beam for p in report.points] == ["broad", "focused", "focused"]
+        assert report.points[0].failure.startswith("trajectory diverged after")
+        assert report.points[0].spectrum is None
+        assert [p.failure for p in report.points[1:]] == [None, None]
+
+    def test_fit_error_becomes_the_point_failure(self, monkeypatch):
+        calls = []
+
+        def analyze(spectrum, n_modes):
+            calls.append(spectrum)
+            if len(calls) == 2:
+                raise AnalysisError("fit did not converge")
+            return analyze_spectrum(spectrum, n_modes)
+
+        monkeypatch.setattr(pipeline, "analyze_spectrum", analyze)
+        plan = ExperimentPlan(
+            omega_z_values=TWO_PI * np.array([47e3, 100e3, 205e3]), **FAST_PLAN_KWARGS
+        )
+        report = run_experiment(CONFIG, plan)
+        assert [p.failure for p in report.points] == [None, "fit did not converge", None]
+        assert np.all(np.isnan(report.points[1].fitted_frequencies))
+
     def test_majority_failure_aborts(self):
         plan = ExperimentPlan(
             omega_z_values=TWO_PI * np.array([47e3, 1.5e6, 1.6e6]),
@@ -324,7 +366,7 @@ def per_point_experiment(config, plan, seed):
     for omega_z, child in zip(plan.omega_z_values, children):
         omega_z = float(omega_z)
         point_config = config.replace(omega_z=omega_z)
-        table = compute_modes(point_config, directions=(plan.direction,))
+        table = compute_modes(point_config)
         theory_freqs = table.frequencies(plan.direction)
         theory_matrix = table.matrix(plan.direction)
         beam = select_beam(config, plan, omega_z)

@@ -12,13 +12,15 @@ from tapermode import sweep
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.equilibrium import chain_positions_dimensionless, coulomb_matrix
 from tapermode.errors import ConfigError, SolverError
-from tapermode.modes import compute_modes, linear_reference, participation_ratio
+from tapermode.modes import compute_modes, participation_ratio
 from tapermode.sweep import (
     THREE_ION_LABELS,
     TRACKING_OVERLAP_MIN,
     match_columns,
     run_sweep,
 )
+
+from reference_modes import linear_reference
 
 GRID = TWO_PI * np.linspace(47e3, 205e3, 24)
 
@@ -37,7 +39,7 @@ def per_point_sweep(config, omega_z_values, direction):
     solved = []
     for w in omegas:
         cfg = config.replace(omega_z=float(w))
-        solved.append((compute_modes(cfg, (direction,)), linear_reference(cfg, direction)))
+        solved.append((compute_modes(cfg), linear_reference(cfg)))
     n = config.n_ions
     vectors, freqs, vals, prev = [], [], [], None
     for table, _ in solved:
@@ -232,13 +234,26 @@ class TestRunSweep:
         first = None
         for w in grid:
             try:
-                compute_modes(TrapConfig().replace(omega_z=float(w)), ("x",))
+                compute_modes(TrapConfig().replace(omega_z=float(w)))
             except SolverError:
                 first = w / TWO_PI
                 break
         assert first is not None and first > 500e3
         with pytest.raises(SolverError, match=re.escape(f"omega_z = {first:.6g} Hz")):
             run_sweep(TrapConfig(), grid[::-1])
+
+    def test_funnel_instability_names_the_first_point_and_ion(self):
+        """At N = 100 ion 1 passes L/2 below about 10.2 kHz."""
+        config = TrapConfig(n_ions=100)
+        grid = TWO_PI * np.linspace(9e3, 12e3, 31)
+        with pytest.raises(SolverError) as expected:
+            compute_modes(config.replace(omega_z=float(grid[0])))
+        message = str(expected.value)
+        cause = message[len("direction 'x'"):message.index(" has non-positive")]
+        assert cause.startswith(" (ion 1 sits at z = -0.9844 mm")
+        with pytest.raises(SolverError) as info:
+            run_sweep(config, grid[::-1])
+        assert str(info.value).startswith(f"direction 'x' at omega_z = 9000 Hz{cause} has non-")
 
 
 class TestStackedSolve:
@@ -259,17 +274,20 @@ class TestStackedSolve:
         n_ions=st.integers(1, 12),
         tapered=st.booleans(),
         direction=st.sampled_from(["x", "y"]),
-        y_ratio=st.floats(1.0, 1.3),
+        other_ratio=st.floats(1.0, 1.3),
         hi_fraction=st.floats(0.05, 0.95),
         lo_fraction=st.floats(0.1, 1.0),
         points=st.integers(1, 40),
     )
     def test_matches_per_point_reference(
-        self, n_ions, tapered, direction, y_ratio, hi_fraction, lo_fraction, points
+        self, n_ions, tapered, direction, other_ratio, hi_fraction, lo_fraction, points
     ):
+        # The reference solves all three directions, so the radial direction
+        # not swept is the stiffer one: it stays stable wherever the swept one is.
         base = TrapConfig(n_ions=n_ions)
+        other = "omega_y0" if direction == "x" else "omega_x0"
         config = base.replace(
-            omega_y0=y_ratio * base.omega_x0,
+            **{other: other_ratio * base.omega_x0},
             funnel_length=base.funnel_length if tapered else math.inf,
         )
         hi = hi_fraction * highest_omega_z(config, direction)
