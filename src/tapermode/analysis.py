@@ -5,7 +5,12 @@ amplitude and phase. This module inverts that into mode parameters:
 
 1. :func:`fit_lorentzian_sum` — fit the chain-level spectrum (summed over
    ions) with a sum of Lorentzians ``h / (1 + ((w - W)/g)^2)`` plus a flat
-   offset to locate the resonances.
+   offset to locate the resonances. The fit is seeded at the most prominent
+   local maxima of the smoothed spectrum. A peak's prominence is its height
+   above the higher of its two bases, each the lowest point between it and
+   the nearest strictly higher sample on that side. It is computed here in
+   linear time with the semantics of ``scipy.signal.peak_prominences`` at
+   ``wlen=None``, so importing this module loads no ``scipy.signal``.
 2. :func:`fit_fixed_centers` — with those centers frozen, fit the complex
    response ``amplitude * exp(i phase)`` of all ions at once with one modal
    sum ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)``. Only the K
@@ -40,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.signal import peak_prominences
 
 from .dynamics import SpectrumResult
 from .errors import AnalysisError
@@ -195,31 +199,73 @@ def _free_jacobian(params: np.ndarray, x: np.ndarray, n_peaks: int) -> np.ndarra
     return jac
 
 
+def _stack_bases(tops: list[float], gaps: list[float]) -> list[float]:
+    """For each top in turn, the lowest gap back to the nearest strictly higher top.
+
+    ``gaps[k]`` is the lowest sample just before ``tops[k]``. A stack keeps
+    the tops not yet exceeded and the lowest gap each has absorbed, so every
+    top is pushed and popped once.
+    """
+    bases: list[float] = []
+    stack_tops: list[float] = []
+    stack_lows: list[float] = []
+    for top, low in zip(tops, gaps):
+        while stack_tops and stack_tops[-1] <= top:
+            stack_tops.pop()
+            absorbed = stack_lows.pop()
+            if absorbed < low:
+                low = absorbed
+        bases.append(low)
+        stack_tops.append(top)
+        stack_lows.append(low)
+    return bases
+
+
+def _prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Prominence of each local maximum ``peaks`` of ``y``, in O(M) time and memory.
+
+    Equals ``scipy.signal.peak_prominences(y, peaks)[0]`` with
+    ``wlen=None`` bit for bit, provided ``peaks`` is every index ``i`` with
+    ``y[i-1] < y[i] >= y[i+1]``. Between two such neighbours ``y`` falls
+    (not strictly) and then strictly rises, so the base on either side, the
+    lowest sample between the peak and the nearest strictly higher sample,
+    is the lowest of the gap minima back to the nearest strictly higher
+    peak (or the array end). One monotonic-stack pass per side finds them.
+    """
+    tops = y[peaks].tolist()
+    gaps = np.minimum.reduceat(y, np.r_[0, peaks]).tolist()  # gaps[k] = min y[peaks[k-1]:peaks[k]]
+    left = _stack_bases(tops, gaps[:-1])
+    right = _stack_bases(tops[::-1], gaps[:0:-1])[::-1]
+    return y[peaks] - np.maximum(left, right)
+
+
 def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: int) -> LorentzianFit:
     """Fit ``n_peaks`` Lorentzians plus a flat offset to one spectrum.
 
-    Peak candidates are local maxima of the five-point-smoothed spectrum;
+    Peak candidates are the local maxima of the five-point-smoothed
+    spectrum (samples above the one before and not below the one after);
     the ``n_peaks`` most *prominent* seed the optimizer (raw height would
     let noise wiggles on one broad top outrank a genuinely smaller peak).
-    Raises :class:`AnalysisError` when fewer candidates exist.
+    Prominence is the height of a candidate above the higher of its two
+    bases, each the lowest sample between it and the nearest strictly
+    higher sample on that side (or the scan end), as in
+    ``scipy.signal.peak_prominences`` with ``wlen=None``; it is computed
+    in-house by :func:`_prominences`. A candidate on a plateau that rises
+    further has prominence 0 and ranks last. Raises
+    :class:`AnalysisError` when fewer candidates exist.
     """
     if n_peaks < 1:
         raise AnalysisError("n_peaks must be at least 1")
     x, y, w0, span, scale = _normalize(frequencies, amplitude)
     smoothed = _smooth5(y)
-    candidates = np.array(
-        [
-            i for i in range(1, smoothed.size - 1)
-            if smoothed[i] > smoothed[i - 1] and smoothed[i] >= smoothed[i + 1]
-        ],
-        dtype=int,
-    )
+    inner = smoothed[1:-1]
+    candidates = np.flatnonzero((inner > smoothed[:-2]) & (inner >= smoothed[2:])) + 1
     if candidates.size < n_peaks:
         raise AnalysisError(
             f"found {candidates.size} local maxima in the smoothed spectrum, "
             f"need {n_peaks}; widen the scan or reduce the damping"
         )
-    prominence = peak_prominences(smoothed, candidates)[0]
+    prominence = _prominences(smoothed, candidates)
     chosen = candidates[np.argsort(prominence)[::-1][:n_peaks]]
     # Smoothing flattens sharp tops into plateaus whose first sample wins the
     # strict-maximum test; re-center each seed on the raw maximum inside the

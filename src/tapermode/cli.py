@@ -345,10 +345,13 @@ def _read_spectrum_csv(path: str, direction: str) -> SpectrumResult:
             cells: dict[tuple[float, int], tuple[float, float]] = {}
             for row in reader:
                 try:
-                    key = (float(row["omega_d_hz"]), int(row["ion_index"]))
-                    cells[key] = (float(row["amplitude_um"]), float(row["phase_rad"]))
+                    freq, ion = float(row["omega_d_hz"]), int(row["ion_index"])
+                    cell = (float(row["amplitude_um"]), float(row["phase_rad"]))
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{path}: malformed row {row}: {exc}") from exc
+                if not np.all(np.isfinite((freq, *cell))):
+                    raise ConfigError(f"{path}: non-finite value in row {row}")
+                cells[(freq, ion)] = cell
     except FileNotFoundError as exc:
         raise ConfigError(f"input file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:

@@ -1,10 +1,13 @@
 """Spectrum fitting, eigenvector reconstruction, and profile fitting."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad_vec
 
 from tapermode.analysis import (
@@ -22,6 +25,7 @@ from tapermode.analysis import (
     _free_model,
     _profile_model,
     _project_residues,
+    _prominences,
     _residue_basis,
 )
 from tapermode.core import TWO_PI, TrapConfig
@@ -110,6 +114,92 @@ class TestFreeFit:
             bumped[j] += eps
             fd = (_free_model(bumped, x, 2) - _free_model(params, x, 2)) / eps
             assert np.allclose(jac[:, j], fd, atol=1e-5)
+
+    def test_quantised_spectrum_fits_without_warning(self):
+        """Rounding leaves rising plateaus whose first sample has prominence 0.
+
+        Such a candidate ranks last; the strict warning filters would turn
+        any prominence warning into an error here.
+        """
+        grid = np.linspace(0.0, 1.0, 401)
+        y = np.round(synthetic_spectrum(grid, [0.3, 0.7], [0.03, 0.04], [1.0, 0.6], 0.0), 1)
+        fit = fit_lorentzian_sum(grid, y, 2)
+        assert fit.centers == pytest.approx([0.3, 0.7], abs=0.01)
+        assert fit.heights == pytest.approx([1.0, 0.6], rel=0.05)
+
+
+def local_maxima(y):
+    """Every ``i`` with ``y[i-1] < y[i] >= y[i+1]``, by a plain scan."""
+    return np.array(
+        [i for i in range(1, len(y) - 1) if y[i - 1] < y[i] >= y[i + 1]], dtype=np.intp
+    )
+
+
+def assert_matches_scipy(y):
+    """``_prominences`` equals ``scipy.signal.peak_prominences`` bit for bit."""
+    from scipy.signal import peak_prominences  # reference only: the package never loads it
+
+    y = np.asarray(y, dtype=float)
+    peaks = local_maxima(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on zero prominences
+        expected = peak_prominences(y, peaks)[0]
+    assert np.array_equal(_prominences(y, peaks), expected), (y.tolist(), peaks.tolist())
+
+
+def random_walk(steps):
+    return np.cumsum(steps).astype(float)
+
+
+class TestProminences:
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.one_of(
+        hnp.arrays(np.float64, st.integers(3, 400), elements=st.floats(-1e6, 1e6)),
+        hnp.arrays(np.float64, st.integers(3, 400),
+                   elements=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])),
+        st.lists(st.integers(-2, 2), min_size=3, max_size=400).map(random_walk),
+    ))
+    def test_matches_scipy(self, y):
+        assert_matches_scipy(y)
+
+    @pytest.mark.parametrize("kind", ["normal", "quantised", "walk"])
+    def test_matches_scipy_on_seeded_arrays(self, kind):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            m = int(rng.integers(3, 600))
+            if kind == "normal":
+                y = rng.standard_normal(m)
+            elif kind == "quantised":
+                y = np.round(rng.standard_normal(m) * rng.integers(1, 4))
+            else:
+                y = random_walk(rng.integers(-2, 3, m))
+            assert_matches_scipy(y)
+
+    @pytest.mark.parametrize("y", [
+        [0, 1, 0],                    # one candidate, touching both ends
+        [0, 2, 1, 1, 1],              # candidate next to the left end
+        [1, 1, 0, 2, 0],              # candidate next to the right end
+        [3, 0, 1, 0, 2, 0, 5],        # both ends higher than every candidate
+        [0, 1, 1, 2, 0],              # rising plateau: prominence 0
+        [0, 2, 2, 0, 2, 2, 0],        # equal tops
+        [0, 2, 0, 2, 0, 1, 0, 2, 0],  # ties across a lower candidate
+        [5, 5, 5, 5],                 # flat: no candidate
+    ])
+    def test_matches_scipy_on_edge_cases(self, y):
+        assert_matches_scipy(y)
+
+    def test_memory_is_linear_in_the_scan(self):
+        """No candidate-by-sample temporaries: a P x M boolean mask would be ~130 MB here."""
+        y = np.random.default_rng(5).standard_normal(20_000)
+        peaks = local_maxima(y)
+        tracemalloc.start()
+        try:
+            _prominences(y, peaks)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks.size > 5_000
+        assert peak_bytes < 20 * y.nbytes
 
 
 def modal_response(grid, centers, gammas, residues):

@@ -437,6 +437,20 @@ class TestSimulateAndFit:
         assert cli.main(["fit", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    def test_non_finite_cells_exit_2(self, tmp_path, capsys, column, value):
+        """A nan or inf frequency, amplitude or phase is named by its row, not fitted."""
+        cells = ["1000", "1", "1", "0"]
+        cells[column] = value
+        path = tmp_path / "spectrum.csv"
+        path.write_text("omega_d_hz,ion_index,amplitude_um,phase_rad\r\n"
+                        "999,1,1,0\r\n" + ",".join(cells) + "\r\n", encoding="utf-8")
+        assert cli.main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value in row" in err
+        assert f"'{value}'" in err
+
     def test_flat_spectrum_exits_4(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
