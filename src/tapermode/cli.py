@@ -47,7 +47,7 @@ from .dynamics import (
     SpectrumResult,
     synthesize_spectra,
 )
-from .equilibrium import chain_positions_dimensionless, equilibrium_positions
+from .equilibrium import chain_positions_dimensionless
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -56,7 +56,7 @@ from .errors import (
     TapermodeError,
 )
 from .modes import DIRECTIONS, compute_modes
-from .pipeline import ExperimentPlan, run_experiment
+from .pipeline import DEFAULT_GRID_HZ, ExperimentPlan, centred_beam, run_experiment, scan_window
 from .sweep import run_sweep
 
 log = logging.getLogger("tapermode")
@@ -135,9 +135,8 @@ def trap_config(data: Mapping) -> TrapConfig:
 def sweep_settings(data: Mapping) -> tuple[np.ndarray, bool]:
     """Axial-frequency grid [rad/s] and the linear-reference flag."""
     section = data.get("sweep", {})
-    lo = section.get("omega_z_min_hz", 47e3)
-    hi = section.get("omega_z_max_hz", 205e3)
-    n = section.get("points", 12)
+    lo, hi, n = (section.get(key, default) for key, default in
+                 zip(("omega_z_min_hz", "omega_z_max_hz", "points"), DEFAULT_GRID_HZ))
     if not 0 < lo <= hi:
         raise ConfigError("need 0 < omega_z_min_hz <= omega_z_max_hz")
     if n < 1 or (n == 1 and lo != hi):
@@ -171,27 +170,18 @@ def beam_axis(data: Mapping) -> str:
 def beam_spec(data: Mapping, config: TrapConfig, drive: Mapping) -> BeamSpec:
     """Build the excitation beam from the ``beam`` section and :func:`drive_settings`."""
     section = data.get("beam", {})
-    force, axis = drive["force_amplitude"], beam_axis(data)
+    beam = {"force_amplitude": drive["force_amplitude"], "direction": beam_axis(data)}
     if section.get("kind", "broad") == "broad":
-        return BeamSpec(kind="broad", force_amplitude=force, direction=axis)
+        return BeamSpec(kind="broad", **beam)
+    beam["waist_radius"] = drive["beam_waist"]
     if "center_ion_index" in section and "center_z_um" in section:
         raise ConfigError("give center_ion_index or center_z_um, not both")
     if "center_z_um" in section:
-        center_z = 1e-6 * section["center_z_um"]
-    else:
-        index = section.get("center_ion_index", (config.n_ions + 1) // 2)
-        if not 1 <= index <= config.n_ions:
-            raise ConfigError(
-                f"center_ion_index must be in 1..{config.n_ions}, got {index}"
-            )
-        center_z = float(equilibrium_positions(config)[index - 1, 2])
-    return BeamSpec(
-        kind="focused",
-        force_amplitude=force,
-        direction=axis,
-        waist_radius=drive["beam_waist"],
-        center_z=center_z,
-    )
+        return BeamSpec(kind="focused", center_z=1e-6 * section["center_z_um"], **beam)
+    index = section.get("center_ion_index", (config.n_ions + 1) // 2)
+    if not 1 <= index <= config.n_ions:
+        raise ConfigError(f"center_ion_index must be in 1..{config.n_ions}, got {index}")
+    return centred_beam(config, index - 1, **beam)
 
 
 def analysis_settings(data: Mapping, n_ions: int) -> dict:
@@ -300,15 +290,13 @@ def cmd_sweep(args) -> int:
 
 
 def _synthesize_cli(config: TrapConfig, data: Mapping) -> SpectrumResult:
-    """The ``simulate`` spectrum; one all-direction mode table serves scan window and synthesis."""
+    """The ``simulate`` spectrum; one all-direction mode table serves the scan window
+    (``pipeline``'s :func:`~tapermode.pipeline.scan_window`, unscaled damping) and synthesis."""
     drive = drive_settings(data)
     beam = beam_spec(data, config, drive)
     table = compute_modes(config)
-    freqs = table.frequencies(beam.direction)
     scan = DriveScan(
-        drive_frequencies=np.linspace(
-            0.9 * freqs.min(), 1.1 * freqs.max(), drive["scan_points"]
-        ),
+        drive_frequencies=scan_window(table.frequencies(beam.direction), drive["scan_points"]),
         **{field: drive[field] for field in
            ("damping_rate", "settle_cycles", "measure_cycles", "steps_per_period")
            if field in drive},
@@ -351,6 +339,10 @@ def _read_spectrum_csv(path: str, direction: str) -> SpectrumResult:
                     raise ConfigError(f"{path}: malformed row {row}: {exc}") from exc
                 if not np.all(np.isfinite((freq, *cell))):
                     raise ConfigError(f"{path}: non-finite value in row {row}")
+                if not freq > 0:
+                    raise ConfigError(f"{path}: non-positive omega_d_hz in row {row}")
+                if (freq, ion) in cells:
+                    raise ConfigError(f"{path}: repeated omega_d_hz and ion_index in row {row}")
                 cells[(freq, ion)] = cell
     except FileNotFoundError as exc:
         raise ConfigError(f"input file not found: {path}") from exc

@@ -68,6 +68,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    TWO_PI,
     TrapConfig,
     _acceleration_kernel,
     _squared_frequencies,
@@ -78,8 +79,6 @@ from .core import (
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError, TapermodeError
 from .modes import ModeTable, compute_modes, coupling_matrix, reference_frequency
-
-TWO_PI = 2.0 * math.pi
 
 #: Hard floor on temporal resolution: the fastest period in the system
 #: (drive or mode) must be covered by at least this many steps.
@@ -231,6 +230,22 @@ def wrap_phase(phi: np.ndarray | float) -> np.ndarray | float:
     out = (np.asarray(phi, dtype=float) + np.pi) % TWO_PI - np.pi
     out = np.where(out == -np.pi, np.pi, out)
     return float(out) if np.ndim(phi) == 0 else out
+
+
+def _spectrum(scan: DriveScan, response: np.ndarray, phase: np.ndarray, direction: str,
+              model: str, steps_per_period: int | None) -> SpectrumResult:
+    """The record of ``scan``'s complex ``response`` [M, N]: its modulus and ``phase`` wrapped."""
+    return SpectrumResult(
+        drive_frequencies=scan.drive_frequencies.copy(),
+        amplitude=np.abs(response),
+        phase=wrap_phase(phase),
+        direction=direction,
+        damping_rate=scan.damping_rate,
+        model=model,
+        steps_per_period=steps_per_period,
+        settle_cycles=scan.settle_cycles,
+        measure_cycles=scan.measure_cycles,
+    )
 
 
 def _steps_per_period(scan: DriveScan, omega_fast: float) -> int:
@@ -411,17 +426,7 @@ def _integrate(
                 f"(displacement exceeded {BLOWUP_LENGTH_UNITS:g} length units)"
             ))
             continue
-        results.append(SpectrumResult(
-            drive_frequencies=s.drive_frequencies.copy(),
-            amplitude=np.abs(z[p]),
-            phase=wrap_phase(np.angle(z[p]) + np.pi / 2),
-            direction=direction,
-            damping_rate=s.damping_rate,
-            model=model,
-            steps_per_period=spp,
-            settle_cycles=s.settle_cycles,
-            measure_cycles=s.measure_cycles,
-        ))
+        results.append(_spectrum(s, z[p], np.angle(z[p]) + np.pi / 2, direction, model, spp))
     return results
 
 
@@ -433,21 +438,9 @@ def _modal_response(table: ModeTable, scan: DriveScan, beam: BeamSpec) -> Spectr
     stiffness = table.eigenvalues(direction) * reference_frequency(config, direction) ** 2
     weights = beam_weights(beam, equilibrium_positions(config))
     modal_force = vectors.T @ (beam.force_amplitude / config.mass * weights)
-    gamma = scan.damping_rate
-    wd = scan.drive_frequencies
-    w = wd[:, None]
-    solution = (modal_force / (stiffness - w**2 + 1j * gamma * w)) @ vectors.T
-    return SpectrumResult(
-        drive_frequencies=wd.copy(),
-        amplitude=np.abs(solution),
-        phase=wrap_phase(np.angle(solution)),
-        direction=direction,
-        damping_rate=gamma,
-        model="response",
-        steps_per_period=None,
-        settle_cycles=scan.settle_cycles,
-        measure_cycles=scan.measure_cycles,
-    )
+    w = scan.drive_frequencies[:, None]
+    solution = (modal_force / (stiffness - w**2 + 1j * scan.damping_rate * w)) @ vectors.T
+    return _spectrum(scan, solution, np.angle(solution), direction, "response", None)
 
 
 def synthesize_spectra(

@@ -43,8 +43,9 @@ from .errors import ConfigError, SolverError, TapermodeError
 from .modes import ModeTable, compute_modes
 from .sweep import assign_columns
 
-#: Grid used when a plan does not specify one: 12 points, 47-205 kHz.
-DEFAULT_OMEGA_Z_GRID = TWO_PI * np.linspace(47e3, 205e3, 12)
+#: Grid [Hz] (lowest, highest, points) when a plan or config sets none: 47-205 kHz.
+DEFAULT_GRID_HZ = (47e3, 205e3, 12)
+DEFAULT_OMEGA_Z_GRID = TWO_PI * np.linspace(*DEFAULT_GRID_HZ)
 
 #: Components smaller than this in the prediction are excluded from the
 #: sign comparison (their fitted sign carries no information).
@@ -53,7 +54,8 @@ SIGN_CHECK_THRESHOLD = 0.1
 
 @dataclass(frozen=True, eq=False)
 class ExperimentPlan:
-    """Sweep grid plus every knob of the emulated measurement."""
+    """Sweep grid plus every knob of the emulated measurement. The drive takes
+    :class:`DriveScan`'s cycle defaults and checks; they run before any point does."""
 
     omega_z_values: np.ndarray = None  #: axial frequencies [rad/s]
     direction: str = "x"
@@ -62,8 +64,8 @@ class ExperimentPlan:
     scan_points: int = 800
     beam_crossover: float = TWO_PI * 135e3    #: focused beam at/above this [rad/s]
     beam_waist: float = 17e-6                 #: Gaussian 1/e^2 radius [m]
-    settle_cycles: int = 30
-    measure_cycles: int = 20
+    settle_cycles: int = DriveScan.settle_cycles
+    measure_cycles: int = DriveScan.measure_cycles
     steps_per_period: int | None = None
     spectrum_source: str = "response"
     noise_fraction: float = 0.0
@@ -84,14 +86,19 @@ class ExperimentPlan:
                 f"spectrum_source must be one of {SPECTRUM_SOURCES}, "
                 f"got {self.spectrum_source!r}"
             )
-        for name in ("damping_rate", "force_amplitude", "beam_crossover", "beam_waist",
-                     "focused_damping_scale"):
+        self._drive(grid)  # any positive frequencies; each point scans its own window
+        for name in ("force_amplitude", "beam_crossover", "beam_waist", "focused_damping_scale"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.scan_points < 16:
             raise ConfigError("scan_points must be at least 16")
         if self.noise_fraction < 0:
             raise ConfigError("noise_fraction must be non-negative")
+
+    def _drive(self, drive_frequencies: np.ndarray, damping_scale: float = 1.0) -> DriveScan:
+        """The plan's drive over ``drive_frequencies``, its damping times ``damping_scale``."""
+        return DriveScan(drive_frequencies, self.damping_rate * damping_scale,
+                         self.settle_cycles, self.measure_cycles, self.steps_per_period)
 
     def to_mapping(self) -> dict:
         """JSON-sendable mapping of the plan (frequencies in Hz)."""
@@ -207,28 +214,36 @@ class ReproductionReport:
         }
 
 
+def scan_window(frequencies: np.ndarray | float, points: int) -> np.ndarray:
+    """``points`` drive frequencies from 0.9x the lowest to 1.1x the highest driven mode
+    ``frequencies``: the scan of ``simulate``, of each ``pipeline`` point and of the COM check."""
+    return np.linspace(0.9 * np.min(frequencies), 1.1 * np.max(frequencies), points)
+
+
+def centred_beam(config: TrapConfig, ion: int, **beam) -> BeamSpec:
+    """A focused beam centred on ion ``ion`` (0-based) of ``config``'s chain at equilibrium;
+    ``beam`` holds the other :class:`BeamSpec` fields."""
+    z = equilibrium_positions(config)[ion, 2]
+    return BeamSpec(kind="focused", center_z=float(z), **beam)
+
+
+def _beam_kind(plan: ExperimentPlan, omega_z: float) -> str:
+    """'broad' below the plan's crossover, 'focused' at and above it."""
+    return "broad" if omega_z < plan.beam_crossover else "focused"
+
+
 def select_beam(config: TrapConfig, plan: ExperimentPlan, omega_z: float) -> BeamSpec:
     """Excitation beam for one grid point.
 
     Below the crossover the whole chain is driven by a broad beam; at and
     above it a focused beam of the plan's waist is centred on the middle
-    ion, whose modes the drive must address individually.
+    ion (:func:`centred_beam`), whose modes the drive must address individually.
     """
-    if omega_z < plan.beam_crossover:
-        return BeamSpec(
-            kind="broad",
-            force_amplitude=plan.force_amplitude,
-            direction=plan.direction,
-        )
-    point_config = config.replace(omega_z=omega_z)
-    z = equilibrium_positions(point_config)[:, 2]
-    return BeamSpec(
-        kind="focused",
-        force_amplitude=plan.force_amplitude,
-        direction=plan.direction,
-        waist_radius=plan.beam_waist,
-        center_z=float(z[(config.n_ions - 1) // 2]),
-    )
+    beam = {"force_amplitude": plan.force_amplitude, "direction": plan.direction}
+    if _beam_kind(plan, omega_z) == "broad":
+        return BeamSpec(kind="broad", **beam)
+    return centred_beam(config.replace(omega_z=omega_z), (config.n_ions - 1) // 2,
+                        waist_radius=plan.beam_waist, **beam)
 
 
 def _add_noise(spectrum: SpectrumResult, fraction: float, rng) -> SpectrumResult:
@@ -247,7 +262,7 @@ def _failed_point(config, plan, omega_z: float, reason: str) -> PointResult:
     nan_nk = np.full((n, n), np.nan)
     return PointResult(
         omega_z=omega_z,
-        beam="broad" if omega_z < plan.beam_crossover else "focused",
+        beam=_beam_kind(plan, omega_z),
         drive_weights=np.full(n, np.nan),
         theory_frequencies=nan_k,
         theory_components=nan_nk,
@@ -266,20 +281,13 @@ def _failed_point(config, plan, omega_z: float, reason: str) -> PointResult:
 def _prepare_point(
     config: TrapConfig, plan: ExperimentPlan, omega_z: float
 ) -> tuple[ModeTable, DriveScan, BeamSpec]:
-    """The mode table (all three directions), drive scan and beam of one point."""
+    """The mode table (all three directions), drive scan and beam of one point; the
+    scan is :func:`scan_window`, damped ``focused_damping_scale`` times more when focused."""
     table = compute_modes(config.replace(omega_z=omega_z))
-    theory_freqs = table.frequencies(plan.direction)
     beam = select_beam(config, plan, omega_z)
-    scan = DriveScan(
-        drive_frequencies=np.linspace(
-            0.9 * theory_freqs.min(), 1.1 * theory_freqs.max(), plan.scan_points
-        ),
-        damping_rate=plan.damping_rate * (
-            plan.focused_damping_scale if beam.kind == "focused" else 1.0
-        ),
-        settle_cycles=plan.settle_cycles,
-        measure_cycles=plan.measure_cycles,
-        steps_per_period=plan.steps_per_period,
+    scan = plan._drive(
+        scan_window(table.frequencies(plan.direction), plan.scan_points),
+        plan.focused_damping_scale if beam.kind == "focused" else 1.0,
     )
     return table, scan, beam
 
@@ -412,7 +420,7 @@ def axial_com_check(config: TrapConfig) -> AxialComCheck:
     """
     nominal = config.omega_z
     scan = DriveScan(
-        drive_frequencies=np.linspace(0.9 * nominal, 1.1 * nominal, 201),
+        drive_frequencies=scan_window(nominal, 201),
         damping_rate=TWO_PI * 200.0,
     )
     beam = BeamSpec(kind="broad", force_amplitude=1e-23, direction="z")

@@ -151,17 +151,18 @@ def run_sweep(
     if omegas.size < 1:
         raise ConfigError("sweep needs at least one omega_z value")
     check_array_budget(f"{omegas.size} sweep points", (omegas.size, config.n_ions, config.n_ions))
-    configs = [config.replace(omega_z=float(w)) for w in omegas]
-    betas = np.array([c.beta(direction) for c in configs])
-    units = np.array([c.radial_frequency(direction) for c in configs])[:, None]
+    # Each point's config lives only while its three scalars are read.
+    scalars = ((c.beta(direction), c.radial_frequency(direction), c.taper_ratio)
+               for c in (config.replace(omega_z=w) for w in omegas.tolist()))
+    betas, units, tapers = np.fromiter(scalars, (float, 3), omegas.size).T
     u = chain_positions_dimensionless(config.n_ions)
 
     def where(k: int) -> str:
         return f"direction {direction!r} at omega_z = {omegas[k] / TWO_PI:.6g} Hz"
 
     values, vectors, participation = _eigensystem(
-        radial_coupling_matrix(u, betas, [c.taper_ratio for c in configs]),
-        lambda k: where(k) + _funnel_cause(configs[k], u),
+        radial_coupling_matrix(u, betas, tapers),
+        lambda k: where(k) + _funnel_cause(config.replace(omega_z=float(omegas[k])), u),
     )
     kappa, linear_vectors = np.linalg.eigh(coulomb_matrix(u))
     linear_values = 1.0 + betas[:, None] ** 2 * kappa
@@ -180,8 +181,8 @@ def run_sweep(
     linear_rank, _, _ = assign_columns(vectors[-1], linear_vectors)
     labels = _mode_labels(config.n_ions, linear_rank)
 
-    frequencies = np.sqrt(values) * units
-    linear_frequencies = (np.sqrt(linear_values) * units)[:, linear_rank]
+    frequencies = np.sqrt(values) * units[:, None]
+    linear_frequencies = (np.sqrt(linear_values) * units[:, None])[:, linear_rank]
     for array in (omegas, values, frequencies, vectors, participation, linear_frequencies):
         array.setflags(write=False)
     return SweepResult(config, direction, labels, omegas, values, frequencies, vectors,

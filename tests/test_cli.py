@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tapermode import cli, core, modes
+from tapermode import cli, core, modes, pipeline
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.dynamics import SpectrumResult
 from tapermode.equilibrium import chain_positions_dimensionless, equilibrium_positions
@@ -429,6 +429,11 @@ class TestSimulateAndFit:
         ("1000,one,1,0\r\n", "malformed row"),
         ("", "contains no data rows"),
         ("1000,2,1,0\r\n1000,3,1,0\r\n", "ion_index values must be 1..N, got [2, 3]"),
+        ("1000,1,1,0\r\n1000.0,1,999,0\r\n",
+         "repeated omega_d_hz and ion_index in row {'omega_d_hz': '1000.0', 'ion_index': '1', "
+         "'amplitude_um': '999'"),
+        ("1000,1,1,0\r\n-1000,1,1,0\r\n", "non-positive omega_d_hz in row {'omega_d_hz': '-1000'"),
+        ("0,1,1,0\r\n", "non-positive omega_d_hz in row {'omega_d_hz': '0'"),
     ])
     def test_unreadable_spectrum_rows_exit_2(self, tmp_path, capsys, rows, message):
         path = tmp_path / "spectrum.csv"
@@ -580,6 +585,43 @@ class TestPipelineCommand:
         assert rc == 2
         assert "noise seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("drive, message", [
+        ({"settle_cycles": -1}, "need settle_cycles >= 0 and measure_cycles >= 1"),
+        ({"measure_cycles": 0}, "need settle_cycles >= 0 and measure_cycles >= 1"),
+        ({"steps_per_period": 0}, "steps_per_period must be a positive count or None"),
+    ])
+    def test_malformed_drive_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                      drive, message):
+        """The plan checks its drive as DriveScan does, before any grid point is prepared."""
+        monkeypatch.setattr(pipeline, "_prepare_point", None)  # never reached
+        data = {**self.CONFIG, "drive": {**self.CONFIG["drive"], **drive}}
+        out_dir = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", write_config(tmp_path, data),
+                         "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source, drive", [
+        ("response", {}),
+        # 300 settle cycles span over 5 damping times, so no short-settle warning
+        ("linearized", {"settle_cycles": 300, "steps_per_period": 26}),
+    ])
+    def test_one_point_spectrum_matches_simulate(self, tmp_path, source, drive):
+        """``simulate`` with a focused beam and a one-point ``pipeline`` above the crossover
+        share the scan window, the centred beam and the drive, so their spectra are one file."""
+        data = {
+            "trap": {"omega_z_hz": 150e3},
+            "sweep": {"omega_z_min_hz": 150e3, "omega_z_max_hz": 150e3, "points": 1},
+            "drive": {"model": source, "gamma_hz": 4000.0, "scan_points": 100, **drive},
+            "beam": {"kind": "focused"},
+            "pipeline": {"spectrum_source": source, "beam_crossover_hz": 100e3},
+        }
+        config = write_config(tmp_path, data)
+        spectrum, out_dir = tmp_path / "spectrum.csv", tmp_path / "run"
+        assert cli.main(["simulate", "--config", config, "--out", str(spectrum)]) == 0
+        assert cli.main(["pipeline", "--config", config, "--out", str(out_dir)]) == 0
+        assert (out_dir / "spectrum_000.csv").read_bytes() == spectrum.read_bytes()
 
     def test_requires_output_directory(self, capsys):
         assert cli.main(["pipeline"]) == 2

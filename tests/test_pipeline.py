@@ -60,6 +60,18 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError):
             ExperimentPlan(omega_z_values=np.array([0.0, 1e5]))
 
+    @pytest.mark.parametrize("drive, message", [
+        ({"settle_cycles": -1}, "need settle_cycles >= 0 and measure_cycles >= 1"),
+        ({"measure_cycles": 0}, "need settle_cycles >= 0 and measure_cycles >= 1"),
+        ({"steps_per_period": 0}, "steps_per_period must be a positive count or None"),
+    ])
+    def test_drive_checks_are_drive_scans(self, drive, message):
+        """Building a plan runs DriveScan's drive checks, with DriveScan's messages."""
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentPlan(**drive)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            DriveScan(**{"drive_frequencies": [1.0], "damping_rate": 1.0, **drive})
+
     def test_mapping_uses_plain_units(self):
         plan = ExperimentPlan()
         mapping = plan.to_mapping()
