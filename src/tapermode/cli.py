@@ -30,9 +30,11 @@ import argparse
 import csv
 import json
 import logging
+import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -120,12 +122,30 @@ def load_config(path: str | None) -> dict:
     return data
 
 
+_PLAN_SECTIONS = ("drive", "beam", "pipeline")
+
+#: ExperimentPlan field -> the ``section.key`` that sets it.
+_PLAN_KEYS = {spec.field: f"{name}.{key}" for name in _PLAN_SECTIONS
+              for key, spec in SCHEMA[name].items() if spec.field is not None}
+
+
 def _plan_fields(data: Mapping) -> dict:
     """The ExperimentPlan fields that the config sets, in SI units."""
     fields = {}
-    for name in ("drive", "beam", "pipeline"):
+    for name in _PLAN_SECTIONS:
         fields.update(section_fields(data.get(name, {}), SCHEMA[name]))
     return fields
+
+
+@contextmanager
+def _naming_config_keys() -> Iterator[None]:
+    """Re-raise a library :class:`ConfigError` with each plan field that it names
+    replaced by the config key that sets it, e.g. ``damping_rate`` by ``drive.gamma_hz``."""
+    try:
+        yield
+    except ConfigError as exc:
+        message = re.sub(r"(?<![\w.])\w+", lambda m: _PLAN_KEYS.get(m[0], m[0]), str(exc))
+        raise ConfigError(message) from exc
 
 
 def trap_config(data: Mapping) -> TrapConfig:
@@ -194,7 +214,8 @@ def analysis_settings(data: Mapping, n_ions: int) -> dict:
 
 def experiment_plan(data: Mapping, grid: np.ndarray, direction: str) -> ExperimentPlan:
     """The pipeline plan: the fields the config sets, ExperimentPlan's defaults for the rest."""
-    return ExperimentPlan(omega_z_values=grid, direction=direction, **_plan_fields(data))
+    with _naming_config_keys():
+        return ExperimentPlan(omega_z_values=grid, direction=direction, **_plan_fields(data))
 
 
 # -- output helpers -----------------------------------------------------------
@@ -310,7 +331,8 @@ def _synthesize_cli(config: TrapConfig, data: Mapping) -> SpectrumResult:
 def cmd_simulate(args) -> int:
     data = load_config(args.config)
     config = trap_config(data)
-    spectrum = _synthesize_cli(config, data)
+    with _naming_config_keys():
+        spectrum = _synthesize_cli(config, data)
     log.info(
         "synthesized %d-point %s spectrum along %s",
         spectrum.drive_frequencies.size, spectrum.model, spectrum.direction,
@@ -341,6 +363,8 @@ def _read_spectrum_csv(path: str, direction: str) -> SpectrumResult:
                     raise ConfigError(f"{path}: non-finite value in row {row}")
                 if not freq > 0:
                     raise ConfigError(f"{path}: non-positive omega_d_hz in row {row}")
+                if cell[0] < 0:
+                    raise ConfigError(f"{path}: negative amplitude_um in row {row}")
                 if (freq, ion) in cells:
                     raise ConfigError(f"{path}: repeated omega_d_hz and ion_index in row {row}")
                 cells[(freq, ion)] = cell

@@ -314,23 +314,28 @@ def _acceleration_kernel(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The acceleration -dV/dr / m at ``origin + x``, in component-major layout.
 
-    Displacements ``x`` have ``shape`` (3, ..., N): ``x[c, ..., i]`` is
-    coordinate c of ion i, and any axes in between are a batch of chains.
-    The chains may sit in different traps: ``origin`` broadcasts to
-    ``shape``, and ``omega_sq`` holds ``W = (wx^2, wy^2, wz^2)`` as [3, ...]
-    over the leading batch axes (padded with trailing axes to broadcast).
-    ``config`` gives what every chain shares: the ion count, the Coulomb
-    coupling per mass and the funnel length L. The Coulomb term runs over the
-    fixed list of pairs i < j, held as the incidence matrix ``S`` [N, P] whose
-    column p is e_i - e_j. With separations ``d = x S + origin S``,
+    Displacements ``x`` have ``shape`` (C, ..., N): ``x[c, ..., i]`` is the
+    c-th held coordinate of ion i, and any axes in between are a batch of
+    chains. The rows are transverse coordinates, then z last: (x, y, z), or
+    a subset whose left-out coordinates are exactly zero, such as (x, z) or
+    (z,). A zero coordinate adds only +-0.0 to every sum below, so leaving
+    it out changes no float. The chains may sit in different traps: ``origin`` broadcasts to
+    ``shape``, and ``omega_sq`` holds the stiffness per mass of each held
+    row, e.g. ``W = (wx^2, wy^2, wz^2)``, as [C, ...] over the leading batch
+    axes (padded with trailing axes to broadcast). ``config`` gives what
+    every chain shares: the ion count, the Coulomb coupling per mass and the
+    funnel length L. The Coulomb term runs over the fixed list of pairs
+    i < j, held as the incidence matrix ``S`` [N, P] whose column p is
+    e_i - e_j. With separations ``d = x S + origin S``,
 
         a_coulomb = (k q^2 / m) (d / |d|^3) S^T,
 
     and the trap term is ``-W r`` plus the taper cross terms
-    ``-2 (wx^2 x, wy^2 y) z / L`` and ``-(wx^2 x^2 + wy^2 y^2) / L``. Every
-    constant is built here, once, and broadcast to full size, so a call is a
-    short run of same-shape array operations. N = 1 has no pairs and gives
-    the trap term alone. Over-budget pair arrays raise :class:`ConfigError`.
+    ``-2 W_c r_c z / L`` on each transverse row c and
+    ``-sum_c W_c r_c^2 / L`` on z. Every constant is built here, once, and
+    broadcast to full size, so a call is a short run of same-shape array
+    operations. N = 1 has no pairs and gives the trap term alone.
+    Over-budget pair arrays raise :class:`ConfigError`.
     """
     n = config.n_ions
     check_pair_budget(n, shape[1:-1])
@@ -347,18 +352,25 @@ def _acceleration_kernel(
     omega_sq = omega_sq.reshape(omega_sq.shape + (1,) * (len(shape) - omega_sq.ndim))
     stiffness = np.broadcast_to(omega_sq, shape).copy()
     inv_l = 1.0 / config.funnel_length
+    transverse = shape[0] - 1
 
     def accel(x: np.ndarray) -> np.ndarray:
         d = x @ incidence
         d += d0
-        d *= np.einsum("c...,c...->...", d, d) ** -1.5
+        square = d[0] * d[0]
+        for row in d[1:]:
+            square += row * row
+        d *= square ** -1.5
         a = d @ scatter
         r = x + r0
         trap = stiffness * r
         a -= trap
-        if inv_l:
-            a[:2] -= trap[:2] * (2.0 * inv_l * r[2])
-            a[2] -= inv_l * (trap[0] * r[0] + trap[1] * r[1])
+        if inv_l and transverse:
+            a[:-1] -= trap[:-1] * (2.0 * inv_l * r[-1])
+            radial = trap[0] * r[0]
+            for c in range(1, transverse):
+                radial += trap[c] * r[c]
+            a[-1] -= inv_l * radial
         return a
 
     return accel

@@ -14,26 +14,29 @@ step with the same scheme.
 
 The full nonlinear forces come from the package's one force kernel,
 ``core._acceleration_kernel``. It works on component-major states
-[3, ..., N] held as displacements from equilibrium, sums the Coulomb force
+[C, ..., N] held as displacements from equilibrium, sums the Coulomb force
 over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
 its constants once per spectrum or ring-down, not once per step.
 
 The time-domain spectra of a whole grid of configurations are integrated in
 one lockstep by :func:`synthesize_spectra`. The state is component-major
 [C, P, M, N]: the grid points on axis -3 and each point's scan points on
-axis -2, with C = 1 (the driven direction) for the linearized model and
-C = 3 for the full one. The per-point constants (equilibrium origin, trap
-frequencies, time step, drive weights, damping, blow-up scale) are arrays
-along the grid axis. Points share a lockstep only when they share its step
-schedule: the number of steps per drive period, which each point derives
-from its own resolution floor exactly as it would alone, and the settle and
-measure cycles. They must also share the state shape, the driven axis and
-the force kernel's common constants (ion count, mass, charge, funnel
-length). So a grid splits into one group per distinct schedule, and every
-point takes exactly the steps it would take on its own. A group is split
-further into chunks whose largest per-step array stays under
-``_LOCKSTEP_BLOCK_ELEMENTS``, so a long chain on a fine grid does not
-multiply the peak memory by the number of points.
+axis -2. Row 0 is the driven direction. The linearized model holds it alone
+(C = 1). The full model holds the rows that move: the driven radial axis
+and z (C = 2), or z alone for a z drive (C = 1). An on-axis chain driven
+along one axis keeps the other radial coordinate exactly zero, and a z
+drive keeps both, so leaving them out changes no float. The per-point
+constants (equilibrium origin, trap frequencies, time step, drive weights,
+damping, blow-up scale) are arrays along the grid axis. Points share a
+lockstep only when they share its step schedule: the number of steps per
+drive period, which each point derives from its own resolution floor
+exactly as it would alone, and the settle and measure cycles. They must
+also share the state shape, the driven axis and the force kernel's common
+constants (ion count, mass, charge, funnel length). So a grid splits into
+one group per distinct schedule, and every point takes exactly the steps it
+would take on its own. A group is split further into chunks whose largest
+per-step array stays under ``_LOCKSTEP_BLOCK_ELEMENTS``, so a long chain on
+a fine grid does not multiply the peak memory by the number of points.
 :func:`simulate_spectrum` is a one-element call of the same entry.
 
 Within a point every drive frequency uses the same number of steps per drive
@@ -101,11 +104,11 @@ SPECTRUM_SOURCES = ("response", "linearized", "full")
 BEAM_KINDS = ("broad", "focused")
 
 #: Cap, in array elements, on the largest per-step array of one lockstep:
-#: the full model's state or pair separations, 3 x scan points x max(N,
-#: N(N-1)/2) per grid point. A group of grid points is split into as few
-#: equal chunks as keep under it (a single point always runs). It bounds
-#: the memory of long chains, and it keeps the ~15 live state-sized arrays
-#: of a step within a core's L2 cache: on a 2 MiB-L2 Xeon, the default
+#: the state or the full model's pair separations, held rows (``_held_rows``)
+#: x scan points x max(N, N(N-1)/2) per grid point. A group of grid points
+#: is split into as few equal chunks as keep under it (a single point
+#: always runs). It bounds the memory of long chains, and it keeps the ~15
+#: live state-sized arrays of a step within a core's L2 cache: on a 2 MiB-L2 Xeon, the default
 #: 12-point, 800-scan-point plan at N = 3 took about 1.8x as long with a
 #: cap 4x larger.
 _LOCKSTEP_BLOCK_ELEMENTS = 1 << 14
@@ -307,10 +310,20 @@ def _verlet(
         yield step
 
 
+def _held_rows(model: str, direction: str) -> list[int]:
+    """The coordinates a time-domain ``model`` integrates, the driven one first.
+
+    The linearized model holds the driven direction alone. The full model
+    adds z, where the radial motion pushes the chain through the taper and
+    the Coulomb force; a z drive holds z once.
+    """
+    axis = axis_index(direction)
+    return [axis] if model == "linearized" or axis == 2 else [axis, 2]
+
+
 def _lockstep_verlet(
     force: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, ...],
-    observed: int,
     push: np.ndarray,
     dt: np.ndarray,
     gamma: np.ndarray,
@@ -322,15 +335,15 @@ def _lockstep_verlet(
     """Integrate every scan point of every grid point from rest and demodulate.
 
     The state has the component-major ``shape`` [C, P, M, N]: the P grid
-    points, their M scan points and N ions of C = 1 direction (linearized)
-    or C = 3 (the full chain). ``force(x)`` is the undriven acceleration at
-    displacements ``x`` from equilibrium; ``x[observed]`` is the driven
+    points, their M scan points and N ions of the C held coordinates of
+    :func:`_held_rows`. ``force(x)`` is the undriven acceleration at
+    displacements ``x`` from equilibrium; ``x[0]`` is the driven
     direction, which feels the extra acceleration ``push`` [P, N]
     sin(2 pi k / spp) at drive phase index k. ``dt`` [P, M] is each scan
     point's step; ``gamma`` [P] and ``blowup`` [P] are each grid point's
     damping rate and largest allowed displacement.
 
-    Returns the complex amplitudes Z [P, M, N] of ``x[observed]`` over the
+    Returns the complex amplitudes Z [P, M, N] of ``x[0]`` over the
     measure window and, per grid point, the step after which it diverged (0
     if it did not). Divergence (a displacement beyond ``blowup``, or one
     that is no longer finite) is checked once per drive period, before the
@@ -363,7 +376,7 @@ def _lockstep_verlet(
                 v[..., fresh, :, :] = 0.0
                 push[fresh] = 0.0
         a = force(x)
-        a[observed] += sin_tab[phase_idx] * push
+        a[0] += sin_tab[phase_idx] * push
         return a
 
     accum = np.zeros(shape[-3:], dtype=complex)
@@ -372,7 +385,7 @@ def _lockstep_verlet(
     with np.errstate(over="ignore", invalid="ignore"):
         for step in _verlet(accel, x, v, half_dt, damping, n_steps):
             if step > demod_start:
-                accum += x[observed] * exp_tab[step % spp]
+                accum += x[0] * exp_tab[step % spp]
             if step % spp == 0 and np.all(diverged):
                 break
     return accum * (2.0 / (measure_cycles * spp)), diverged
@@ -390,27 +403,26 @@ def _integrate(
     config, scan, direction = configs[0], scans[0], beams[0].direction
     origins = [equilibrium_positions(c) for c in configs]
     wd = np.stack([s.drive_frequencies for s in scans])
-    shape = (len(configs), wd.shape[1], config.n_ions)
+    rows = _held_rows(model, direction)
+    shape = (len(rows), len(configs), wd.shape[1], config.n_ions)
     if model == "linearized":
         restoring = np.stack([
             -coupling_matrix(c, direction) * reference_frequency(c, direction) ** 2
             for c in configs
         ])
-        shape, observed = (1, *shape), 0
 
         def force(x: np.ndarray) -> np.ndarray:
             return x @ restoring
 
     else:
-        shape, observed = (3, *shape), axis_index(direction)
         force = _acceleration_kernel(
             config,
-            np.stack([r0.T for r0 in origins], axis=1)[:, :, None, :],
-            np.stack([_squared_frequencies(c) for c in configs], axis=1),
+            np.stack([r0.T[rows] for r0 in origins], axis=1)[:, :, None, :],
+            np.stack([_squared_frequencies(c)[rows] for c in configs], axis=1),
             shape,
         )
     z, diverged = _lockstep_verlet(
-        force, shape, observed,
+        force, shape,
         np.stack([b.force_amplitude / c.mass * beam_weights(b, r0)
                   for b, c, r0 in zip(beams, configs, origins)]),
         (TWO_PI / wd) / spp,
@@ -489,8 +501,9 @@ def synthesize_spectra(
                config.funnel_length)
         groups.setdefault(key, []).append(i)
 
-    for (spp, _, _, n_scan, _, n_ions, *_), members in groups.items():
-        per_point = 3 * n_scan * max(n_ions, n_ions * (n_ions - 1) // 2)
+    for (spp, _, _, n_scan, direction, n_ions, *_), members in groups.items():
+        rows = len(_held_rows(source, direction))
+        per_point = rows * n_scan * max(n_ions, n_ions * (n_ions - 1) // 2)
         n_chunks = -(-len(members) * per_point // _LOCKSTEP_BLOCK_ELEMENTS)
         for chunk in np.array_split(members, min(n_chunks, len(members))):
             spectra = _integrate([tables[i] for i in chunk], [scans[i] for i in chunk],
@@ -508,7 +521,8 @@ def simulate_spectrum(
 ) -> SpectrumResult:
     """Integrate the driven chain from rest and demodulate each scan point.
 
-    ``model='full'`` integrates the complete nonlinear forces in 3-D;
+    ``model='full'`` integrates the complete nonlinear forces in 3-D (on the
+    coordinates that move: the driven one and z);
     ``model='linearized'`` integrates the stiffness-matrix dynamics of the
     driven direction only (the other directions stay zero at linear order
     for an on-axis chain). Raises :class:`SimulationError` if any ion moves

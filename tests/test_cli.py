@@ -392,6 +392,19 @@ class TestSimulateAndFit:
         assert f"drive.scan_points must be at least 1, got {points}" in capsys.readouterr().err
         assert not spectrum_path.exists()
 
+    @pytest.mark.parametrize("drive, message", [
+        ({"gamma_hz": 0}, "drive.gamma_hz must be positive"),
+        ({"gamma_hz": -1.0}, "drive.gamma_hz must be positive"),
+        ({"measure_cycles": 0}, "need drive.settle_cycles >= 0 and drive.measure_cycles >= 1"),
+    ])
+    def test_malformed_drive_exits_2_naming_the_key(self, tmp_path, capsys, drive, message):
+        data = {**self.CONFIG, "drive": {**self.CONFIG["drive"], **drive}}
+        spectrum_path = tmp_path / "spectrum.csv"
+        config = write_config(tmp_path, data)
+        assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not spectrum_path.exists()
+
     def test_focused_beam_centre_by_ion_index_or_position(self, tmp_path):
         """Either key centres the beam on the same ion, which is then the loudest."""
         z_um = 1e6 * equilibrium_positions(TrapConfig.from_mapping(self.CONFIG["trap"]))[:, 2]
@@ -423,7 +436,7 @@ class TestSimulateAndFit:
         data = {**self.CONFIG, "drive": {**self.CONFIG["drive"], "model": "full",
                                          "steps_per_period": 4}}
         assert cli.main(["simulate", "--config", write_config(tmp_path, data)]) == 2
-        assert "steps_per_period 4 gives fewer than 20 steps" in capsys.readouterr().err
+        assert "drive.steps_per_period 4 gives fewer than 20 steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, message", [
         ("1000,one,1,0\r\n", "malformed row"),
@@ -434,6 +447,9 @@ class TestSimulateAndFit:
          "'amplitude_um': '999'"),
         ("1000,1,1,0\r\n-1000,1,1,0\r\n", "non-positive omega_d_hz in row {'omega_d_hz': '-1000'"),
         ("0,1,1,0\r\n", "non-positive omega_d_hz in row {'omega_d_hz': '0'"),
+        ("1000,1,1,0\r\n1001,1,-0.5,0\r\n",
+         "negative amplitude_um in row {'omega_d_hz': '1001', 'ion_index': '1', "
+         "'amplitude_um': '-0.5'"),
     ])
     def test_unreadable_spectrum_rows_exit_2(self, tmp_path, capsys, rows, message):
         path = tmp_path / "spectrum.csv"
@@ -587,13 +603,16 @@ class TestPipelineCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("drive, message", [
-        ({"settle_cycles": -1}, "need settle_cycles >= 0 and measure_cycles >= 1"),
-        ({"measure_cycles": 0}, "need settle_cycles >= 0 and measure_cycles >= 1"),
-        ({"steps_per_period": 0}, "steps_per_period must be a positive count or None"),
+        ({"settle_cycles": -1}, "need drive.settle_cycles >= 0 and drive.measure_cycles >= 1"),
+        ({"measure_cycles": 0}, "need drive.settle_cycles >= 0 and drive.measure_cycles >= 1"),
+        ({"steps_per_period": 0}, "drive.steps_per_period must be a positive count or None"),
+        ({"gamma_hz": 0}, "drive.gamma_hz must be positive"),
+        ({"scan_points": 8}, "drive.scan_points must be at least 16"),
     ])
     def test_malformed_drive_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch,
                                                       drive, message):
-        """The plan checks its drive as DriveScan does, before any grid point is prepared."""
+        """The plan checks its drive as DriveScan does, before any grid point is prepared,
+        and the error names the config key, not the library field."""
         monkeypatch.setattr(pipeline, "_prepare_point", None)  # never reached
         data = {**self.CONFIG, "drive": {**self.CONFIG["drive"], **drive}}
         out_dir = tmp_path / "run"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tapermode import core, dynamics
 from tapermode.core import (
@@ -290,11 +291,11 @@ class TestFullModelKernel:
     """The component-major full model against the earlier ion-major path."""
 
     @staticmethod
-    def short_scan(config, direction):
+    def short_scan(config, direction, steps_per_period=96):
         freqs = compute_modes(config).frequencies(direction)
         grid = np.linspace(0.97 * freqs[0], 1.03 * freqs[-1], 5)
         return DriveScan(grid, damping_rate=GAMMA, settle_cycles=10, measure_cycles=4,
-                         steps_per_period=96)
+                         steps_per_period=steps_per_period)
 
     @pytest.mark.parametrize("n_ions, direction, kind, funnel_length", [
         (3, "x", "broad", CONFIG.funnel_length),
@@ -303,18 +304,51 @@ class TestFullModelKernel:
         (7, "x", "focused", CONFIG.funnel_length),
         (7, "y", "broad", CONFIG.funnel_length),
         (7, "y", "broad", math.inf),
+        (3, "z", "broad", CONFIG.funnel_length),
+        (3, "z", "focused", math.inf),
+        (5, "z", "focused", CONFIG.funnel_length),
     ])
     def test_matches_reference_path(self, n_ions, direction, kind, funnel_length):
         # distinct radial frequencies, so a drive on the wrong axis shows
         config = CONFIG.replace(
             n_ions=n_ions, funnel_length=funnel_length, omega_y0=1.2 * CONFIG.omega_x0
         )
-        scan = self.short_scan(config, direction)
+        # a z drive scans the axial modes, about ten times slower than the
+        # radial ones, so its resolution floor is 264 steps per period here
+        scan = self.short_scan(config, direction, 288 if direction == "z" else 96)
         beam = BeamSpec(kind, FORCE, direction=direction, waist_radius=17e-6)
         expected = reference_full_spectrum(config, scan, beam)
         got = simulate_spectrum(config, scan, beam, model="full")
         measured = got.amplitude * np.exp(1j * (got.phase - math.pi / 2))
         assert np.max(np.abs(measured - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_ions=st.integers(1, 10),
+        tapered=st.booleans(),
+        direction=st.sampled_from(["x", "y", "z"]),
+        omega_z_khz=st.floats(47.0, 205.0),
+        data=st.data(),
+    )
+    def test_held_rows_are_the_three_row_kernel(self, n_ions, tapered, direction,
+                                                 omega_z_khz, data):
+        """With the idle rows zero, the kernel on the rows the full model holds gives
+        the three-row kernel's rows bit for bit."""
+        config = CONFIG.replace(
+            n_ions=n_ions, omega_z=TWO_PI * omega_z_khz * 1e3, omega_y0=1.2 * CONFIG.omega_x0,
+            funnel_length=CONFIG.funnel_length if tapered else math.inf,
+        )
+        rows = dynamics._held_rows("full", direction)
+        shape = (3, 4, n_ions)
+        x = np.zeros(shape)
+        x[rows] = config.length_scale * data.draw(hnp.arrays(
+            np.float64, (len(rows), *shape[1:]), elements=st.floats(-1e-2, 1e-2)))
+        origin = equilibrium_positions(config).T[:, None, :]
+        omega_sq = _squared_frequencies(config)
+        every = _acceleration_kernel(config, origin, omega_sq, shape)(x)
+        held = _acceleration_kernel(config, origin[rows], omega_sq[rows],
+                                    (len(rows), *shape[1:]))(x[rows])
+        assert np.array_equal(held, every[rows])
 
     def test_single_ion_is_the_damped_oscillator(self):
         """One ion: the full model is the linearized oscillator, step for step.
@@ -462,14 +496,19 @@ class TestGridBatch:
 
     @pytest.mark.parametrize("model", ["linearized", "full"])
     def test_mixed_steps_per_period(self, model):
-        """Three pinned step counts: one lockstep each, in one call."""
+        """Pinned step counts and driven axes: one lockstep per distinct pair, in one call."""
         points = [
             grid_point(47, steps_per_period=96),
             grid_point(205, kind="focused", steps_per_period=128),
             grid_point(120, damping=2 * GAMMA, steps_per_period=192),
+            grid_point(150, "y", kind="focused", steps_per_period=128),
+            grid_point(90, "y", steps_per_period=128),
+            grid_point(100, "z", steps_per_period=288),
+            grid_point(180, "z", kind="focused", steps_per_period=288),
         ]
         spectra = synthesize_spectra(*zip(*points), model)
-        assert [s.steps_per_period for s in spectra] == [96, 128, 192]
+        assert [s.steps_per_period for s in spectra] == [96, 128, 192, 128, 128, 288, 288]
+        assert [s.direction for s in spectra] == list("xxxyyzz")
         self.assert_matches_per_point(points, spectra, model)
         for (table, scan, beam), got in zip(points, spectra):
             solo = simulate_spectrum(table.config, scan, beam, model)
@@ -545,7 +584,8 @@ class TestGridBatch:
 
         monkeypatch.setattr(dynamics, "_integrate", counted)
         whole = synthesize_spectra(*zip(*points), "full")
-        monkeypatch.setattr(dynamics, "_LOCKSTEP_BLOCK_ELEMENTS", 2 * 3 * 3 * 3)
+        # two points of 2 rows (x, z) x 3 scan points x 3 pairs
+        monkeypatch.setattr(dynamics, "_LOCKSTEP_BLOCK_ELEMENTS", 2 * 2 * 3 * 3)
         chunked = synthesize_spectra(*zip(*points), "full")
         assert chunks == [4, 2, 2]
         for a, b in zip(whole, chunked):

@@ -64,6 +64,7 @@ class TestExperimentPlan:
         ({"settle_cycles": -1}, "need settle_cycles >= 0 and measure_cycles >= 1"),
         ({"measure_cycles": 0}, "need settle_cycles >= 0 and measure_cycles >= 1"),
         ({"steps_per_period": 0}, "steps_per_period must be a positive count or None"),
+        ({"damping_rate": 0.0}, "damping_rate must be positive"),
     ])
     def test_drive_checks_are_drive_scans(self, drive, message):
         """Building a plan runs DriveScan's drive checks, with DriveScan's messages."""
