@@ -10,7 +10,7 @@ amplitude and phase. This module inverts that into mode parameters:
    above the higher of its two bases, each the lowest point between it and
    the nearest strictly higher sample on that side. It is computed here in
    linear time with the semantics of ``scipy.signal.peak_prominences`` at
-   ``wlen=None``, so importing this module loads no ``scipy.signal``.
+   ``wlen=None``.
 2. :func:`fit_fixed_centers` — with those centers frozen, fit the complex
    response ``amplitude * exp(i phase)`` of all ions at once with one modal
    sum ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)``. Only the K
@@ -24,8 +24,10 @@ amplitude and phase. This module inverts that into mode parameters:
 
 Fits run on internally normalized data (frequencies in units of the scan
 span, amplitudes scaled by their maximum) so all parameters are O(1)
-regardless of physical units, and use analytic Jacobians with projected
-bounds. Half-widths are floored at one scan step: anything narrower is
+regardless of physical units, and use analytic Jacobians. Every fit is one
+call of :func:`least_squares`, a bounded trust-region Levenberg-Marquardt
+solver written here in numpy, so importing this module loads no scipy.
+Half-widths are floored at one scan step: anything narrower is
 unresolvable by construction and lets a zero-height peak collapse onto a
 single sample.
 
@@ -44,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dynamics import SpectrumResult
 from .errors import AnalysisError
@@ -126,8 +127,9 @@ class SpectrumAnalysis:
 def _at_last_point(evaluate):
     """``evaluate`` computed once per parameter vector, keeping only the latest.
 
-    ``least_squares`` asks for the Jacobian where it last evaluated the
-    residual, so a model that yields both from one pass is computed once.
+    :func:`least_squares` asks for the Jacobian only at a point it has just
+    accepted, the last one whose residual it evaluated, so a model that yields
+    both from one pass is computed once per point.
     """
     last = {}
 
@@ -139,6 +141,189 @@ def _at_last_point(evaluate):
         return last[key]
 
     return cached
+
+
+# -- bounded least squares ----------------------------------------------------
+
+_LSQ_MESSAGES = {
+    0: "The maximum number of function evaluations is exceeded.",
+    1: "`gtol` termination condition is satisfied.",
+    2: "`ftol` termination condition is satisfied.",
+    3: "`xtol` termination condition is satisfied.",
+    4: "Both `ftol` and `xtol` termination conditions are satisfied.",
+}
+
+
+@dataclass(frozen=True, eq=False)
+class LeastSquaresResult:
+    """Outcome of :func:`least_squares`, with scipy's field names and status codes."""
+
+    x: np.ndarray      #: the solution
+    cost: float        #: half the squared residual norm at ``x``
+    jac: np.ndarray    #: the Jacobian at ``x``
+    nfev: int          #: residual evaluations, the first included
+    status: int        #: 0 evaluation cap, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
+
+    @property
+    def success(self) -> bool:
+        return self.status > 0
+
+    @property
+    def message(self) -> str:
+        return _LSQ_MESSAGES[self.status]
+
+
+def least_squares(
+    fun,
+    x0,
+    jac,
+    bounds=(-np.inf, np.inf),
+    x_scale="jac",
+    ftol: float = 1e-8,
+    xtol: float = 1e-8,
+    gtol: float = 1e-8,
+    max_nfev: int | None = None,
+) -> LeastSquaresResult:
+    """Minimize ``0.5 |fun(x)|^2`` over the box ``bounds`` with an analytic ``jac``.
+
+    A trust-region Levenberg-Marquardt method (More, Lect. Notes Math. 630,
+    105 (1978)) in the variables scaled by ``D``: the column norms of the
+    Jacobian, never decreasing (``x_scale="jac"``), or ``1 / x_scale``.
+    Each step ``p`` minimizes ``|J p + f|^2 + lam |D p|^2``, the least-squares
+    solution of the stacked system ``[J; sqrt(lam) D] p = -[f; 0]``, with
+    ``lam`` found by More's safeguarded Newton iteration so that ``|D p|``
+    meets the trust radius. One SVD of the triangular factor of ``J D^-1``
+    gives that solution for every ``lam``; ``J^T J`` is never formed. Bounds
+    are kept by projection (Kanzow, Yamashita & Fukushima, J. Comput. Appl.
+    Math. 172, 375 (2004)): a variable on a bound whose gradient points out
+    of the box is frozen for the step, and the step is clipped to the box.
+    The radius follows More's rule on the ratio of actual to predicted
+    reduction of the clipped step: a quarter of the step below 0.25, twice
+    the step from 0.75 or after a Gauss-Newton step. The stopping tests,
+    their defaults, ``max_nfev = 100 n`` and the status codes are those of
+    ``scipy.optimize.least_squares``, with the gradient test on the
+    projected gradient ``x - clip(x - g)``.
+    """
+    x = np.asarray(x0, dtype=float)
+    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
+    x = np.clip(x, lower, upper)
+    n = x.size
+    max_nfev = 100 * n if max_nfev is None else max_nfev
+    f = fun(x)
+    J = jac(x)
+    nfev = 1
+    cost = 0.5 * (f @ f)
+    jac_scale = isinstance(x_scale, str)
+    if jac_scale:
+        d = np.sqrt(np.sum(J**2, axis=0))
+        d[d == 0.0] = 1.0
+    else:
+        d = np.broadcast_to(1.0 / np.asarray(x_scale, dtype=float), x.shape)
+    radius = float(np.linalg.norm(x * d)) or 1.0
+    lam = 0.0
+    status = None
+    while True:
+        g = J.T @ f
+        if np.max(np.abs(x - np.clip(x - g, lower, upper)), initial=0.0) < gtol:
+            status = 1
+        if status is not None or nfev >= max_nfev:
+            break
+        free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        r = np.linalg.qr(np.column_stack([J[:, free] / d[free], f]), mode="r")
+        r = r[:np.count_nonzero(free)]
+        u, s, vt = np.linalg.svd(r[:, :-1], full_matrices=False)
+        uf = u.T @ r[:, -1]
+        reduction = -1.0
+        while reduction <= 0.0 and nfev < max_nfev:
+            coeffs, lam = _damped_step(s, uf, radius, lam, max(J.shape))
+            step = np.zeros(n)
+            step[free] = (vt.T @ coeffs) / d[free]
+            x_new = np.clip(x + step, lower, upper)
+            step = x_new - x
+            step_norm = float(np.linalg.norm(step * d))
+            f_new = fun(x_new)
+            nfev += 1
+            if not np.all(np.isfinite(f_new)):
+                radius = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * (f_new @ f_new)
+            reduction = cost - cost_new
+            j_step = J @ step
+            predicted = -(g @ step + 0.5 * (j_step @ j_step))
+            if predicted > 0.0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1.0 if predicted == reduction == 0.0 else 0.0
+            if ratio < 0.25:
+                new_radius = 0.25 * step_norm
+            elif ratio >= 0.75 or lam == 0.0:
+                new_radius = 2.0 * step_norm
+            else:
+                new_radius = radius
+            status = _converged(reduction, cost, ratio, np.linalg.norm(step),
+                                np.linalg.norm(x), ftol, xtol)
+            if status is not None:
+                break
+            if new_radius > 0.0:
+                lam *= radius / new_radius
+            radius = new_radius
+        if reduction > 0.0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            if jac_scale:
+                d = np.maximum(d, np.sqrt(np.sum(J**2, axis=0)))
+    return LeastSquaresResult(x=x, cost=float(cost), jac=J, nfev=nfev,
+                              status=0 if status is None else status)
+
+
+def _damped_step(s: np.ndarray, uf: np.ndarray, radius: float, lam: float, rows: int):
+    """Coefficients ``c`` of the step in the right singular basis, and ``lam``.
+
+    ``s`` are the singular values of the scaled Jacobian and ``uf`` the
+    residual in its left singular basis; the step for damping ``lam`` is
+    ``c = -s uf / (s^2 + lam)``. The Gauss-Newton step (``lam = 0``) is
+    taken when it has full rank and fits inside ``radius``. Otherwise More's
+    safeguarded Newton iteration on ``|c(lam)| - radius`` runs from the
+    previous ``lam`` until the norm is within 10 % of the radius.
+    """
+    g = s * uf
+    full_rank = s.size > 0 and s[-1] > np.finfo(float).eps * rows * s[0]
+    if full_rank:
+        c = -uf / s
+        norm = np.linalg.norm(c)
+        if norm <= radius:
+            return c, 0.0
+        low = (norm - radius) * norm / np.sum(c**2 / s**2)  # -phi(0) / phi'(0)
+    else:
+        low = 0.0
+    high = np.linalg.norm(g) / radius
+    for _ in range(10):
+        if not low < lam <= high:
+            lam = max(1e-3 * high, np.sqrt(low * high))
+        denom = s**2 + lam
+        c = -g / denom
+        norm = np.linalg.norm(c)
+        phi = norm - radius
+        if abs(phi) <= 0.1 * radius:
+            break
+        slope = -np.sum(c**2 / denom) / norm
+        if phi < 0.0:
+            high = lam
+        low = max(low, lam - phi / slope)
+        next_lam = lam - (norm / radius) * phi / slope
+        if next_lam == lam:
+            break
+        lam = next_lam
+    return c, lam
+
+
+def _converged(reduction, cost, ratio, step_norm, x_norm, ftol, xtol):
+    """scipy's stopping status for one trial step: 2 ftol, 3 xtol, 4 both, or None."""
+    f_done = reduction < ftol * cost and ratio > 0.25
+    x_done = step_norm < xtol * (xtol + x_norm)
+    if f_done:
+        return 4 if x_done else 2
+    return 3 if x_done else None
 
 
 def _smooth5(y: np.ndarray) -> np.ndarray:
@@ -297,7 +482,6 @@ def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: 
         p0,
         jac=lambda p: _free_jacobian(p, x, n_peaks),
         bounds=(lower, upper),
-        method="trf",
     )
     if not result.success:
         raise AnalysisError(f"Lorentzian fit did not converge: {result.message}")
@@ -394,7 +578,7 @@ def fit_fixed_centers(
     project = _at_last_point(lambda g: _project_residues(g, u, u_k, data))
     result = least_squares(
         lambda g: project(g)[0], g0, jac=lambda g: project(g)[1],
-        bounds=(floor, to_g), x_scale=g0, method="trf",
+        bounds=(floor, to_g), x_scale=g0,
     )
     if not result.success:
         raise AnalysisError(f"residue fit did not converge: {result.message}")
@@ -632,8 +816,7 @@ def fit_profile(
         lambda p: (model(p)[0] - y) / weights,
         p0,
         jac=lambda p: model(p)[1] / weights[:, None],
-        bounds=(lower, upper), x_scale=x_scale,
-        method="trf", ftol=1e-12, xtol=1e-12, gtol=1e-12,
+        bounds=(lower, upper), x_scale=x_scale, ftol=1e-12, xtol=1e-12, gtol=1e-12,
     )
     if not result.success:
         raise AnalysisError(f"profile fit did not converge: {result.message}")

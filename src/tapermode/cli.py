@@ -194,6 +194,8 @@ def beam_spec(data: Mapping, config: TrapConfig, drive: Mapping) -> BeamSpec:
     if section.get("kind", "broad") == "broad":
         return BeamSpec(kind="broad", **beam)
     beam["waist_radius"] = drive["beam_waist"]
+    if not beam["waist_radius"] > 0:
+        raise ConfigError(f"{_PLAN_KEYS['beam_waist']} must be positive")
     if "center_ion_index" in section and "center_z_um" in section:
         raise ConfigError("give center_ion_index or center_z_um, not both")
     if "center_z_um" in section:

@@ -28,11 +28,16 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy import constants
 
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
+
+#: CODATA 2022: atomic mass constant [kg], elementary charge [C] and vacuum
+#: permittivity [F/m], as literals so that importing the package loads no scipy.
+ATOMIC_MASS = 1.66053906892e-27
+ELEMENTARY_CHARGE = 1.602176634e-19
+EPSILON_0 = 8.8541878188e-12
 
 #: Default trap parameters: a three-ion 40Ca+ chain, bare radial frequency
 #: 1.057 MHz, funnel length 1.81 mm, axial frequency 100 kHz.
@@ -41,7 +46,7 @@ DEFAULT_OMEGA_Z = TWO_PI * 100e3
 DEFAULT_OMEGA_X0 = TWO_PI * 1.057e6
 DEFAULT_OMEGA_Y0 = TWO_PI * 1.057e6
 DEFAULT_FUNNEL_LENGTH = 1.81e-3
-DEFAULT_MASS = 40.0 * constants.atomic_mass
+DEFAULT_MASS = 40.0 * ATOMIC_MASS
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -133,12 +138,12 @@ class TrapConfig:
     @property
     def charge(self) -> float:
         """Ion charge q = Z e [C]."""
-        return self.charge_number * constants.elementary_charge
+        return self.charge_number * ELEMENTARY_CHARGE
 
     @property
     def coulomb_coupling(self) -> float:
         """Pairwise Coulomb energy scale q^2 / (4 pi eps0) [J m]."""
-        return self.charge**2 / (4.0 * math.pi * constants.epsilon_0)
+        return self.charge**2 / (4.0 * math.pi * EPSILON_0)
 
     @property
     def omega_x(self) -> float:
@@ -255,7 +260,7 @@ TRAP_KEYS = {
     "omega_x0_hz": ConfigKey(NUMBER, "omega_x0", TWO_PI),
     "omega_y0_hz": ConfigKey(NUMBER, "omega_y0", TWO_PI),
     "funnel_length_mm": ConfigKey((*NUMBER, NULL, "inf"), "funnel_length", 1e-3),
-    "ion_mass_amu": ConfigKey(NUMBER, "mass", constants.atomic_mass),
+    "ion_mass_amu": ConfigKey(NUMBER, "mass", ATOMIC_MASS),
     "charge_multiple": ConfigKey(INTEGER, "charge_number"),
 }
 

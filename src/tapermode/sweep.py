@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import TWO_PI, TrapConfig, check_array_budget
 from .equilibrium import chain_positions_dimensionless, coulomb_matrix
@@ -98,14 +97,90 @@ def assign_columns(reference: np.ndarray, candidate: np.ndarray):
     Maximizes the summed ``|overlap|`` as an assignment problem. Returns
     ``(order, signs, strengths)`` such that ``candidate[:, order] * signs``
     lines up with ``reference`` column-for-column; ``strengths`` are the
-    matched ``|overlap|`` values.
+    matched ``|overlap|`` values. Both matrices are square and the same size.
     """
     overlap = reference.T @ candidate
-    # scipy returns the rows sorted ascending, so ``order`` is the column of
-    # ``candidate`` assigned to each column of ``reference`` in turn.
-    rows, order = linear_sum_assignment(-np.abs(overlap))
-    matched = overlap[rows, order]
+    order = _shortest_augmenting_path(-np.abs(overlap))
+    matched = overlap[np.arange(order.size), order]
     return order, np.where(matched < 0.0, -1.0, 1.0), np.abs(matched)
+
+
+def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
+    """The column assigned to each row of a square ``cost`` at least total cost.
+
+    Crouse's shortest-augmenting-path method (Jonker & Volgenant, Computing
+    38, 325 (1987); Crouse, IEEE TAES 52, 1679 (2016)): each row in turn is
+    added by a Dijkstra search over reduced costs ``cost - u - v``, then
+    the dual potentials u, v are updated and the path is augmented. The
+    columns are scanned in the order, and ties broken by the rule, of
+    ``scipy.optimize.linear_sum_assignment``, so the two return the same
+    assignment on every input: columns start in descending order, a
+    finished column is replaced by the last one still open, and of the
+    columns at the lowest path cost the first scanned wins unless a later
+    one is unassigned, in which case the last such one does.
+
+    Until two rows share their cheapest column, each row's search ends at
+    once on that column (the lowest-index one of a tie) and leaves ``v`` at
+    zero and ``u`` at the row minimum. Those rows are set directly, so a
+    cost whose row minima all lie in different columns, which is then the
+    optimal assignment, needs no search at all.
+    """
+    n = cost.shape[0]
+    col4row = cost.argmin(axis=1)
+    seen = set()
+    for prefix, col in enumerate(col4row.tolist()):
+        if col in seen:
+            break
+        seen.add(col)
+    else:
+        return col4row
+    col4row[prefix:] = -1
+    row4col = np.full(n, -1)
+    row4col[col4row[:prefix]] = np.arange(prefix)
+    u = np.zeros(n)
+    u[:prefix] += cost[np.arange(prefix), col4row[:prefix]]
+    v = np.zeros(n)
+    path = np.full(n, -1)
+    for current in range(prefix, n):
+        shortest = np.full(n, np.inf)
+        seen_rows = np.zeros(n, dtype=bool)
+        seen_cols = np.zeros(n, dtype=bool)
+        remaining = np.arange(n - 1, -1, -1)
+        open_count = n
+        row, lowest, sink = current, 0.0, -1
+        while sink < 0:
+            seen_rows[row] = True
+            cols = remaining[:open_count]
+            reduced = lowest + cost[row, cols] - u[row] - v[cols]
+            shorter = reduced < shortest[cols]
+            path[cols[shorter]] = row
+            shortest[cols[shorter]] = reduced[shorter]
+            lengths = shortest[cols]
+            lowest = lengths.min()
+            ties = np.flatnonzero(lengths == lowest)
+            later_free = ties[1:][row4col[cols[ties[1:]]] < 0]
+            index = later_free[-1] if later_free.size else ties[0]
+            col = cols[index]
+            if row4col[col] < 0:
+                sink = col
+            else:
+                row = row4col[col]
+            seen_cols[col] = True
+            open_count -= 1
+            remaining[index] = remaining[open_count]
+        u[current] += lowest
+        others = seen_rows.copy()
+        others[current] = False
+        u[others] += lowest - shortest[col4row[others]]
+        v[seen_cols] -= lowest - shortest[seen_cols]
+        col = sink
+        while True:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == current:
+                break
+    return col4row
 
 
 def match_columns(previous: np.ndarray, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

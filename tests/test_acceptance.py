@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import eigvalsh
 from scipy.optimize import minimize_scalar
 
-from tapermode import cli
+from tapermode import analysis, cli
 from tapermode.analysis import fit_profile
 from tapermode.core import TWO_PI, TrapConfig, gradient, hessian, potential_energy
 from tapermode.dynamics import (
@@ -352,11 +352,20 @@ def test_08_global_drive_cannot_reach_the_alternating_mode():
     )
 
 
-def test_09_profile_amplitudes_from_monte_carlo_counts():
+def test_09_profile_amplitudes_from_monte_carlo_counts(monkeypatch):
     start = time.perf_counter()
     rng = np.random.default_rng(9)
     sigma = 1.0
     results = {}
+    solves = []  # (nfev, evaluation cap) of each least-squares solve
+    solver = analysis.least_squares
+
+    def counted(fun, x0, jac, **kwargs):
+        result = solver(fun, x0, jac, **kwargs)
+        solves.append((result.nfev, 100 * len(x0)))
+        return result
+
+    monkeypatch.setattr(analysis, "least_squares", counted)
 
     for amplitude, n_samples in ((0.0, 40_000_000), (1.0, 10_000_000), (3.0, 10_000_000)):
         half = amplitude + 4.5 * sigma
@@ -379,11 +388,13 @@ def test_09_profile_amplitudes_from_monte_carlo_counts():
     ok_zero = results[0.0] < 0.05 * sigma
     rel_one = abs(results[1.0] - 1.0)
     rel_three = abs(results[3.0] - 3.0) / 3.0
+    under_cap = len(solves) == 3 and all(nfev < cap for nfev, cap in solves)
     report(
         9,
-        ok_zero and rel_one < 0.02 and rel_three < 0.02 and elapsed < 30.0,
+        ok_zero and rel_one < 0.02 and rel_three < 0.02 and elapsed < 30.0 and under_cap,
         f"A=0 fitted {results[0.0]:.4f} (< 0.05), A=1 error {rel_one:.4f}, "
-        f"A=3 relative error {rel_three:.4f} (each < 0.02), {elapsed:.1f} s",
+        f"A=3 relative error {rel_three:.4f} (each < 0.02), {elapsed:.1f} s, "
+        f"nfev {[nfev for nfev, _ in solves]} (each below its cap)",
     )
 
 

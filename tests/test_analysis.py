@@ -1,5 +1,6 @@
 """Spectrum fitting, eigenvector reconstruction, and profile fitting."""
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad_vec
+from scipy.optimize import least_squares as scipy_least_squares
+from scipy.optimize import lsq_linear
 
+from tapermode import analysis
 from tapermode.analysis import (
     PROFILE_QUAD_RTOL,
     WIDTH_FLOOR_STEPS,
@@ -540,3 +544,179 @@ class TestProfileFit:
             fit_profile(x[:5], y[:5])
         with pytest.raises(AnalysisError, match="not all zero"):
             fit_profile(x, np.zeros_like(y))
+
+
+# -- the bounded least-squares solver -----------------------------------------
+
+def trf(fun, x0, jac, **kwargs):
+    """scipy's trust-region reflective solver, the reference for ``analysis.least_squares``."""
+    return scipy_least_squares(fun, x0, jac=jac, method="trf", **kwargs)
+
+
+def fit_with_trf(monkeypatch, fit, *args, **kwargs):
+    """``fit`` with scipy's ``trf`` in place of the in-house solver."""
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "least_squares", trf)
+        return fit(*args, **kwargs)
+
+
+#: Largest in-house vs trf difference allowed, in units of the fit's own 1-sigma error.
+AGREEMENT = 0.01
+
+
+class TestLeastSquares:
+    def test_reaches_the_minimum_of_box_constrained_linear_problems(self):
+        """Convex problems have one minimum; starts on the bounds included."""
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            m, n = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            a = rng.normal(size=(m, n))
+            b = 3.0 * rng.normal(size=m)
+            lower = np.where(rng.random(n) < 0.7, 0.5 * rng.normal(size=n), -np.inf)
+            upper = np.where(rng.random(n) < 0.5,
+                             np.where(np.isfinite(lower), lower, 0.0) + 0.01
+                             + np.abs(rng.normal(size=n)), np.inf)
+            x0 = np.clip(rng.normal(size=n), lower, upper)
+            if rng.random() < 0.5:
+                x0 = np.where(np.isfinite(lower), lower, x0)
+            result = analysis.least_squares(lambda x: a @ x - b, x0, lambda x: a,
+                                            bounds=(lower, upper))
+            best = lsq_linear(a, b, bounds=(lower, upper), method="bvls").x
+            assert result.success
+            assert np.all((lower <= result.x) & (result.x <= upper))
+            assert result.cost <= 0.5 * np.sum((a @ best - b) ** 2) * (1 + 1e-9) + 1e-15
+            assert result.nfev < 40
+
+    def test_rosenbrock(self):
+        result = analysis.least_squares(
+            lambda p: np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),
+            np.array([-1.2, 1.0]),
+            lambda p: np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]]),
+        )
+        assert result.success
+        assert result.x == pytest.approx([1.0, 1.0], abs=1e-8)
+        assert result.jac.shape == (2, 2)
+
+    def test_status_codes_and_messages(self):
+        def residual(p):
+            return np.array([p[0] - 1.0, p[0] + 1.0])
+
+        def jac(p):
+            return np.array([[1.0], [1.0]])
+
+        capped = analysis.least_squares(residual, [5.0], jac, max_nfev=1)
+        assert (capped.status, capped.success, capped.nfev) == (0, False, 1)
+        assert capped.message == "The maximum number of function evaluations is exceeded."
+        at_minimum = analysis.least_squares(residual, [0.0], jac)
+        assert (at_minimum.status, at_minimum.nfev) == (1, 1)
+        assert at_minimum.message == "`gtol` termination condition is satisfied."
+        assert at_minimum.cost == 1.0
+        solved = analysis.least_squares(residual, [5.0], jac, gtol=0.0)
+        assert solved.success and solved.status in (2, 3, 4)
+        assert solved.x == pytest.approx([0.0], abs=1e-12)
+
+    def test_free_fit_agrees_with_trf(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        grid = np.linspace(6.0e6, 7.0e6, 401)
+        y = synthetic_spectrum(grid, TestFreeFit.CENTERS, TestFreeFit.HWHMS,
+                               TestFreeFit.HEIGHTS, TestFreeFit.OFFSET, rng, noise=0.01)
+        ours = fit_lorentzian_sum(grid, y, 3)
+        reference = fit_with_trf(monkeypatch, fit_lorentzian_sum, grid, y, 3)
+        for value, error in (("centers", "center_errors"), ("hwhms", "hwhm_errors"),
+                             ("heights", "height_errors"), ("offset", "offset_error")):
+            assert np.all(np.abs(getattr(ours, value) - getattr(reference, value))
+                          < AGREEMENT * getattr(ours, error)), value
+
+    def test_width_floor_agrees_with_trf(self, monkeypatch):
+        grid = np.linspace(0.0, 1.0e6, 101)
+        y = np.full(grid.size, 0.01)
+        y[50] = 1.0
+        ours = fit_lorentzian_sum(grid, y, 1)
+        reference = fit_with_trf(monkeypatch, fit_lorentzian_sum, grid, y, 1)
+        assert ours.hwhms[0] == WIDTH_FLOOR_STEPS * (grid[1] - grid[0])
+        assert ours.hwhms == pytest.approx(reference.hwhms, rel=1e-9)
+        assert abs(ours.heights[0] - reference.heights[0]) < AGREEMENT * ours.height_errors[0]
+        assert abs(ours.offset - reference.offset) < AGREEMENT * ours.offset_error
+
+    def test_zero_height_lorentzian_agrees_with_trf(self):
+        """A third peak pinned on a dip cannot help the fit: its height stays at 0."""
+        x = np.linspace(0.0, 1.0, 401)
+        rng = np.random.default_rng(0)
+        y = (lorentzian_sum(x, [0.3, 0.6], [0.03, 0.04], [1.0, 0.5], 0.05)
+             - 0.2 / (1.0 + ((x - 0.45) / 0.01) ** 2) + 1e-3 * rng.standard_normal(x.size))
+        p0 = np.array([0.3, 0.03, 1.0, 0.6, 0.04, 0.5, 0.45, 0.01, 0.1, 0.05])
+        lower = np.array([0.0, x[1], 0.0] * 3 + [0.0])
+        upper = np.array([1.0, 1.0, np.inf] * 3 + [np.inf])
+        lower[6:8], upper[6:8] = p0[6:8], p0[6:8] * (1.0 + 1e-12)
+
+        def residual(p):
+            return _free_model(p, x, 3) - y
+
+        def jac(p):
+            return _free_jacobian(p, x, 3)
+
+        ours = analysis.least_squares(residual, p0, jac, bounds=(lower, upper))
+        reference = trf(residual, p0, jac, bounds=(lower, upper))
+        assert ours.success and reference.success
+        assert ours.x[8] == 0.0
+        fitted = np.r_[0:6, 8, 9]  # the pinned center and width have no error
+        errors = analysis._errors_from_jacobian(ours, np.ones(10))[fitted]
+        assert np.all(np.abs(ours.x - reference.x)[fitted] < AGREEMENT * errors)
+
+    def test_damping_at_the_floor_agrees_with_trf(self, monkeypatch):
+        grid = np.linspace(2.0e5, 1.0e6, 301)
+        step = grid[1] - grid[0]
+        centers = np.array([4.0e5, 7.0e5])
+        gammas = np.array([gamma_of(0.2 * step), gamma_of(3.0e4)])
+        heights = np.array([[1.0e-6, 0.5e-6], [0.3e-6, -2.0e-6]])
+        z = modal_response(grid, centers, gammas, heights * gammas * centers)
+        rng = np.random.default_rng(0)
+        z = z + 1e-3 * np.abs(z).max() * (rng.standard_normal(z.shape)
+                                          + 1j * rng.standard_normal(z.shape))
+        hwhms = np.array([2.0 * step, 3.0e4])
+        ours = fit_fixed_centers(grid, z, centers, hwhms)
+        reference = fit_with_trf(monkeypatch, fit_fixed_centers, grid, z, centers, hwhms)
+        assert ours.hwhms[0] == pytest.approx(WIDTH_FLOOR_STEPS * step, rel=1e-12)
+        assert ours.hwhms == pytest.approx(reference.hwhms, rel=1e-8)
+        assert np.all(np.abs(ours.heights - reference.heights) < AGREEMENT * ours.height_errors)
+
+    @pytest.mark.parametrize("amplitude, seed", [(3.0, 0), (0.0, 1)])
+    def test_profile_fit_agrees_with_trf(self, monkeypatch, amplitude, seed):
+        """Poisson counts; at A = 0 the amplitude sits on its bound."""
+        x, y = TestProfileFit().make_profile(amplitude, total=20000.0)
+        width = x[1] - x[0]
+        counts = np.random.default_rng(seed).poisson(y * width) / width
+        ours = fit_profile(x, counts, psf_sigma=1.0)
+        reference = fit_with_trf(monkeypatch, fit_profile, x, counts, psf_sigma=1.0)
+        if amplitude > 0:
+            assert abs(ours.amplitude - reference.amplitude) < AGREEMENT * ours.amplitude_error
+        else:
+            # d(density)/dA vanishes at A = 0, so the error there says nothing
+            assert ours.amplitude == 0.0
+            assert reference.amplitude < 1e-9
+        for name in ("center", "baseline", "density_scale"):
+            assert getattr(ours, name) == pytest.approx(getattr(reference, name), rel=1e-7)
+
+    @pytest.mark.parametrize("fit, message", [
+        ("free", "Lorentzian fit did not converge"),
+        ("fixed", "residue fit did not converge"),
+        ("profile", "profile fit did not converge"),
+    ])
+    def test_failed_solve_raises_with_the_solver_message(self, monkeypatch, fit, message):
+        solver = analysis.least_squares
+        monkeypatch.setattr(analysis, "least_squares",
+                            lambda *args, **kwargs: solver(*args, **kwargs, max_nfev=1))
+        expected = f"{message}: The maximum number of function evaluations is exceeded."
+        grid = np.linspace(6.0e6, 7.0e6, 401)
+        y = synthetic_spectrum(grid, TestFreeFit.CENTERS, TestFreeFit.HWHMS,
+                               TestFreeFit.HEIGHTS, TestFreeFit.OFFSET)
+        with pytest.raises(AnalysisError, match=f"^{re.escape(expected)}$"):
+            if fit == "free":
+                fit_lorentzian_sum(grid, y, 3)
+            elif fit == "fixed":
+                fit_fixed_centers(grid, modal_response(grid, TestFreeFit.CENTERS,
+                                                       gamma_of(TestFreeFit.HWHMS),
+                                                       np.eye(3)), TestFreeFit.CENTERS,
+                                  1.2 * TestFreeFit.HWHMS)
+            else:
+                fit_profile(*TestProfileFit().make_profile(1.0), psf_sigma=1.0)

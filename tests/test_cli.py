@@ -690,6 +690,17 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("waist_um", [0, -5.0])
+    def test_focused_beam_without_a_waist_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                                 command, waist_um):
+        data = {"sweep": {"points": 2}, "beam": {"kind": "focused", "waist_um": waist_um}}
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: beam.waist_um must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_oversize_pair_arrays_exit_2(self, tmp_path, capsys, monkeypatch, command):
         """16 scan points x 3 pairs of full-model separations over a lowered budget."""
         data = {"sweep": {"points": 2}, "drive": {"scan_points": 16, "model": "full"},

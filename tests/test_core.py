@@ -64,6 +64,12 @@ def dense_gradient(config, positions):
 
 
 class TestTrapConfig:
+    def test_physical_constants_equal_scipy(self):
+        """The package's CODATA literals are the values of ``scipy.constants``."""
+        assert core.ATOMIC_MASS == constants.atomic_mass
+        assert core.ELEMENTARY_CHARGE == constants.elementary_charge
+        assert core.EPSILON_0 == constants.epsilon_0
+
     def test_defaults_are_valid(self):
         config = TrapConfig()
         assert config.n_ions == 3

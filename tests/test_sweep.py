@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from tapermode import sweep
@@ -16,6 +17,7 @@ from tapermode.modes import compute_modes, participation_ratio
 from tapermode.sweep import (
     THREE_ION_LABELS,
     TRACKING_OVERLAP_MIN,
+    assign_columns,
     match_columns,
     run_sweep,
 )
@@ -104,6 +106,73 @@ def highest_omega_z(config, direction):
     bare = config.omega_x0 if direction == "x" else config.omega_y0
     beta2 = -1.0 / kappa_min
     return min(limit, bare * math.sqrt(beta2 / (1.0 + beta2 / 2.0)))
+
+
+def scipy_assign_columns(reference, candidate):
+    """``assign_columns`` by ``scipy.optimize.linear_sum_assignment``, the reference."""
+    overlap = reference.T @ candidate
+    rows, order = linear_sum_assignment(-np.abs(overlap))
+    matched = overlap[rows, order]
+    return order, np.where(matched < 0.0, -1.0, 1.0), np.abs(matched)
+
+
+class TestAssignColumns:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 12),
+        values=st.sampled_from(["continuous", "ties"]),
+        collisions=st.integers(0, 3),
+    )
+    def test_equals_scipy(self, data, n, values, collisions):
+        """Same order, signs and strengths as scipy on any square overlap matrix.
+
+        With ``reference`` the identity the overlap is ``candidate`` itself.
+        Small-integer entries make ties; ``collisions`` rows are given their
+        largest |overlap| in a column another row already peaks in, so the
+        row-wise argmax is not a permutation and the path search runs.
+        """
+        elements = (st.floats(-1.0, 1.0, allow_subnormal=False) if values == "continuous"
+                    else st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+        candidate = data.draw(hnp.arrays(float, (n, n), elements=elements))
+        if n > 1:
+            for row in data.draw(st.lists(st.integers(0, n - 1), max_size=collisions)):
+                col = int(np.argmax(np.abs(candidate[(row + 1) % n])))
+                candidate[row, col] = data.draw(st.sampled_from([-2.0, 2.0]))
+        got = assign_columns(np.eye(n), candidate)
+        want = scipy_assign_columns(np.eye(n), candidate)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_equals_scipy_on_rotated_frames(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 13):
+            reference, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            for mixing in (0.1, 0.5, 2.0):
+                candidate, _ = np.linalg.qr(reference + mixing * rng.normal(size=(n, n)))
+                got = assign_columns(reference, candidate)
+                want = scipy_assign_columns(reference, candidate)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
+    def test_long_chain_sweep_with_a_collision_equals_scipy_tracking(self, monkeypatch):
+        """The N = 30 survey grid has a step whose row-wise best overlaps collide,
+        so the search runs, and the sweep equals, bit for bit, the one tracked by
+        scipy's assignment."""
+        config = TrapConfig(n_ions=30)
+        grid = TWO_PI * np.linspace(21e3, 81e3, 400)
+        costs = []
+        solver = sweep._shortest_augmenting_path
+        monkeypatch.setattr(sweep, "_shortest_augmenting_path",
+                            lambda cost: costs.append(cost) or solver(cost))
+        result = run_sweep(config, grid, "x")
+        assert any(np.unique(cost.argmin(axis=1)).size < cost.shape[0] for cost in costs)
+        monkeypatch.setattr(sweep, "assign_columns", scipy_assign_columns)
+        expected = run_sweep(config, grid, "x")
+        assert result.labels == expected.labels
+        for name in ("omega_z", "eigenvalues", "frequencies", "vectors", "participation",
+                     "linear_frequencies"):
+            assert np.array_equal(getattr(result, name), getattr(expected, name)), name
 
 
 class TestMatchColumns:
