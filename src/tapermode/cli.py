@@ -18,8 +18,8 @@ Conventions
 The config file is a JSON object with optional sections ``trap``, ``sweep``,
 ``drive``, ``beam``, ``analysis`` and ``pipeline``, checked whole against
 :data:`SCHEMA`: unknown keys are rejected by name, and each value must have
-its key's JSON type. An integer is a JSON integer (not ``12.0``), a number an
-integer or float, neither a bool or a string; only ``trap.funnel_length_mm``
+its key's JSON type. An integer is a JSON integer (not ``12.0``), a number a
+finite integer or float, neither a bool or a string; only ``trap.funnel_length_mm``
 (also ``"inf"``), ``drive.steps_per_period`` and ``analysis.noise_seed`` take
 null. Omitted keys take the library's defaults, except that ``simulate``
 drives at Γ = 2π·1000 Hz over 200 scan points, ``pipeline`` at 400 Hz over 800.
@@ -33,8 +33,9 @@ import logging
 import re
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -234,13 +235,34 @@ def _write_json(obj: dict, out: str | None) -> None:
     _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
 
 
-def _csv_text(header: list[str], lines: Iterable[str]) -> str:
-    """CSV text: the header row, then the comma-joined data ``lines``, CRLF-terminated.
+def _cell_format(cell) -> str:
+    """The ``%`` format of a CSV cell: floats as :func:`_fmt` writes them, integers in
+    decimal, anything else (labels, preformatted numbers) as its ``str``."""
+    if isinstance(cell, float):
+        return "%" + FLOAT_FORMAT
+    return "%d" if isinstance(cell, int) else "%s"
 
-    Nothing is quoted. No column name, label or ``_fmt`` number holds a
-    comma, quote or line break, so the bytes equal what ``csv.writer`` writes.
+
+def _csv_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """CSV text: the header row, then one row per cell of the equal-length
+    ``columns`` (arrays or lists), CRLF-terminated, with one ``%`` per table.
+
+    The row template takes each column's format from its first cell
+    (:func:`_cell_format`) and is repeated once per row; the cells, taken row
+    by row, fill it in one ``%``. Nothing is quoted. No column name, label or
+    number holds a comma, quote or line break, so the bytes equal what
+    ``csv.writer`` writes of the ``_fmt``-formatted cells.
     """
-    return "\r\n".join([",".join(header), *lines, ""])
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    n_rows = len(columns[0])
+    row = ",".join(_cell_format(c[0]) for c in columns) + "\r\n" if n_rows else ""
+    cells = tuple(chain.from_iterable(zip(*columns, strict=True)))
+    return ",".join(header) + "\r\n" + (row * n_rows) % cells
+
+
+def _repeated(cells: Iterable, n: int) -> list:
+    """Each cell ``n`` times over: a column whose value holds for ``n`` rows at a time."""
+    return [cell for cell in cells for _ in range(n)]
 
 
 def _ion_columns(n_ions: int) -> list[str]:
@@ -248,17 +270,15 @@ def _ion_columns(n_ions: int) -> list[str]:
 
 
 def _spectrum_csv(spectrum: SpectrumResult) -> str:
-    """The spectrum as CSV text, one row per (drive frequency, ion), one f-string each."""
-    rows = [
-        f"{freq},{i},{amp:{FLOAT_FORMAT}},{phase:{FLOAT_FORMAT}}"
-        for freq, amps, phases in zip(
-            map(_fmt, (spectrum.drive_frequencies / TWO_PI).tolist()),
-            (spectrum.amplitude * 1e6).tolist(),
-            spectrum.phase.tolist(),
-        )
-        for i, amp, phase in zip(range(1, spectrum.n_ions + 1), amps, phases)
-    ]
-    return _csv_text(["omega_d_hz", "ion_index", "amplitude_um", "phase_rad"], rows)
+    """The spectrum as CSV text, one row per (drive frequency, ion); each
+    frequency is formatted once and repeated for every ion."""
+    n = spectrum.n_ions
+    return _csv_table(
+        ["omega_d_hz", "ion_index", "amplitude_um", "phase_rad"],
+        [_repeated(map(_fmt, (spectrum.drive_frequencies / TWO_PI).tolist()), n),
+         list(range(1, n + 1)) * spectrum.drive_frequencies.size,
+         (spectrum.amplitude * 1e6).ravel(), spectrum.phase.ravel()],
+    )
 
 
 # -- subcommands --------------------------------------------------------------
@@ -269,8 +289,8 @@ def cmd_equilibrium(args) -> int:
     u = chain_positions_dimensionless(config.n_ions)
     scale = config.length_scale
     log.info("solved %d-ion chain, length scale %.6g um", config.n_ions, scale * 1e6)
-    lines = (f"{i + 1},{_fmt(ui)},{_fmt(ui * scale * 1e6)}" for i, ui in enumerate(u))
-    _write_text(_csv_text(["ion_index", "u", "z0_um"], lines), args.out)
+    columns = [list(range(1, u.size + 1)), u, u * scale * 1e6]
+    _write_text(_csv_table(["ion_index", "u", "z0_um"], columns), args.out)
     return 0
 
 
@@ -278,17 +298,15 @@ def cmd_modes(args) -> int:
     data = load_config(args.config)
     config = trap_config(data)
     table = compute_modes(config)
-    rows = zip(DIRECTIONS, table.all_eigenvalues.tolist(), table.all_frequencies.tolist(),
-               table.all_participation.tolist(), np.swapaxes(table.all_vectors, 1, 2))
-    lines = (
-        ",".join([direction, str(k + 1), _fmt(value), _fmt(freq / TWO_PI), _fmt(ratio),
-                  *map(_fmt, vector)])
-        for direction, *modes in rows
-        for k, (value, freq, ratio, vector) in enumerate(zip(*modes))
-    )
-    header = ["direction", "mode_index", "gamma", "frequency_hz", "PR",
-              *_ion_columns(config.n_ions)]
-    _write_text(_csv_text(header, lines), args.out)
+    n = config.n_ions
+    columns = [
+        _repeated(DIRECTIONS, n), list(range(1, n + 1)) * len(DIRECTIONS),
+        table.all_eigenvalues.ravel(), (table.all_frequencies / TWO_PI).ravel(),
+        table.all_participation.ravel(),
+        *np.swapaxes(table.all_vectors, 1, 2).reshape(-1, n).T,
+    ]
+    header = ["direction", "mode_index", "gamma", "frequency_hz", "PR", *_ion_columns(n)]
+    _write_text(_csv_table(header, columns), args.out)
     return 0
 
 
@@ -297,18 +315,17 @@ def cmd_sweep(args) -> int:
     config = trap_config(data)
     grid, linear_reference = sweep_settings(data)
     result = run_sweep(config, grid, direction=beam_axis(data))
-    rows = zip(result.omega_z.tolist(), result.frequencies.tolist(),
-               np.swapaxes(result.vectors, 1, 2), result.participation.tolist(),
-               result.linear_frequencies.tolist())
-    lines = (
-        ",".join([_fmt(omega_z / TWO_PI), label, _fmt(freq / TWO_PI), *map(_fmt, vector),
-                  _fmt(ratio), _fmt(linear / TWO_PI) if linear_reference else ""])
-        for omega_z, *modes in rows
-        for label, freq, vector, ratio, linear in zip(result.labels, *modes)
-    )
-    header = ["omega_z_hz", "mode_label", "frequency_hz", *_ion_columns(config.n_ions),
+    n = config.n_ions
+    columns = [
+        _repeated(map(_fmt, (result.omega_z / TWO_PI).tolist()), n),
+        list(result.labels) * result.omega_z.size, (result.frequencies / TWO_PI).ravel(),
+        *np.moveaxis(result.vectors, 1, 0).reshape(n, -1), result.participation.ravel(),
+        (result.linear_frequencies / TWO_PI).ravel() if linear_reference
+        else [""] * result.frequencies.size,
+    ]
+    header = ["omega_z_hz", "mode_label", "frequency_hz", *_ion_columns(n),
               "PR", "linear_reference_frequency_hz"]
-    _write_text(_csv_text(header, lines), args.out)
+    _write_text(_csv_table(header, columns), args.out)
     return 0
 
 
@@ -464,27 +481,25 @@ def cmd_pipeline(args) -> int:
     _write_json(report.to_json_dict(), str(out_dir / "report.json"))
 
     ions = _ion_columns(config.n_ions)
-    fits = (
-        ",".join([_fmt(point.omega_z / TWO_PI), point.beam, str(j + 1),
-                  _fmt(point.fitted_frequencies[j] / TWO_PI),
-                  _fmt(point.fitted_hwhms[j] / TWO_PI),
-                  *map(_fmt, point.fitted_components[:, j])])
-        for point in report.points
-        for j in range(point.fitted_frequencies.size)
-    )
+    fitted = [(p, j) for p in report.points for j in range(p.fitted_frequencies.size)]
+    fits = [
+        [p.omega_z / TWO_PI for p, _ in fitted], [p.beam for p, _ in fitted],
+        [j + 1 for _, j in fitted], [p.fitted_frequencies[j] / TWO_PI for p, j in fitted],
+        [p.fitted_hwhms[j] / TWO_PI for p, j in fitted],
+        *np.array([p.fitted_components[:, j] for p, j in fitted]).T,
+    ]
     _write_text(
-        _csv_text(["omega_z_hz", "beam", "mode_index", "frequency_hz", "hwhm_hz", *ions], fits),
+        _csv_table(["omega_z_hz", "beam", "mode_index", "frequency_hz", "hwhm_hz", *ions], fits),
         str(out_dir / "fits.csv"),
     )
-    theory = (
-        ",".join([_fmt(point.omega_z / TWO_PI), str(j + 1),
-                  _fmt(point.theory_frequencies[j] / TWO_PI),
-                  *map(_fmt, point.theory_components[:, j])])
-        for point in report.points
-        for j in range(point.theory_frequencies.size)
-    )
+    predicted = [(p, j) for p in report.points for j in range(p.theory_frequencies.size)]
+    theory = [
+        [p.omega_z / TWO_PI for p, _ in predicted], [j + 1 for _, j in predicted],
+        [p.theory_frequencies[j] / TWO_PI for p, j in predicted],
+        *np.array([p.theory_components[:, j] for p, j in predicted]).T,
+    ]
     _write_text(
-        _csv_text(["omega_z_hz", "mode_index", "frequency_hz", *ions], theory),
+        _csv_table(["omega_z_hz", "mode_index", "frequency_hz", *ions], theory),
         str(out_dir / "theory.csv"),
     )
     for k, point in enumerate(report.points):

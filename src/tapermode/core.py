@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -232,7 +233,12 @@ class ConfigKey(NamedTuple):
 
 def check_section(name: str, data: Mapping[str, Any], keys: Mapping[str, ConfigKey]) -> None:
     """Raise :class:`ConfigError` unless config section ``name`` holds only
-    ``keys``, each with a value of one of its types."""
+    ``keys``, each with a value of one of its types, and every number finite.
+
+    ``json.load`` reads ``NaN``, ``Infinity`` and an overflowing literal such
+    as ``1e400`` as float nan or inf, and a long integer literal as an int no
+    float can hold; a key that takes floats rejects them all.
+    """
     unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
@@ -241,6 +247,8 @@ def check_section(name: str, data: Mapping[str, Any], keys: Mapping[str, ConfigK
         if type(value) not in types and value not in types:  # a type, or a literal string
             expected = " or ".join(_TYPE_NAMES.get(t) or json.dumps(t) for t in types)
             raise ConfigError(f"{name}.{key} must be {expected}, got {json.dumps(value)}")
+        if float in types and type(value) in NUMBER and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name}.{key} must be a finite number, got {json.dumps(value)}")
 
 
 def section_fields(data: Mapping[str, Any], keys: Mapping[str, ConfigKey]) -> dict[str, Any]:

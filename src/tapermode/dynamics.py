@@ -83,8 +83,9 @@ from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError, TapermodeError
 from .modes import ModeTable, compute_modes, coupling_matrix, reference_frequency
 
-#: Hard floor on temporal resolution: the fastest period in the system
-#: (drive or mode) must be covered by at least this many steps.
+#: Hard floor on temporal resolution: the fastest period of the drive and
+#: of the modes of the integrated coordinates must be covered by at least
+#: this many steps.
 MIN_STEPS_PER_FASTEST_PERIOD = 20
 
 #: Steps per drive period used when a scan pins none.
@@ -465,11 +466,12 @@ def synthesize_spectra(
 
     Entry i drives ``tables[i].config`` with ``beams[i]`` over ``scans[i]``;
     ``tables[i]`` is its solved :func:`tapermode.modes.compute_modes` table,
-    whose fastest mode in any direction sets the time-domain resolution
-    floor. ``'response'`` evaluates the closed-form modal sum point by point.
-    ``'linearized'`` and ``'full'`` integrate the equations of motion from
-    rest, all grid points in lockstep (see the module docstring), with
-    exactly the steps each point would take alone.
+    whose fastest mode in the coordinates the model integrates
+    (:func:`_held_rows`), or the drive if faster, sets the time-domain
+    resolution floor. ``'response'`` evaluates the closed-form modal sum
+    point by point. ``'linearized'`` and ``'full'`` integrate the equations
+    of motion from rest, all grid points in lockstep (see the module
+    docstring), with exactly the steps each point would take alone.
 
     A point that fails (a step request below the resolution floor, full-model
     pair arrays over ``core.MAX_ARRAY_BYTES``, a trajectory that diverges)
@@ -489,7 +491,7 @@ def synthesize_spectra(
                 continue
             if source == "full":
                 check_pair_budget(table.config.n_ions, (scan.drive_frequencies.size,))
-            omega_fast = float(table.all_frequencies.max())
+            omega_fast = float(table.all_frequencies[_held_rows(source, beam.direction)].max())
             spp = _steps_per_period(scan, max(omega_fast, float(np.max(scan.drive_frequencies))))
         except TapermodeError as exc:
             results[i] = exc

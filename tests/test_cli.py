@@ -257,12 +257,45 @@ def test_spectrum_csv_matches_the_csv_writer_loop(n_ions):
     amplitude[0, 0] = 0.0
     phase = rng.uniform(-math.pi, math.pi, (40, n_ions))
     phase[1, -1] = math.pi
+    amplitude[2, 0] = math.nan
+    phase[3, 0] = -0.0
+    phase[4, -1] = 5e-324
+    amplitude[5, -1] = 2.5e-310
     spectrum = SpectrumResult(
         drive_frequencies=TWO_PI * np.linspace(40e3, 2.1e6, 40),
         amplitude=amplitude, phase=phase, direction="x", damping_rate=1.0,
         model="response", steps_per_period=None, settle_cycles=0, measure_cycles=1,
     )
     assert cli._spectrum_csv(spectrum).encode() == csv_writer_spectrum_rows(spectrum).encode()
+
+
+#: Cells of each column kind of a table: every float64, and int64 integers.
+TABLE_CELLS = {
+    "float": (st.floats(width=64), np.float64),
+    "integer": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "string": (st.text("abcxyz_-+.:%0123456789", max_size=8), None),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(TABLE_CELLS)), min_size=2, max_size=7),
+    as_arrays=st.booleans(),
+    data=st.data(),
+)
+def test_csv_table_matches_the_csv_writer(kinds, as_arrays, data):
+    """One ``%`` over a table of 1-50 rows writes what ``csv.writer`` writes of its
+    ``_fmt``-formatted cells: every float64, nan, ±inf, ±0.0 and subnormals included."""
+    rows = data.draw(st.lists(st.tuples(*(TABLE_CELLS[k][0] for k in kinds)),
+                              min_size=1, max_size=50))
+    header = [f"c{j}" for j in range(len(kinds))]
+    columns = [list(column) for column in zip(*rows)]
+    if as_arrays:
+        columns = [c if TABLE_CELLS[k][1] is None else np.array(c, TABLE_CELLS[k][1])
+                   for c, k in zip(columns, kinds)]
+    expected = csv_writer_text(
+        header, ([cli._fmt(v) if isinstance(v, float) else v for v in row] for row in rows))
+    assert cli._csv_table(header, columns) == expected
 
 
 #: Largest relative change of a value written with FLOAT_FORMAT's 12
@@ -753,8 +786,8 @@ SCHEMA_KEY_TYPES = {
 WRONG_VALUES = {
     "integer": ["3", 2.5, 12.0, True, None, [1]],
     "integer or null": ["3", 2.5, True, [1]],
-    "number": ["30", True, None, [1.0]],
-    "length": ["1.81", "Infinity", True, [1.81]],
+    "number": ["30", True, None, [1.0], math.inf, -math.inf, math.nan],
+    "length": ["1.81", "Infinity", True, [1.81], math.inf, -math.inf, math.nan],
     "boolean": ["false", 1, None, [True]],
     "choice": ["bogus", 1, True, None, ["x"]],
 }
@@ -790,6 +823,24 @@ class TestConfigSchema:
             assert f"error: {section}.{key} must be " in err
             assert f"got {json.dumps(value)}" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("equilibrium", '{"trap": {"ion_mass_amu": 1e400}}', "trap.ion_mass_amu"),
+        ("pipeline", '{"drive": {"gamma_hz": 1e400}}', "drive.gamma_hz"),
+        ("simulate", '{"beam": {"kind": "focused", "waist_um": 1e400}}', "beam.waist_um"),
+        ("simulate", '{"beam": {"center_z_um": -1e400}}', "beam.center_z_um"),
+        ("modes", '{"trap": {"omega_z_hz": 1%s}}' % ("0" * 400), "trap.omega_z_hz"),
+    ], ids=["mass-1e400", "gamma-1e400", "waist-1e400", "center--1e400", "omega-10^400"])
+    def test_overflowing_literals_exit_2_before_any_work(self, tmp_path, capsys, command,
+                                                         text, message):
+        """``json.load`` reads 1e400 as inf and a 401-digit integer as an int no float holds."""
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert re.fullmatch(rf"error: {message} must be a finite number, got -?(Infinity|10+)", err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [1.81, 2, None, "inf"])
     def test_funnel_length_takes_numbers_null_and_inf(self, tmp_path, value):

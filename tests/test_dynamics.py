@@ -313,8 +313,7 @@ class TestFullModelKernel:
         config = CONFIG.replace(
             n_ions=n_ions, funnel_length=funnel_length, omega_y0=1.2 * CONFIG.omega_x0
         )
-        # a z drive scans the axial modes, about ten times slower than the
-        # radial ones, so its resolution floor is 264 steps per period here
+        # a z drive pins 288 steps per period, over its axial modes' floor
         scan = self.short_scan(config, direction, 288 if direction == "z" else 96)
         beam = BeamSpec(kind, FORCE, direction=direction, waist_radius=17e-6)
         expected = reference_full_spectrum(config, scan, beam)
@@ -350,6 +349,18 @@ class TestFullModelKernel:
                                     (len(rows), *shape[1:]))(x[rows])
         assert np.array_equal(held, every[rows])
 
+    @pytest.mark.parametrize("model", ["linearized", "full"])
+    def test_z_drive_floor_ignores_the_radial_modes(self, model):
+        """A z drive integrates z alone, so the radial modes, about ten times
+        faster than the axial ones, set no floor: it keeps the default steps."""
+        config = CONFIG.replace(n_ions=3, omega_y0=1.2 * CONFIG.omega_x0)
+        assert config.omega_z == TWO_PI * 100e3
+        assert np.max(compute_modes(config).all_frequencies) > 5 * config.omega_z
+        scan = self.short_scan(config, "z", None)
+        beam = BeamSpec("broad", FORCE, direction="z")
+        got = simulate_spectrum(config, scan, beam, model=model)
+        assert got.steps_per_period == dynamics.DEFAULT_STEPS_PER_PERIOD == 96
+
     def test_single_ion_is_the_damped_oscillator(self):
         """One ion: the full model is the linearized oscillator, step for step.
 
@@ -379,7 +390,7 @@ def per_point_spectrum(config, scan, beam, model):
     r0 = equilibrium_positions(config)
     table = compute_modes(config)
     omega_fast = max(
-        float(np.max(table.all_frequencies)),
+        float(np.max(table.all_frequencies[dynamics._held_rows(model, beam.direction)])),
         float(np.max(scan.drive_frequencies)),
     )
     spp = dynamics._steps_per_period(scan, omega_fast)
