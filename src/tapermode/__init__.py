@@ -34,14 +34,11 @@ from .core import (
 from .dynamics import (
     BeamSpec,
     DriveScan,
-    RingDown,
     SpectrumResult,
     beam_weights,
     linear_response_spectrum,
-    ring_down,
     simulate_spectrum,
     synthesize_spectra,
-    total_energy,
     wrap_phase,
 )
 from .equilibrium import chain_positions_dimensionless, equilibrium_positions
@@ -86,7 +83,6 @@ __all__ = [
     "PointResult",
     "ProfileFit",
     "ReproductionReport",
-    "RingDown",
     "SimulationError",
     "SolverError",
     "SpectrumAnalysis",
@@ -113,14 +109,12 @@ __all__ = [
     "participation_ratio",
     "potential_energy",
     "reconstruct_eigenvectors",
-    "ring_down",
     "run_experiment",
     "run_sweep",
     "select_beam",
     "simulate_spectrum",
     "site_frequencies",
     "synthesize_spectra",
-    "total_energy",
     "wrap_phase",
     "__version__",
 ]

@@ -30,6 +30,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import re
 import sys
 from contextlib import contextmanager
@@ -378,7 +379,7 @@ def _read_spectrum_csv(path: str, direction: str) -> SpectrumResult:
                     cell = (float(row["amplitude_um"]), float(row["phase_rad"]))
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{path}: malformed row {row}: {exc}") from exc
-                if not np.all(np.isfinite((freq, *cell))):
+                if not all(map(math.isfinite, (freq, *cell))):
                     raise ConfigError(f"{path}: non-finite value in row {row}")
                 if not freq > 0:
                     raise ConfigError(f"{path}: non-positive omega_d_hz in row {row}")

@@ -67,7 +67,10 @@ def check_array_budget(what: str, shape: tuple[int, ...]) -> None:
 
 def check_pair_budget(n_ions: int, batch: tuple[int, ...] = ()) -> None:
     """Raise :class:`ConfigError` if the force kernel's incidence matrix [N, P] or the
-    separations [3, *batch, P] of its P = N(N-1)/2 pairs in ``batch`` chains are over budget."""
+    separations [3, *batch, P] of its P = N(N-1)/2 pairs in ``batch`` chains are over budget.
+
+    Three rows is the most a caller holds: :func:`gradient` holds x, y and z;
+    the time-domain lockstep holds two at most, the driven axis and z."""
     pairs = n_ions * (n_ions - 1) // 2
     check_array_budget(f"the pair incidence matrix of {n_ions} ions", (n_ions, pairs))
     check_array_budget(f"the pair separations of {math.prod(batch)} chains of {n_ions} ions",
@@ -345,8 +348,9 @@ def _acceleration_kernel(
 
     and the trap term is ``-W r`` plus the taper cross terms
     ``-2 W_c r_c z / L`` on each transverse row c and
-    ``-sum_c W_c r_c^2 / L`` on z. Every constant is built here, once, and
-    broadcast to full size, so a call is a short run of same-shape array
+    ``-sum_c W_c r_c^2 / L`` on z. Every constant is built here, once per
+    :func:`gradient` call or time-domain lockstep (the kernel's two callers),
+    and broadcast to full size, so a call is a short run of same-shape array
     operations. N = 1 has no pairs and gives the trap term alone.
     Over-budget pair arrays raise :class:`ConfigError`.
     """

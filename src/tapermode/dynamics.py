@@ -9,14 +9,20 @@ The weights come from a :class:`BeamSpec`: a broad beam drives every ion
 equally, a focused beam drives with a Gaussian profile of its waist.
 Integration uses velocity Verlet with the damping applied half explicitly,
 half implicitly, which stays second-order accurate and reduces exactly to
-standard velocity Verlet at Gamma = 0; :func:`ring_down` and the spectra
-step with the same scheme.
+standard velocity Verlet at Gamma = 0. The one stepping loop,
+:func:`_lockstep_verlet`, runs it in leapfrog form on the displacement
+increment ``p = 2 h u`` (half step h, half-step velocity u):
+
+    x += p,   p = decay p + gain a,
+    decay = (1 - Gamma h) / (1 + Gamma h),   gain = 2 h^2 (1 + decay),
+
+where ``a`` is the acceleration at the new ``x``, drive included.
 
 The full nonlinear forces come from the package's one force kernel,
 ``core._acceleration_kernel``. It works on component-major states
 [C, ..., N] held as displacements from equilibrium, sums the Coulomb force
 over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
-its constants once per spectrum or ring-down, not once per step.
+its constants once per lockstep, not once per step.
 
 The time-domain spectra of a whole grid of configurations are integrated in
 one lockstep by :func:`synthesize_spectra`. The state is component-major
@@ -66,7 +72,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,7 +83,6 @@ from .core import (
     _squared_frequencies,
     axis_index,
     check_pair_budget,
-    potential_energy,
 )
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError, TapermodeError
@@ -108,10 +113,11 @@ BEAM_KINDS = ("broad", "focused")
 #: the state or the full model's pair separations, held rows (``_held_rows``)
 #: x scan points x max(N, N(N-1)/2) per grid point. A group of grid points
 #: is split into as few equal chunks as keep under it (a single point
-#: always runs). It bounds the memory of long chains, and it keeps the ~15
-#: live state-sized arrays of a step within a core's L2 cache: on a 2 MiB-L2 Xeon, the default
-#: 12-point, 800-scan-point plan at N = 3 took about 1.8x as long with a
-#: cap 4x larger.
+#: always runs). It bounds the memory of long chains, and it keeps the
+#: dozen or so live state-sized arrays of a step (the state, its increment,
+#: the step constants and the force kernel's temporaries) within a core's L2
+#: cache: on a 2 MiB-L2 Xeon, the default 12-point, 800-scan-point plan at
+#: N = 3 took about 1.8x as long with a cap 4x larger.
 _LOCKSTEP_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -200,6 +206,14 @@ class DriveScan:
         object.__setattr__(self, "drive_frequencies", freqs)
         if not self.damping_rate > 0:
             raise ConfigError("damping_rate must be positive")
+        if self.damping_rate == math.inf:
+            raise ConfigError("damping_rate must be finite")
+        counts = {"settle_cycles": self.settle_cycles, "measure_cycles": self.measure_cycles}
+        if self.steps_per_period is not None:
+            counts["steps_per_period"] = self.steps_per_period
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.settle_cycles < 0 or self.measure_cycles < 1:
             raise ConfigError("need settle_cycles >= 0 and measure_cycles >= 1")
         if self.steps_per_period is not None and self.steps_per_period < 1:
@@ -278,39 +292,6 @@ def _warn_short_settle(scan: DriveScan) -> None:
         )
 
 
-def _verlet(
-    accel: Callable[[np.ndarray, int], np.ndarray],
-    x: np.ndarray,
-    v: np.ndarray,
-    half_dt: np.ndarray | float,
-    gamma: np.ndarray | float,
-    n_steps: int,
-) -> Iterator[int]:
-    """Damped velocity Verlet on ``x`` and ``v`` in place; yields each step count.
-
-    ``accel(x, k)`` is the acceleration at ``x`` after ``k`` steps, and
-    ``half_dt`` (half the step) and ``gamma`` (the damping rate) broadcast
-    against ``x``. The damping is split half explicit, half implicit:
-
-        v' = (1 - Gamma h) v + h a(x),   x += 2 h v',
-        v  = (v' + h a(x)) / (1 + Gamma h),
-
-    so ``h * a`` is formed once per step and serves both half kicks.
-    """
-    shrink = 1.0 - gamma * half_dt
-    restore = 1.0 / (1.0 + gamma * half_dt)
-    dt = 2.0 * half_dt
-    kick = half_dt * accel(x, 0)
-    for step in range(1, n_steps + 1):
-        v *= shrink
-        v += kick
-        x += dt * v
-        kick = half_dt * accel(x, step)
-        v += kick
-        v *= restore
-        yield step
-
-
 def _held_rows(model: str, direction: str) -> list[int]:
     """The coordinates a time-domain ``model`` integrates, the driven one first.
 
@@ -338,11 +319,22 @@ def _lockstep_verlet(
     The state has the component-major ``shape`` [C, P, M, N]: the P grid
     points, their M scan points and N ions of the C held coordinates of
     :func:`_held_rows`. ``force(x)`` is the undriven acceleration at
-    displacements ``x`` from equilibrium; ``x[0]`` is the driven
-    direction, which feels the extra acceleration ``push`` [P, N]
-    sin(2 pi k / spp) at drive phase index k. ``dt`` [P, M] is each scan
-    point's step; ``gamma`` [P] and ``blowup`` [P] are each grid point's
-    damping rate and largest allowed displacement.
+    displacements ``x`` from ``force``'s origin, where every run starts at
+    rest; ``x[0]`` is the driven direction, which feels the extra
+    acceleration ``push`` [P, N] sin(2 pi k / spp) at drive phase index k.
+    ``dt`` [P, M] is each scan point's step; ``gamma`` [P] and ``blowup``
+    [P] are each grid point's damping rate and largest allowed displacement.
+
+    This is the package's one damped Verlet loop, in leapfrog form on the
+    displacement increment ``p = 2 h u`` per step, where ``h`` is the half
+    step and ``u`` the half-step velocity:
+
+        x += p,   p = decay p + gain (a(x) + push sin),
+        decay = (1 - Gamma h) / (1 + Gamma h),   gain = 2 h^2 (1 + decay),
+
+    from ``p = 2 h^2 a(x0)``. It is velocity Verlet with the damping split
+    half explicit, half implicit: the full-step velocity is the mean of the
+    two neighbouring half-step velocities, and Gamma = 0 gives plain Verlet.
 
     Returns the complex amplitudes Z [P, M, N] of ``x[0]`` over the
     measure window and, per grid point, the step after which it diverged (0
@@ -358,37 +350,40 @@ def _lockstep_verlet(
     n_points, row_size = shape[-3], shape[-2] * shape[-1]
     # Full-size copies: same-shape array operations skip numpy's slow
     # broadcasting loops over the short ion axis.
-    push = np.broadcast_to(push[:, None, :], shape[-3:]).copy()
     half_dt = np.broadcast_to(0.5 * dt[:, :, None], shape).copy()
-    damping = np.broadcast_to(gamma[:, None, None], shape)
+    damping = gamma[:, None, None] * half_dt
+    decay = (1.0 - damping) / (1.0 + damping)
+    gain = 2.0 * half_dt**2 * (1.0 + decay)
+    drive = gain[0] * push[:, None, :]
     n_steps = (settle_cycles + measure_cycles) * spp
     demod_start = settle_cycles * spp
     diverged = np.zeros(n_points, dtype=int)
-    x, v = np.zeros(shape), np.zeros(shape)
-
-    def accel(x: np.ndarray, step: int) -> np.ndarray:
-        phase_idx = step % spp
-        if phase_idx == 0 and step:
-            peak = np.abs(x).reshape(-1, n_points, row_size).max(axis=(0, 2))
-            fresh = ~(peak <= blowup) & (diverged == 0)
-            if np.any(fresh):
-                diverged[fresh] = step
-                x[..., fresh, :, :] = 0.0
-                v[..., fresh, :, :] = 0.0
-                push[fresh] = 0.0
-        a = force(x)
-        a[0] += sin_tab[phase_idx] * push
-        return a
-
+    x = np.zeros(shape)
+    p = 2.0 * half_dt**2 * force(x)
     accum = np.zeros(shape[-3:], dtype=complex)
-    # A diverging row may overflow within one period, before the check above
+    # A diverging row may overflow within one period, before the check below
     # zeroes it; that fails only its own point, so it must not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in _verlet(accel, x, v, half_dt, damping, n_steps):
+        for step in range(1, n_steps + 1):
+            x += p
+            phase_idx = step % spp
+            if phase_idx == 0:
+                peak = np.abs(x).reshape(-1, n_points, row_size).max(axis=(0, 2))
+                fresh = ~(peak <= blowup) & (diverged == 0)
+                if np.any(fresh):
+                    diverged[fresh] = step
+                    if np.all(diverged):
+                        break
+                    x[..., fresh, :, :] = 0.0
+                    p[..., fresh, :, :] = 0.0
+                    drive[fresh] = 0.0
+            a = force(x)
+            a *= gain
+            a[0] += sin_tab[phase_idx] * drive
+            p *= decay
+            p += a
             if step > demod_start:
-                accum += x[0] * exp_tab[step % spp]
-            if step % spp == 0 and np.all(diverged):
-                break
+                accum += x[0] * exp_tab[phase_idx]
     return accum * (2.0 / (measure_cycles * spp)), diverged
 
 
@@ -552,64 +547,3 @@ def linear_response_spectrum(
     past the radial zigzag instability), where no steady state exists.
     """
     return _modal_response(compute_modes(config), scan, beam)
-
-
-@dataclass(frozen=True, eq=False)
-class RingDown:
-    """Free relaxation of a displaced chain under damping."""
-
-    times: np.ndarray         #: [S] s
-    energies: np.ndarray      #: [S] J above the equilibrium energy
-    positions: np.ndarray     #: [S, N, 3] m
-    velocities: np.ndarray    #: [S, N, 3] m/s
-
-
-def ring_down(
-    config: TrapConfig,
-    displacement: np.ndarray,
-    damping_rate: float,
-    duration: float,
-) -> RingDown:
-    """Relax the chain from ``equilibrium + displacement`` with no drive.
-
-    Takes a fixed 48 steps per fastest mode period and samples positions,
-    velocities, and the energy above equilibrium once per such period. Uses
-    the full nonlinear forces. Raises :class:`ConfigError` if their pair
-    arrays are over ``core.MAX_ARRAY_BYTES``.
-    """
-    if not damping_rate >= 0:
-        raise ConfigError("damping_rate must be non-negative")
-    if not duration > 0:
-        raise ConfigError("duration must be positive")
-    omega_fast = float(compute_modes(config).all_frequencies.max())
-    t_fast = TWO_PI / omega_fast
-    dt = t_fast / 48.0
-    r0 = equilibrium_positions(config)
-    disp = np.asarray(displacement, dtype=float)
-    if disp.shape != r0.shape:
-        raise ConfigError(f"displacement must have shape {r0.shape}, got {disp.shape}")
-    n_steps = math.ceil(duration / dt)
-    origin = r0.T
-    force = _acceleration_kernel(config, origin, _squared_frequencies(config), origin.shape)
-    x, v = disp.T.copy(), np.zeros(r0.T.shape)
-    steps, xs, vs = [0], [x.copy()], [v.copy()]
-    for step in _verlet(lambda x, _: force(x), x, v, 0.5 * dt, damping_rate, n_steps):
-        if step % 48 == 0 or step == n_steps:
-            steps.append(step)
-            xs.append(x.copy())
-            vs.append(v.copy())
-    positions = r0 + np.transpose(xs, (0, 2, 1))
-    velocities = np.transpose(vs, (0, 2, 1))
-    e0 = potential_energy(config, r0)
-    return RingDown(
-        times=np.array(steps) * dt,
-        energies=np.array([total_energy(config, r, u) - e0 for r, u in zip(positions, velocities)]),
-        positions=positions,
-        velocities=velocities,
-    )
-
-
-def total_energy(config: TrapConfig, positions: np.ndarray, velocities: np.ndarray) -> float:
-    """Kinetic plus potential energy [J] of a chain state."""
-    v = np.asarray(velocities, dtype=float)
-    return potential_energy(config, positions) + 0.5 * config.mass * float(np.sum(v**2))

@@ -641,6 +641,7 @@ class TestPipelineCommand:
         ({"steps_per_period": 0}, "drive.steps_per_period must be a positive count or None"),
         ({"gamma_hz": 0}, "drive.gamma_hz must be positive"),
         ({"scan_points": 8}, "drive.scan_points must be at least 16"),
+        ({"gamma_hz": 1e308}, "drive.gamma_hz must be finite"),  # 2 pi x 1e308 overflows
     ])
     def test_malformed_drive_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch,
                                                       drive, message):

@@ -21,10 +21,8 @@ from tapermode.dynamics import (
     DriveScan,
     beam_weights,
     linear_response_spectrum,
-    ring_down,
     simulate_spectrum,
     synthesize_spectra,
-    total_energy,
     wrap_phase,
 )
 from tapermode.equilibrium import equilibrium_positions
@@ -124,10 +122,31 @@ class TestDriveScanValidation:
     def test_rejects_bad_windows(self):
         with pytest.raises(ConfigError):
             DriveScan(np.array([1e6]), damping_rate=-1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            DriveScan(np.array([1e6]), damping_rate=math.inf)
         with pytest.raises(ConfigError):
             DriveScan(np.array([1e6]), damping_rate=1.0, measure_cycles=0)
         with pytest.raises(ConfigError):
             DriveScan(np.array([1e6]), damping_rate=1.0, settle_cycles=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("settle_cycles", 2.5),
+        ("settle_cycles", 3.0),
+        ("settle_cycles", True),
+        ("measure_cycles", 1.5),
+        ("measure_cycles", np.float64(2.0)),
+        ("steps_per_period", 96.5),
+        ("steps_per_period", 96.0),
+        ("steps_per_period", np.True_),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            DriveScan(np.array([1e6]), damping_rate=1.0, **{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        scan = DriveScan(np.array([1e6]), damping_rate=1.0, settle_cycles=np.int64(3),
+                         measure_cycles=np.int32(2), steps_per_period=np.int64(96))
+        assert (scan.settle_cycles, scan.measure_cycles, scan.steps_per_period) == (3, 2, 96)
 
 
 class TestSingleIon:
@@ -383,9 +402,9 @@ def per_point_spectrum(config, scan, beam, model):
 
     The per-point ``simulate_spectrum`` from before grid points were batched:
     the scan points in lockstep on axis -2, every constant a scalar or an
-    [M, N] array of this one point, the same split-damping Verlet step, and
-    a :class:`SimulationError` at the first drive period that ends beyond the
-    blow-up scale.
+    [M, N] array of this one point, the same folded damped-Verlet step on the
+    displacement increment ``p``, and a :class:`SimulationError` at the first
+    drive period that ends beyond the blow-up scale.
     """
     r0 = equilibrium_positions(config)
     table = compute_modes(config)
@@ -414,26 +433,21 @@ def per_point_spectrum(config, scan, beam, model):
     sin_tab, exp_tab = np.sin(phases), np.exp(-1j * phases)
     push = np.broadcast_to(
         beam.force_amplitude / config.mass * beam_weights(beam, r0), shape[-2:]
-    ).copy()
+    )
     half_dt = np.broadcast_to(0.5 * ((TWO_PI / wd) / spp)[:, None], shape).copy()
-    gamma = scan.damping_rate
-    shrink, restore, dt = 1.0 - gamma * half_dt, 1.0 / (1.0 + gamma * half_dt), 2.0 * half_dt
+    damping = scan.damping_rate * half_dt
+    decay = (1.0 - damping) / (1.0 + damping)
+    gain = 2.0 * half_dt**2 * (1.0 + decay)
+    drive = gain[observed] * push
 
-    def accel(x, step):
-        a = force(x)
-        a[observed] += sin_tab[step % spp] * push
-        return a
-
-    x, v = np.zeros(shape), np.zeros(shape)
+    x = np.zeros(shape)
+    p = 2.0 * half_dt**2 * force(x)
     accum = np.zeros(shape[-2:], dtype=complex)
-    kick = half_dt * accel(x, 0)
     for step in range(1, (scan.settle_cycles + scan.measure_cycles) * spp + 1):
-        v *= shrink
-        v += kick
-        x += dt * v
-        kick = half_dt * accel(x, step)
-        v += kick
-        v *= restore
+        x += p
+        a = force(x) * gain
+        a[observed] += sin_tab[step % spp] * drive
+        p = decay * p + a
         if step > scan.settle_cycles * spp:
             accum += x[observed] * exp_tab[step % spp]
         if step % spp == 0 and np.max(np.abs(x)) > BLOWUP_LENGTH_UNITS * config.length_scale:
@@ -660,53 +674,52 @@ class TestStepControl:
                 simulate_spectrum(config, scan, strong, model="linearized")
 
 
-class TestRingDown:
-    def test_energy_decays_to_equilibrium(self):
-        displacement = np.zeros((3, 3))
-        displacement[0, 0] = 1e-6
-        duration = 10.0 / GAMMA
-        result = ring_down(CONFIG, displacement, GAMMA, duration)
-        energies = result.energies
-        assert energies[0] > 0
-        # continuous-time energy is non-increasing; allow integrator jitter
-        assert np.all(np.diff(energies) <= 5e-3 * energies[:-1] + 1e-30)
-        assert energies[-1] < 1e-3 * energies[0]
-        r0 = equilibrium_positions(CONFIG)
-        assert np.max(np.abs(result.positions[-1] - r0)) < 2e-8
-        assert result.times[0] == 0.0
-        assert result.times[-1] == pytest.approx(duration, rel=0.01)
+class TestModeRingDown:
+    """A chain released at rest along one x mode, stepped by the lockstep loop.
 
-    def test_undamped_chain_conserves_energy(self):
-        displacement = np.zeros((3, 3))
-        displacement[0, 0] = 1e-8  # small enough to stay nearly harmonic
-        period = TWO_PI / compute_modes(CONFIG).frequencies("x")[-1]
-        result = ring_down(CONFIG, displacement, 0.0, 20 * period)
-        # velocity Verlet has no secular energy drift; the residual is the
-        # bounded shadow-energy wiggle, ~(omega dt)^2/8 of the total
-        drift = np.abs(result.energies - result.energies[0])
-        assert np.max(drift) < 1e-2 * result.energies[0]
+    The force kernel's origin is the displaced start r0 + A b_k, so the loop
+    starts there at rest, with no drive. Demodulated at the mode frequency over
+    whole periods, the constant offset -A b_k cancels exactly and |Z| is the
+    mode's amplitude A |b_k|: constant without damping, and times the mean of
+    exp(-Gamma t / 2) over the measure window with it.
+    """
 
-    def test_total_energy_helper(self):
-        r0 = equilibrium_positions(CONFIG)
-        v = np.zeros_like(r0)
-        v[0, 0] = 0.1
-        kinetic = total_energy(CONFIG, r0, v) - total_energy(CONFIG, r0, 0 * v)
-        assert kinetic == pytest.approx(0.5 * CONFIG.mass * 0.01, rel=1e-9)
+    AMPLITUDE = 1e-8  # m, small enough to stay nearly harmonic
+    SETTLE, MEASURE, SPP = 4, 16, 96
 
-    def test_oversize_pair_arrays_raise(self, monkeypatch):
-        config = TrapConfig(n_ions=5)
-        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 8 * 5 * 10 - 1)
-        with pytest.raises(ConfigError, match="pair incidence matrix of 5 ions"):
-            ring_down(config, np.zeros((5, 3)), GAMMA, 1e-5)
+    def ring_down(self, mode, gamma):
+        """|Z| [N] of the released chain, its mode amplitude A |b_k| [N] and the
+        times [s] of the measure window."""
+        table = compute_modes(CONFIG)
+        vector, omega = table.matrix("x")[:, mode], table.frequencies("x")[mode]
+        rows = dynamics._held_rows("full", "x")
+        origin = equilibrium_positions(CONFIG).T[rows]
+        origin[0] += self.AMPLITUDE * vector
+        shape = (len(rows), 1, 1, CONFIG.n_ions)
+        force = _acceleration_kernel(CONFIG, origin[:, None, None, :],
+                                     _squared_frequencies(CONFIG)[rows][:, None], shape)
+        dt = TWO_PI / omega / self.SPP
+        z, diverged = dynamics._lockstep_verlet(
+            force, shape, np.zeros((1, CONFIG.n_ions)), np.array([[dt]]),
+            np.array([gamma]), np.array([BLOWUP_LENGTH_UNITS * CONFIG.length_scale]),
+            self.SPP, self.SETTLE, self.MEASURE,
+        )
+        assert not diverged.any()
+        steps = np.arange(self.SETTLE * self.SPP, (self.SETTLE + self.MEASURE) * self.SPP) + 1
+        return np.abs(z[0, 0]), self.AMPLITUDE * np.abs(vector), dt * steps
 
-    def test_validation(self):
-        displacement = np.zeros((3, 3))
-        with pytest.raises(ConfigError):
-            ring_down(CONFIG, displacement, -1.0, 1e-5)
-        with pytest.raises(ConfigError):
-            ring_down(CONFIG, displacement, GAMMA, 0.0)
-        with pytest.raises(ConfigError):
-            ring_down(CONFIG, np.zeros((2, 3)), GAMMA, 1e-5)
+    @pytest.mark.parametrize("mode", [0, CONFIG.n_ions - 1])
+    def test_undamped_mode_keeps_its_amplitude(self, mode):
+        measured, expected, _ = self.ring_down(mode, 0.0)
+        assert np.max(np.abs(measured - expected)) <= 5e-3 * np.max(expected)
+
+    @pytest.mark.parametrize("mode", [0, CONFIG.n_ions - 1])
+    def test_damped_mode_decays_at_half_gamma(self, mode):
+        measured, amplitude, times = self.ring_down(mode, GAMMA)
+        envelope = np.mean(np.exp(-0.5 * GAMMA * times))
+        assert envelope < 0.7  # the window sees a strong decay
+        expected = amplitude * envelope
+        assert np.max(np.abs(measured - expected)) <= 5e-3 * np.max(expected)
 
 
 class TestWrapPhase:

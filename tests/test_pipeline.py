@@ -8,7 +8,7 @@ import pytest
 from tapermode import modes, pipeline
 from tapermode.analysis import analyze_spectrum
 from tapermode.core import TWO_PI, TrapConfig
-from tapermode.dynamics import DriveScan, beam_weights, ring_down, synthesize_spectra
+from tapermode.dynamics import DriveScan, beam_weights, synthesize_spectra
 from tapermode.equilibrium import equilibrium_positions
 from scipy.optimize import linear_sum_assignment
 
@@ -155,7 +155,6 @@ def array_records():
     return [
         table, sweep, sweep.points[0], sweep.points[0].modes[0],
         DriveScan(table.frequencies("x"), damping_rate=1.0), point.spectrum,
-        ring_down(CONFIG, np.full((3, 3), 1e-8), TWO_PI * 1e3, 1e-6),
         report.plan, point, report, fits.lorentzians, fits.per_ion, fits.vectors, fits,
     ]
 
@@ -165,7 +164,7 @@ def test_array_records_compare_by_identity():
     first, second = array_records(), array_records()
     assert [type(r).__name__ for r in first] == [
         "ModeTable", "SweepResult", "SweepPoint", "TrackedMode", "DriveScan",
-        "SpectrumResult", "RingDown", "ExperimentPlan", "PointResult",
+        "SpectrumResult", "ExperimentPlan", "PointResult",
         "ReproductionReport", "LorentzianFit", "FixedCenterFit", "ModeVectorEstimate",
         "SpectrumAnalysis",
     ]
