@@ -4,7 +4,7 @@ The package models a chain of ions in a trap whose radial confinement
 stiffens linearly along the axis, computes equilibrium positions and
 radial/axial normal modes, tracks the modes across axial-confinement
 sweeps, simulates driven-damped dynamics to synthesize measurable
-amplitude/phase spectra, and runs the analysis chain (Lorentzian fits,
+amplitude/phase spectra, and runs the analysis chain (modal fits,
 eigenvector reconstruction, fluorescence-profile fits) that turns such
 spectra back into mode parameters. :mod:`tapermode.pipeline` closes the
 loop end to end; :mod:`tapermode.cli` exposes everything as a command-line
@@ -12,15 +12,15 @@ tool.
 """
 
 from .analysis import (
-    FixedCenterFit,
     LorentzianFit,
+    ModalFit,
     ModeVectorEstimate,
     ProfileFit,
     SpectrumAnalysis,
     analyze_spectrum,
     blurred_arcsine,
-    fit_fixed_centers,
     fit_lorentzian_sum,
+    fit_modal_sum,
     fit_profile,
     lorentzian_sum,
     reconstruct_eigenvectors,
@@ -76,8 +76,8 @@ __all__ = [
     "ConfigError",
     "DriveScan",
     "ExperimentPlan",
-    "FixedCenterFit",
     "LorentzianFit",
+    "ModalFit",
     "ModeTable",
     "ModeVectorEstimate",
     "PointResult",
@@ -98,8 +98,8 @@ __all__ = [
     "compute_modes",
     "coupling_matrix",
     "equilibrium_positions",
-    "fit_fixed_centers",
     "fit_lorentzian_sum",
+    "fit_modal_sum",
     "fit_profile",
     "gradient",
     "hessian",

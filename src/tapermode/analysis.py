@@ -1,26 +1,29 @@
 """Spectrum and image-profile fitting: from synthetic data back to modes.
 
 The measurement emulation produces, per drive frequency, each ion's steady
-amplitude and phase. This module inverts that into mode parameters:
+amplitude and phase. This module inverts that into mode parameters in two
+steps:
 
-1. :func:`fit_lorentzian_sum` — fit the chain-level spectrum (summed over
-   ions) with a sum of Lorentzians ``h / (1 + ((w - W)/g)^2)`` plus a flat
-   offset to locate the resonances. The fit is seeded at the most prominent
-   local maxima of the smoothed spectrum. A peak's prominence is its height
-   above the higher of its two bases, each the lowest point between it and
-   the nearest strictly higher sample on that side. It is computed here in
+1. :func:`fit_modal_sum` — fit the complex response ``amplitude * exp(i
+   phase)`` of all ions at once with one modal sum ``Z_i(w) = sum_k R_ik /
+   (w_k^2 - w^2 + i Gamma_k w)``. Each mode's center and damping are the 2K
+   nonlinear parameters. All ions share the modal basis, so the N x K real
+   residues come from one linear solve per evaluation (variable
+   projection). The centers are seeded at the most prominent local maxima
+   of the smoothed chain-level spectrum (summed over ions), the dampings
+   at their half-maximum widths. A peak's prominence is its height above
+   the higher of its two bases, each the lowest point between it and the
+   nearest strictly higher sample on that side. It is computed here in
    linear time with the semantics of ``scipy.signal.peak_prominences`` at
-   ``wlen=None``.
-2. :func:`fit_fixed_centers` — with those centers frozen, fit the complex
-   response ``amplitude * exp(i phase)`` of all ions at once with one modal
-   sum ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)``. Only the K
-   dampings are nonlinear. All ions share the modal basis, so the N x K
-   real residues come from one linear solve per evaluation (variable
-   projection). The signed residue matrix is the ion-by-mode response
+   ``wlen=None``. The signed residue matrix is the ion-by-mode response
    pattern.
-3. :func:`reconstruct_eigenvectors` — normalize each residue column with
+2. :func:`reconstruct_eigenvectors` — normalize each residue column with
    its largest component positive. The signs are the residue signs, so
    anti-phase ions come out negative without any phase threshold.
+
+:func:`fit_lorentzian_sum` fits a sum of Lorentzians ``h / (1 + ((w -
+W)/g)^2)`` plus a flat offset to one real spectrum, from the same seeds; it
+serves one-peak fits, such as the axial center-of-mass check.
 
 Fits run on internally normalized data (frequencies in units of the scan
 span, amplitudes scaled by their maximum) so all parameters are O(1)
@@ -96,13 +99,15 @@ class LorentzianFit:
 
 
 @dataclass(frozen=True, eq=False)
-class FixedCenterFit:
-    """One modal-sum fit of all ions' complex responses, centers frozen."""
+class ModalFit:
+    """One modal-sum fit of all ions' complex responses, modes sorted by ascending center."""
 
-    centers: np.ndarray        #: [K] as supplied
+    centers: np.ndarray        #: [K] resonance frequencies w_k [rad/s]
+    center_errors: np.ndarray  #: [K]
+    hwhms: np.ndarray          #: [K] amplitude half-widths sqrt(3) Gamma_k / 2 [rad/s]
+    hwhm_errors: np.ndarray    #: [K]
     heights: np.ndarray        #: [N_ions, K] signed peak amplitudes R_ik / (Gamma_k w_k)
     height_errors: np.ndarray  #: [N_ions, K]
-    hwhms: np.ndarray          #: [K] amplitude half-widths sqrt(3) Gamma_k / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +122,9 @@ class ModeVectorEstimate:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumAnalysis:
-    """Bundle of the full chain: free fit, residue fit, eigenvectors."""
+    """Bundle of the full chain: the modal fit and the eigenvectors read off it."""
 
-    lorentzians: LorentzianFit
-    per_ion: FixedCenterFit
+    modes: ModalFit
     vectors: ModeVectorEstimate
 
 
@@ -424,8 +428,8 @@ def _prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return y[peaks] - np.maximum(left, right)
 
 
-def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: int) -> LorentzianFit:
-    """Fit ``n_peaks`` Lorentzians plus a flat offset to one spectrum.
+def _peak_seeds(y: np.ndarray, n_peaks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seed indices of the ``n_peaks`` most prominent peaks of ``y``, and their half-widths.
 
     Peak candidates are the local maxima of the five-point-smoothed
     spectrum (samples above the one before and not below the one after);
@@ -438,10 +442,14 @@ def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: 
     in-house by :func:`_prominences`. A candidate on a plateau that rises
     further has prominence 0 and ranks last. Raises
     :class:`AnalysisError` when fewer candidates exist.
+
+    Each seed's half-width, in samples, is the distance from its candidate
+    to the nearer side where the smoothed spectrum first falls to half the
+    candidate's value or starts to rise again (a neighbouring peak). Seeds
+    come sorted by index.
     """
     if n_peaks < 1:
         raise AnalysisError("n_peaks must be at least 1")
-    x, y, w0, span, scale = _normalize(frequencies, amplitude)
     smoothed = _smooth5(y)
     inner = smoothed[1:-1]
     candidates = np.flatnonzero((inner > smoothed[:-2]) & (inner >= smoothed[2:])) + 1
@@ -451,19 +459,37 @@ def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: 
             f"need {n_peaks}; widen the scan or reduce the damping"
         )
     prominence = _prominences(smoothed, candidates)
-    chosen = candidates[np.argsort(prominence)[::-1][:n_peaks]]
+    chosen = np.sort(candidates[np.argsort(prominence)[::-1][:n_peaks]])
     # Smoothing flattens sharp tops into plateaus whose first sample wins the
     # strict-maximum test; re-center each seed on the raw maximum inside the
     # smoothing window (keeping seeds distinct) so narrow peaks start with
     # gradient support.
     taken: set[int] = set()
-    seeds = []
-    for i in sorted(chosen):
+    seeds, widths = [], []
+    for i in chosen:
         window = [k for k in range(max(i - 2, 0), min(i + 3, y.size)) if k not in taken]
         j = max(window, key=lambda k: y[k]) if window else int(i)
         taken.add(j)
         seeds.append(j)
-    seeds = np.sort(np.array(seeds, dtype=int))
+        half = 0.5 * smoothed[i]
+        widths.append(min(
+            np.argmax(np.r_[(side[1:] <= half) | (side[1:] > side[:-1]), True]) + 1
+            for side in (smoothed[i::-1], smoothed[i:])
+        ))
+    order = np.argsort(seeds)
+    return np.array(seeds, dtype=int)[order], np.array(widths, dtype=float)[order]
+
+
+def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: int) -> LorentzianFit:
+    """Fit ``n_peaks`` Lorentzians plus a flat offset to one spectrum.
+
+    The optimizer starts at the peaks :func:`_peak_seeds` picks, two scan
+    steps wide. Raises :class:`AnalysisError` when the spectrum has fewer
+    candidate peaks than ``n_peaks``.
+    """
+    x, y, w0, span, scale = _normalize(frequencies, amplitude)
+    seeds = _peak_seeds(y, n_peaks)[0]
+    smoothed = _smooth5(y)
 
     step = x[1] - x[0]
     floor = WIDTH_FLOOR_STEPS * step
@@ -507,96 +533,113 @@ def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: 
     )
 
 
-def _residue_basis(g: np.ndarray, u: np.ndarray, u_k: np.ndarray):
-    """Peak-normalized modal basis ``g u_k / (u_k^2 - u^2 + i g u)`` and its g-derivative.
+def _residue_basis(g: np.ndarray, u: np.ndarray, u_k: np.ndarray) -> np.ndarray:
+    """Peak-normalized modal basis ``g u_k / (u_k^2 - u^2 + i g u)`` and its derivatives.
 
-    Both are returned as real [2M, K] arrays, real parts stacked over
-    imaginary parts. At ``u = u_k`` every column equals ``-i``, so its
-    coefficient is the peak amplitude of that mode.
+    Returned as complex rows [3K, M]: the K basis functions B_k, then
+    dB_k/dg_k, then dB_k/du_k. Basis function k depends only on (u_k, g_k),
+    so each parameter moves one of them. At ``u = u_k`` every basis function
+    equals ``-i``, so its coefficient is the peak amplitude of that mode.
     """
-    den = (u_k - u[:, None]) * (u_k + u[:, None]) + 1j * g * u[:, None]
-    basis = g * u_k / den
-    d_basis = (u_k - 1j * u[:, None] * basis) / den
-    return np.concatenate([basis.real, basis.imag]), np.concatenate([d_basis.real, d_basis.imag])
+    g, u_k = g[:, None], u_k[:, None]
+    inv = 1.0 / ((u_k - u) * (u_k + u) + 1j * g * u)
+    basis = g * u_k * inv
+    return np.concatenate([basis, (u_k - 1j * u * basis) * inv, (g - 2.0 * u_k * basis) * inv])
 
 
 def _project_residues(g: np.ndarray, u: np.ndarray, u_k: np.ndarray, data: np.ndarray):
-    """Variable projection of the stacked data [2M, N] at dampings ``g``.
+    """Variable projection of the responses ``data`` [N, M] at dampings ``g``, centers ``u_k``.
 
-    Returns the residual left by the best residues and Kaufman's Jacobian
-    of it, both with their 2M rows expressed in an orthonormal basis W of
-    the residual and projected-derivative columns (at most N + K rows per
-    ion instead of 2M). Rotating rows leaves every norm and inner product
-    the optimizer uses unchanged, so only its linear algebra gets smaller.
-    Also returns the residues themselves [K, N] as peak heights in data
-    units, ``R^-1`` of the basis ``B = QR`` and ``B^+ dB/dg`` [K, K].
+    All the tall linear algebra is one QR, without Q, of the real [2M, 3K + N]
+    columns [B | dB | data], each complex sample split into a real and an
+    imaginary row. Its first K columns are the QR of the basis B; the next
+    2K factor the derivatives projected off B into an orthonormal W times a
+    triangle S; the last N hold each ion's data along B, its residual along
+    W, and the norm of the rest of the residual. Returns that residual and
+    Kaufman's Jacobian of it in (g, u_k) with each ion's 2M rows rotated into
+    those 2K + 1: along W the Jacobian is -S times the ion's heights, and on
+    the last row it is zero. Rotating rows leaves every norm and inner
+    product the optimizer uses unchanged, so only its linear algebra gets
+    smaller. Also returns the residues themselves [K, N] as peak heights in
+    data units, ``R^-1`` of the basis ``B = QR`` and ``B^+ dB`` [K, 2K].
     """
-    basis, d_basis = _residue_basis(g, u, u_k)
-    q, r = np.linalg.qr(basis)
-    r_inv = np.linalg.inv(r)
-    heights = r_inv @ (q.T @ data)
-    qt_d = q.T @ d_basis
-    residual = data - basis @ heights
-    normal = d_basis - q @ qt_d
-    w = np.linalg.qr(np.hstack([residual, normal]))[0]
-    jac = -((w.T @ normal)[:, None, :] * heights.T).reshape(-1, g.size)
-    return (w.T @ residual).ravel(), jac, heights, r_inv, r_inv @ qt_d
+    k = g.size
+    columns = np.concatenate([_residue_basis(g, u, u_k), data]).view(float).T
+    r = np.linalg.qr(columns, mode="r")
+    r_inv = np.linalg.inv(r[:k, :k])
+    heights = r_inv @ r[:k, 3 * k:]
+    jac = np.zeros((2 * k + 1, data.shape[0], 2 * k))
+    jac[:-1] = -r[k:3 * k, None, k:3 * k] * np.tile(heights, (2, 1)).T
+    residual = np.vstack([r[k:3 * k, 3 * k:], np.linalg.norm(r[3 * k:, 3 * k:], axis=0)])
+    return residual.ravel(), jac.reshape(-1, 2 * k), heights, r_inv, r_inv @ r[:k, k:3 * k]
 
 
-def fit_fixed_centers(
-    frequencies: np.ndarray,
-    response: np.ndarray,
-    centers: np.ndarray,
-    hwhms: np.ndarray,
-) -> FixedCenterFit:
+def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -> ModalFit:
     """Fit one real-residue modal sum to every ion's complex response at once.
 
     ``response`` is ``amplitude * exp(i phase)`` with shape [M, N_ions]. The
-    model is ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)`` with the
-    centers ``w_k`` frozen. The K dampings are the only nonlinear parameters,
-    seeded from the amplitude half-widths ``hwhms`` (``Gamma = 2 hwhm /
-    sqrt(3)``) and floored at ``WIDTH_FLOOR_STEPS`` scan steps of half-width.
-    For given dampings the residues shared by all ions follow from one
-    linear least-squares solve (variable projection; Golub & Pereyra 1973),
-    and the optimizer sees Kaufman's Jacobian of the projected residual.
-    Returns signed peak heights ``R_ik / (Gamma_k w_k)``.
+    model is ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)``. The K
+    centers ``w_k`` and dampings ``Gamma_k`` are the nonlinear parameters.
+    The centers start at the peaks :func:`_peak_seeds` picks on the summed
+    amplitude and stay inside the scan; the dampings start at the seeds'
+    half-maximum widths (``Gamma = 2 hwhm / sqrt(3)``) and are floored at
+    ``WIDTH_FLOOR_STEPS`` scan steps of half-width. For given centers and
+    dampings the residues shared by all ions follow from one linear
+    least-squares solve (variable projection; Golub & Pereyra 1973), and the
+    optimizer sees Kaufman's Jacobian of the projected residual. Centers and
+    dampings trade off along a shallow valley of the cost, where the default
+    ``ftol`` leaves the half-widths dependent on the solver's path at the
+    1e-7 level, so the fit stops at ``ftol = 1e-10``. (Tighter still, a mode
+    the data barely constrain creeps along the valley to the ``nfev`` cap.)
+    Returns the modes sorted by center, with signed peak heights
+    ``R_ik / (Gamma_k w_k)``.
     """
     z = np.asarray(response, dtype=complex)
     if z.ndim != 2:
         raise AnalysisError("response must be a [scan, ion] 2-D array")
-    x, _, w0, span, scale = _normalize(frequencies, np.abs(z))
-    u = x + w0 / span
-    u_k = np.asarray(centers, dtype=float) / span
-    k = u_k.size
-    if np.shape(hwhms) != (k,):
-        raise AnalysisError(f"need one half-width per center ({k}), got shape {np.shape(hwhms)}")
-    data = np.concatenate([z.real, z.imag]) / scale
+    x, y, w0, span, scale = _normalize(frequencies, np.abs(z))
+    seeds, widths = _peak_seeds(y.sum(axis=1), n_modes)
+    u0 = w0 / span
+    u = x + u0
+    data = z.T / scale
     to_g = 2.0 / np.sqrt(3.0)
-    floor = to_g * WIDTH_FLOOR_STEPS * (x[1] - x[0])
-    g0 = np.clip(to_g * np.asarray(hwhms, dtype=float) / span, floor, to_g)
+    step = x[1] - x[0]
+    floor = to_g * WIDTH_FLOOR_STEPS * step
+    g0 = np.clip(to_g * widths * step, floor, to_g)
+    k = seeds.size
 
-    project = _at_last_point(lambda g: _project_residues(g, u, u_k, data))
+    project = _at_last_point(lambda p: _project_residues(p[:k], u, p[k:] + u0, data))
     result = least_squares(
-        lambda g: project(g)[0], g0, jac=lambda g: project(g)[1],
-        bounds=(floor, to_g), x_scale=g0,
+        lambda p: project(p)[0], np.r_[g0, x[seeds]], jac=lambda p: project(p)[1],
+        bounds=(np.r_[np.full(k, floor), np.zeros(k)], np.r_[np.full(k, to_g), np.ones(k)]),
+        x_scale=np.r_[g0, g0], ftol=1e-10,
     )
     if not result.success:
-        raise AnalysisError(f"residue fit did not converge: {result.message}")
+        raise AnalysisError(f"modal fit did not converge: {result.message}")
     _, jac, heights, r_inv, pinv_d = project(result.x)
-    dof = data.size - k - heights.size
+    dof = 2 * data.size - result.x.size - heights.size
     variance = 2.0 * result.cost / dof if dof > 0 else np.nan
-    # Height variance at fixed dampings, plus the dampings' own covariance
-    # carried through dH_ji/dg_k = -(B^+ dB/dg)_jk H_ki.
-    cov_g = variance * np.linalg.pinv(jac.T @ jac)
+    cov = variance * np.linalg.pinv(jac.T @ jac)
+    errors = np.sqrt(np.maximum(np.diag(cov), 0.0)) * span
+    # Height variance at fixed parameters, plus the parameters' own covariance
+    # carried through dH_ji/dp = -(B^+ dB/dp)_j H_(mode of p) i.
+    both = np.tile(heights, (2, 1))
     height_var = variance * np.sum(r_inv**2, axis=1)[:, None] + np.einsum(
-        "jk,ki,kl,jl,li->ji", pinv_d, heights, cov_g, pinv_d, heights
+        "jp,pi,pq,jq,qi->ji", pinv_d, both, cov, pinv_d, both
     )
-    return FixedCenterFit(
-        centers=np.asarray(centers, dtype=float).copy(),
-        heights=scale * heights.T,
-        height_errors=scale * np.sqrt(np.maximum(height_var, 0.0)).T,
-        hwhms=span * result.x / to_g,
+    order = np.argsort(result.x[k:])
+    return ModalFit(
+        centers=(w0 + span * result.x[k:])[order],
+        center_errors=errors[k:][order],
+        hwhms=(span * result.x[:k] / to_g)[order],
+        hwhm_errors=(errors[:k] / to_g)[order],
+        heights=scale * heights.T[:, order],
+        height_errors=scale * np.sqrt(np.maximum(height_var, 0.0)).T[:, order],
     )
+
+
+#: ``perfbench/spans.py`` counts the modal fits under this name.
+fit_fixed_centers = fit_modal_sum
 
 
 def reconstruct_eigenvectors(
@@ -644,13 +687,12 @@ def reconstruct_eigenvectors(
 
 
 def analyze_spectrum(spectrum: SpectrumResult, n_modes: int | None = None) -> SpectrumAnalysis:
-    """Run the full chain on one spectrum: locate, fit residues, reconstruct."""
+    """Run the chain on one spectrum: one modal fit of every ion, then the eigenvectors."""
     k = spectrum.n_ions if n_modes is None else n_modes
-    free = fit_lorentzian_sum(spectrum.drive_frequencies, spectrum.summed_amplitude(), k)
     response = spectrum.amplitude * np.exp(1j * spectrum.phase)
-    fixed = fit_fixed_centers(spectrum.drive_frequencies, response, free.centers, free.hwhms)
-    vectors = reconstruct_eigenvectors(free.centers, fixed.heights, fixed.height_errors)
-    return SpectrumAnalysis(lorentzians=free, per_ion=fixed, vectors=vectors)
+    modes = fit_modal_sum(spectrum.drive_frequencies, response, k)
+    vectors = reconstruct_eigenvectors(modes.centers, modes.heights, modes.height_errors)
+    return SpectrumAnalysis(modes=modes, vectors=vectors)
 
 
 # -- imaging profile ----------------------------------------------------------

@@ -421,23 +421,16 @@ def cmd_fit(args) -> int:
     spectrum = _read_spectrum_csv(args.input, beam_axis(data))
     settings = analysis_settings(data, spectrum.n_ions)
     result = analyze_spectrum(spectrum, n_modes=settings["n_peaks"])
-    free, per_ion, vectors = result.lorentzians, result.per_ion, result.vectors
+    modes, vectors = result.modes, result.vectors
     _write_json(
         {
-            "lorentzians": {
-                "centers_hz": [_f(v / TWO_PI) for v in free.centers],
-                "center_errors_hz": [_f(v / TWO_PI) for v in free.center_errors],
-                "hwhms_hz": [_f(v / TWO_PI) for v in free.hwhms],
-                "hwhm_errors_hz": [_f(v / TWO_PI) for v in free.hwhm_errors],
-                "heights_um": [_f(v * 1e6) for v in free.heights],
-                "height_errors_um": [_f(v * 1e6) for v in free.height_errors],
-                "offset_um": _f(free.offset * 1e6),
-                "offset_error_um": _f(free.offset_error * 1e6),
-            },
-            "per_ion": {
-                "heights_um": _grid(per_ion.heights * 1e6),
-                "height_errors_um": _grid(per_ion.height_errors * 1e6),
-                "hwhms_hz": [_f(v / TWO_PI) for v in per_ion.hwhms],
+            "modes": {
+                "centers_hz": [_f(v / TWO_PI) for v in modes.centers],
+                "center_errors_hz": [_f(v / TWO_PI) for v in modes.center_errors],
+                "hwhms_hz": [_f(v / TWO_PI) for v in modes.hwhms],
+                "hwhm_errors_hz": [_f(v / TWO_PI) for v in modes.hwhm_errors],
+                "heights_um": _grid(modes.heights * 1e6),
+                "height_errors_um": _grid(modes.height_errors * 1e6),
             },
             "eigenvectors": {
                 "frequencies_hz": [_f(v / TWO_PI) for v in vectors.frequencies],

@@ -65,16 +65,17 @@ def check_array_budget(what: str, shape: tuple[int, ...]) -> None:
                           f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB budget")
 
 
-def check_pair_budget(n_ions: int, batch: tuple[int, ...] = ()) -> None:
+def check_pair_budget(n_ions: int, batch: tuple[int, ...] = (), rows: int = 3) -> None:
     """Raise :class:`ConfigError` if the force kernel's incidence matrix [N, P] or the
-    separations [3, *batch, P] of its P = N(N-1)/2 pairs in ``batch`` chains are over budget.
+    separations [rows, *batch, P] of its P = N(N-1)/2 pairs in ``batch`` chains are over budget.
 
-    Three rows is the most a caller holds: :func:`gradient` holds x, y and z;
-    the time-domain lockstep holds two at most, the driven axis and z."""
+    ``rows`` counts the coordinates the caller holds: :func:`gradient` holds
+    x, y and z; the time-domain lockstep holds two at most, the driven axis
+    and z."""
     pairs = n_ions * (n_ions - 1) // 2
     check_array_budget(f"the pair incidence matrix of {n_ions} ions", (n_ions, pairs))
     check_array_budget(f"the pair separations of {math.prod(batch)} chains of {n_ions} ions",
-                       (3, *batch, pairs))
+                       (rows, *batch, pairs))
 
 
 def axis_index(direction: str) -> int:
@@ -355,7 +356,7 @@ def _acceleration_kernel(
     Over-budget pair arrays raise :class:`ConfigError`.
     """
     n = config.n_ions
-    check_pair_budget(n, shape[1:-1])
+    check_pair_budget(n, shape[1:-1], shape[0])
     first, second = np.triu_indices(n, 1)
     pairs = np.arange(first.size)
     incidence = np.zeros((n, pairs.size))

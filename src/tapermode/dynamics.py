@@ -484,9 +484,10 @@ def synthesize_spectra(
             if source == "response":
                 results[i] = _modal_response(table, scan, beam)
                 continue
+            rows = _held_rows(source, beam.direction)
             if source == "full":
-                check_pair_budget(table.config.n_ions, (scan.drive_frequencies.size,))
-            omega_fast = float(table.all_frequencies[_held_rows(source, beam.direction)].max())
+                check_pair_budget(table.config.n_ions, (scan.drive_frequencies.size,), len(rows))
+            omega_fast = float(table.all_frequencies[rows].max())
             spp = _steps_per_period(scan, max(omega_fast, float(np.max(scan.drive_frequencies))))
         except TapermodeError as exc:
             results[i] = exc

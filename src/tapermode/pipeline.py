@@ -6,8 +6,8 @@ uniform drive at low confinement, a focused Gaussian profile centred on the
 middle ion once the chain's modes delocalize), synthesizes the driven
 response of every ion across a scan window bracketing the predicted
 resonances (all grid points in one batch), optionally adds seeded
-measurement noise, and then runs the full analysis chain — locate peaks,
-refit per ion with frozen centers, reconstruct signed eigenvectors —
+measurement noise, and then runs the analysis chain — one modal fit of
+every ion's response, seeded at the peaks, then signed eigenvectors —
 exactly as one would on measured data. Fitted frequencies
 and eigenvectors are matched to the predictions by largest overlap
 (Hungarian assignment) so the report quantifies how well the measurement
@@ -33,6 +33,7 @@ from .dynamics import (
     BeamSpec,
     DriveScan,
     SpectrumResult,
+    _held_rows,
     beam_weights,
     linear_response_spectrum,
     synthesize_spectra,
@@ -307,8 +308,8 @@ def _score_point(
     result = analyze_spectrum(spectrum, n_modes=theory_freqs.size)
     order, signs, strengths = assign_columns(theory_matrix, result.vectors.components)
 
-    fitted_freqs = result.lorentzians.centers[order]
-    fitted_hwhms = result.lorentzians.hwhms[order]
+    fitted_freqs = result.modes.centers[order]
+    fitted_hwhms = result.modes.hwhms[order]
     fitted_matrix = result.vectors.components[:, order] * signs
 
     component_errors = np.abs(fitted_matrix - theory_matrix)
@@ -369,7 +370,7 @@ def run_experiment(
     shape = (plan.omega_z_values.size, plan.scan_points, config.n_ions)
     check_array_budget(f"spectra of grid x scan points x ions = {shape}", shape)
     if plan.spectrum_source == "full":
-        check_pair_budget(config.n_ions, (plan.scan_points,))
+        check_pair_budget(config.n_ions, (plan.scan_points,), len(_held_rows("full", plan.direction)))
     grid = [float(w) for w in plan.omega_z_values]
     children = np.random.SeedSequence(seed).spawn(len(grid))
     points: list[PointResult | None] = [None] * len(grid)

@@ -20,8 +20,8 @@ from tapermode.analysis import (
     ProfileFit,
     analyze_spectrum,
     blurred_arcsine,
-    fit_fixed_centers,
     fit_lorentzian_sum,
+    fit_modal_sum,
     fit_profile,
     lorentzian_sum,
     reconstruct_eigenvectors,
@@ -218,6 +218,8 @@ def gamma_of(hwhm):
 
 
 class TestFixedCenters:
+    """:func:`fit_modal_sum`, which ``perfbench`` traces under its former name ``fit_fixed_centers``."""
+
     def test_exclusive_peaks_give_zero_cross_heights(self):
         grid = np.linspace(2.0e5, 1.0e6, 301)
         c = np.array([4.0e5, 7.0e5])
@@ -225,17 +227,18 @@ class TestFixedCenters:
         gammas = gamma_of(hwhms)
         heights = np.array([[1.0e-6, 0.0], [0.0, -2.0e-6]])
         z = modal_response(grid, c, gammas, heights * gammas * c)
-        fit = fit_fixed_centers(grid, z, c, 1.3 * hwhms)
+        fit = fit_modal_sum(grid, z, 2)
         assert fit.heights[0, 0] == pytest.approx(1.0e-6, rel=1e-6)
         assert fit.heights[1, 1] == pytest.approx(-2.0e-6, rel=1e-6)
         assert abs(fit.heights[0, 1]) < 1e-6 * abs(fit.heights[0, 0])
         assert abs(fit.heights[1, 0]) < 1e-6 * abs(fit.heights[1, 1])
+        assert fit.centers == pytest.approx(c, rel=1e-9)
         assert fit.hwhms == pytest.approx(hwhms, rel=1e-6)
         assert fit.heights.shape == fit.height_errors.shape == (2, 2)
 
     @pytest.mark.parametrize("n_ions", [3, 7])
     def test_noiseless_response_recovers_the_modes(self, n_ions):
-        """Centers at the true frequencies: the eigenvectors come back to round-off."""
+        """Noiseless modal data: the modes come back to round-off."""
         config = TrapConfig(n_ions=n_ions)
         table = compute_modes(config)
         freqs = table.frequencies("x")
@@ -245,12 +248,12 @@ class TestFixedCenters:
         center_z = 0.3 * equilibrium_positions(config)[-1, 2]
         beam = BeamSpec("focused", 1e-23, waist_radius=17e-6, center_z=center_z)
         spectrum = linear_response_spectrum(config, scan, beam)
-        hwhms = np.full(n_ions, 1.3 * math.sqrt(3.0) / 2.0 * gamma)
         response = spectrum.amplitude * np.exp(1j * spectrum.phase)
-        fit = fit_fixed_centers(spectrum.drive_frequencies, response, freqs, hwhms)
+        fit = fit_modal_sum(spectrum.drive_frequencies, response, n_ions)
+        assert fit.centers == pytest.approx(freqs, rel=1e-10)
         assert fit.hwhms == pytest.approx(np.full(n_ions, math.sqrt(3.0) / 2.0 * gamma),
                                           rel=1e-8)
-        est = reconstruct_eigenvectors(freqs, fit.heights, fit.height_errors)
+        est = reconstruct_eigenvectors(fit.centers, fit.heights, fit.height_errors)
         theory = table.matrix("x")
         loudest = theory[np.argmax(np.abs(theory), axis=0), np.arange(n_ions)]
         theory = theory * np.sign(loudest)
@@ -259,28 +262,35 @@ class TestFixedCenters:
         assert np.array_equal(np.sign(est.components[strong]), np.sign(theory[strong]))
 
     def test_jacobian_matches_finite_differences(self):
-        """Kaufman's Jacobian, through the rotation-invariant products the optimizer uses.
+        """Kaufman's Jacobian in (g, u_k), through the rotation-invariant products the optimizer uses.
 
-        The returned rows live in a basis that moves with g, so compare the
-        cost gradient J^T f with central differences of the cost (Kaufman's
-        gradient is exact for any data), and J^T J with the finite-difference
-        Jacobian where the model fits exactly.
+        The returned rows live in a basis that moves with the parameters, so
+        compare the cost gradient J^T f with central differences of the cost
+        (Kaufman's gradient is exact for any data), and J^T J with the
+        central-difference Jacobian of the projected residual where the model
+        fits exactly. Both cover the damping and the center columns.
         """
         u = np.linspace(4.0, 5.0, 120)
         u_k = np.array([4.3, 4.5, 4.8])
         g = np.array([0.02, 0.03, 0.025])
         residues = np.array([[1.0, -0.5, 0.2], [0.3, 0.8, -1.1]]) * g * u_k
-        z = modal_response(u, u_k, g, residues)
-        exact = np.concatenate([z.real, z.imag])
-        noisy = exact + 0.01 * np.random.default_rng(3).standard_normal(exact.shape)
+        exact = modal_response(u, u_k, g, residues).T
+        rng = np.random.default_rng(3)
+        noisy = exact + 0.01 * (rng.standard_normal(exact.shape)
+                                + 1j * rng.standard_normal(exact.shape))
+        k = g.size
 
-        def reference_residual(g, data):
-            basis = _residue_basis(g, u, u_k)[0]
-            return (data - basis @ np.linalg.lstsq(basis, data, rcond=None)[0]).ravel()
+        def reference_residual(p, data):
+            basis = _residue_basis(p[:k], u, p[k:])[:k]
+            basis = np.hstack([basis.real, basis.imag]).T
+            target = np.hstack([data.real, data.imag]).T
+            return (target - basis @ np.linalg.lstsq(basis, target, rcond=None)[0]).ravel()
 
-        steps = 1e-7 * np.eye(g.size)
-        off = 1.1 * g
-        f, jac = _project_residues(off, u, u_k, noisy)[:2]
+        steps = 1e-7 * np.eye(2 * k)
+        params = np.r_[g, u_k]
+        off = params * np.r_[np.full(k, 1.1), np.full(k, 1.0 + 2e-3)]
+        f, jac = _project_residues(off[:k], u, off[k:], noisy)[:2]
+        assert jac.shape == ((2 * k + 1) * 2, 2 * k)
         assert f @ f == pytest.approx(np.sum(reference_residual(off, noisy) ** 2), rel=1e-10)
         cost = [0.5 * np.sum(reference_residual(off + s, noisy) ** 2)
                 - 0.5 * np.sum(reference_residual(off - s, noisy) ** 2) for s in steps]
@@ -289,20 +299,62 @@ class TestFixedCenters:
         f, jac = _project_residues(g, u, u_k, exact)[:2]
         assert np.max(np.abs(f)) < 1e-12
         fd = np.column_stack([
-            (reference_residual(g + s, exact) - reference_residual(g - s, exact)) / 2e-7
+            (reference_residual(params + s, exact) - reference_residual(params - s, exact)) / 2e-7
             for s in steps
         ])
-        assert jac.T @ jac == pytest.approx(fd.T @ fd, rel=1e-6)
+        assert (jac.T @ jac)[:k, :k] == pytest.approx((fd.T @ fd)[:k, :k], rel=1e-6)
+        # every entry against the geometric mean of its two diagonal entries
+        scale = np.sqrt(np.outer(np.diag(fd.T @ fd), np.diag(fd.T @ fd)))
+        assert np.all(np.abs(jac.T @ jac - fd.T @ fd) < 1e-6 * scale)
+
+    def test_basis_derivatives_match_central_differences(self):
+        """The dB/dg_k and dB/du_k rows against central differences of the basis rows."""
+        u = np.linspace(4.0, 5.0, 60)
+        params = np.array([0.02, 0.05, 4.3, 4.7])  # g_0, g_1, u_0, u_1
+        rows = _residue_basis(params[:2], u, params[2:])
+        for p in range(4):
+            step = 1e-7 * np.eye(4)[p]
+            up, down = (_residue_basis(q[:2], u, q[2:])[p % 2] for q in (params + step, params - step))
+            fd = (up - down) / 2e-7
+            assert np.max(np.abs(rows[2 + p] - fd)) < 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3, 2e-2])
+    def test_recovers_a_three_mode_response(self, noise):
+        """Centers, dampings and signed residues of a synthetic response, with finite errors."""
+        grid = np.linspace(0.8e6, 1.2e6, 600)
+        centers = np.array([0.9e6, 1.0e6, 1.08e6])
+        gammas = np.array([6.0e3, 8.0e3, 5.0e3])
+        heights = np.array([[1.0, -0.6, 0.3], [0.5, 0.8, -1.0], [0.2, 0.4, 0.9]]) * 1e-6
+        z = modal_response(grid, centers, gammas, heights * gammas * centers)
+        rng = np.random.default_rng(7)
+        z = z + noise * np.abs(z).max() * (rng.standard_normal(z.shape)
+                                           + 1j * rng.standard_normal(z.shape))
+        fit = fit_modal_sum(grid, z, 3)
+        hwhms = math.sqrt(3.0) / 2.0 * gammas
+        errors = (fit.center_errors, fit.hwhm_errors, fit.height_errors)
+        assert all(np.all(np.isfinite(e)) for e in errors)
+        if noise == 0.0:
+            assert fit.centers == pytest.approx(centers, rel=1e-10)
+            assert fit.hwhms == pytest.approx(hwhms, rel=1e-8)
+            assert fit.heights == pytest.approx(heights, rel=1e-8, abs=1e-15)
+            return
+        assert all(np.all(e > 0) for e in errors)
+        assert np.all(np.abs(fit.centers - centers) < 5 * fit.center_errors)
+        assert np.all(np.abs(fit.hwhms - hwhms) < 5 * fit.hwhm_errors)
+        assert np.all(np.abs(fit.heights - heights) < 5 * fit.height_errors)
+        # the errors scale with the noise: a center is pinned far inside its width
+        assert np.all(fit.center_errors < 50 * noise * hwhms)
+
+    def test_too_few_maxima_names_them(self):
+        grid = np.linspace(0.8e6, 1.2e6, 200)
+        z = modal_response(grid, [1.0e6], [5.0e3], [[1.0], [0.5]])
+        with pytest.raises(AnalysisError, match="found 1 local maxima in the smoothed spectrum, need 3"):
+            fit_modal_sum(grid, z, 3)
 
     def test_requires_2d_amplitudes(self):
         grid = np.linspace(0.0, 1.0, 32)
         with pytest.raises(AnalysisError, match="2-D"):
-            fit_fixed_centers(grid, np.ones(32), np.array([0.5]), np.array([0.1]))
-
-    def test_one_half_width_per_center(self):
-        grid = np.linspace(0.0, 1.0, 32)
-        with pytest.raises(AnalysisError, match="one half-width per center"):
-            fit_fixed_centers(grid, np.ones((32, 2)), np.array([0.3, 0.6]), np.array([0.1]))
+            fit_modal_sum(grid, np.ones(32), 1)
 
 
 class TestReconstruct:
@@ -314,7 +366,7 @@ class TestReconstruct:
         gamma = gamma_of(self.HWHM)
         residues = np.asarray(heights, dtype=float)[:, None] * gamma * 1.0e6
         z = modal_response(self.GRID, [1.0e6], [gamma], residues)
-        return fit_fixed_centers(self.GRID, z, np.array([1.0e6]), np.array([self.HWHM]))
+        return fit_modal_sum(self.GRID, z, 1)
 
     def test_antiphase_ion_gets_negative_sign(self):
         fit = self.single_mode_fit([1.0, -0.5, 1.0])
@@ -376,7 +428,7 @@ class TestAnalyzeSpectrum:
 
         analysis = analyze_spectrum(spectrum)
         hwhm = scan.damping_rate / 2.0
-        assert np.abs(analysis.lorentzians.centers - freqs) == pytest.approx(
+        assert np.abs(analysis.modes.centers - freqs) == pytest.approx(
             np.zeros(3), abs=hwhm / 2
         )
         theory = table.matrix("x")
@@ -393,8 +445,25 @@ class TestAnalyzeSpectrum:
         scan = DriveScan(grid, damping_rate=TWO_PI * 2e3)
         spectrum = linear_response_spectrum(config, scan, BeamSpec("broad", 1e-23))
         analysis = analyze_spectrum(spectrum, n_modes=1)
-        assert analysis.lorentzians.n_peaks == 1
+        assert analysis.modes.centers.shape == (1,)
         assert analysis.vectors.components.shape == (3, 1)
+
+    def test_one_least_squares_call_per_spectrum(self, monkeypatch):
+        config = TrapConfig()
+        freqs = compute_modes(config).frequencies("x")
+        scan = DriveScan(np.linspace(0.9 * freqs[0], 1.1 * freqs[-1], 400), TWO_PI * 2e3)
+        spectra = [linear_response_spectrum(config, scan, BeamSpec(kind, 1e-23, waist_radius=17e-6))
+                   for kind in ("broad", "focused")]
+        calls, solver = [], analysis.least_squares
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "least_squares", counted)
+        for spectrum in spectra:
+            analyze_spectrum(spectrum)
+        assert len(calls) == len(spectra)
 
 
 def adaptive_blurred_arcsine(x, amplitude, sigma):
@@ -673,11 +742,11 @@ class TestLeastSquares:
         rng = np.random.default_rng(0)
         z = z + 1e-3 * np.abs(z).max() * (rng.standard_normal(z.shape)
                                           + 1j * rng.standard_normal(z.shape))
-        hwhms = np.array([2.0 * step, 3.0e4])
-        ours = fit_fixed_centers(grid, z, centers, hwhms)
-        reference = fit_with_trf(monkeypatch, fit_fixed_centers, grid, z, centers, hwhms)
+        ours = fit_modal_sum(grid, z, 2)
+        reference = fit_with_trf(monkeypatch, fit_modal_sum, grid, z, 2)
         assert ours.hwhms[0] == pytest.approx(WIDTH_FLOOR_STEPS * step, rel=1e-12)
         assert ours.hwhms == pytest.approx(reference.hwhms, rel=1e-8)
+        assert np.all(np.abs(ours.centers - reference.centers) < AGREEMENT * ours.center_errors)
         assert np.all(np.abs(ours.heights - reference.heights) < AGREEMENT * ours.height_errors)
 
     @pytest.mark.parametrize("amplitude, seed", [(3.0, 0), (0.0, 1)])
@@ -699,7 +768,7 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("fit, message", [
         ("free", "Lorentzian fit did not converge"),
-        ("fixed", "residue fit did not converge"),
+        ("modal", "modal fit did not converge"),
         ("profile", "profile fit did not converge"),
     ])
     def test_failed_solve_raises_with_the_solver_message(self, monkeypatch, fit, message):
@@ -713,10 +782,8 @@ class TestLeastSquares:
         with pytest.raises(AnalysisError, match=f"^{re.escape(expected)}$"):
             if fit == "free":
                 fit_lorentzian_sum(grid, y, 3)
-            elif fit == "fixed":
-                fit_fixed_centers(grid, modal_response(grid, TestFreeFit.CENTERS,
-                                                       gamma_of(TestFreeFit.HWHMS),
-                                                       np.eye(3)), TestFreeFit.CENTERS,
-                                  1.2 * TestFreeFit.HWHMS)
+            elif fit == "modal":
+                fit_modal_sum(grid, modal_response(grid, TestFreeFit.CENTERS,
+                                                   gamma_of(TestFreeFit.HWHMS), np.eye(3)), 3)
             else:
                 fit_profile(*TestProfileFit().make_profile(1.0), psf_sigma=1.0)

@@ -355,12 +355,12 @@ class TestSimulateAndFit:
             "fit", str(spectrum_path), "--config", config, "--out", str(fit_path),
         ]) == 0
         result = json.loads(fit_path.read_text(encoding="utf-8"))
-        assert set(result) == {"lorentzians", "per_ion", "eigenvectors", "warnings"}
+        assert set(result) == {"modes", "eigenvectors", "warnings"}
 
         trap = TrapConfig.from_mapping(self.CONFIG["trap"])
         table = compute_modes(trap)
         theory_hz = table.frequencies("x") / TWO_PI
-        centers = np.array(result["lorentzians"]["centers_hz"])
+        centers = np.array(result["modes"]["centers_hz"])
         hwhm_hz = 2000.0 / 2.0
         assert np.max(np.abs(centers - theory_hz)) < hwhm_hz / 2
 
@@ -736,14 +736,16 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_oversize_pair_arrays_exit_2(self, tmp_path, capsys, monkeypatch, command):
-        """16 scan points x 3 pairs of full-model separations over a lowered budget."""
-        data = {"sweep": {"points": 2}, "drive": {"scan_points": 16, "model": "full"},
+        """2 held rows x 32 scan points x 3 pairs of full-model separations over a
+        lowered budget that still holds the spectra, 32 scan points x 3 ions."""
+        data = {"sweep": {"omega_z_min_hz": 47e3, "omega_z_max_hz": 47e3, "points": 1},
+                "drive": {"scan_points": 32, "model": "full"},
                 "pipeline": {"spectrum_source": "full"}}
         monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 1000)
         out = tmp_path / "out"
         assert cli.main([command, "--config", write_config(tmp_path, data),
                          "--out", str(out)]) == 2
-        assert "the pair separations of 16 chains of 3 ions needs" in capsys.readouterr().err
+        assert "the pair separations of 32 chains of 3 ions needs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_top_level(self, tmp_path, capsys):

@@ -586,7 +586,8 @@ class TestGridBatch:
     def test_oversize_full_point_fails_alone(self, monkeypatch):
         """Full-model pair arrays over the budget fail their point, before allocating."""
         points = [grid_point(47), grid_point(100, scan_points=40), grid_point(205)]
-        # room for the lockstep of the two small points: 2 x 3 scan points x 3 pairs
+        # room for 3 rows x 2 points x 3 scan points x 3 pairs; the x-driven
+        # lockstep holds 2 rows (x, z), and the 40-point one alone needs 2 x 40 x 3
         monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 8 * 3 * 2 * 3 * 3)
         spectra = synthesize_spectra(*zip(*points), "full")
         assert isinstance(spectra[1], ConfigError)
@@ -596,6 +597,18 @@ class TestGridBatch:
             assert np.array_equal(spectra[i].amplitude, solo.amplitude)
         # the linearized model has no pair arrays
         assert not isinstance(synthesize_spectra(*zip(*points), "linearized")[1], ConfigError)
+
+    def test_pair_budget_counts_the_held_rows(self, monkeypatch):
+        """An x-driven full-model point holds x and z: two rows of pair separations, not three."""
+        point = grid_point(47)
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 8 * 2 * 3 * 3)  # 2 rows x 3 scan points x 3 pairs
+        (spectrum,) = synthesize_spectra(*zip(point), "full")
+        solo = simulate_spectrum(point[0].config, point[1], point[2], "full")
+        assert np.array_equal(spectrum.amplitude, solo.amplitude)
+        monkeypatch.setattr(core, "MAX_ARRAY_BYTES", 8 * 2 * 3 * 3 - 1)
+        (spectrum,) = synthesize_spectra(*zip(point), "full")
+        assert isinstance(spectrum, ConfigError)
+        assert "pair separations of 3 chains of 3 ions" in str(spectrum)
 
     def test_chunked_batch_equals_one_lockstep(self, monkeypatch):
         points = [grid_point(omega_z, kind=kind) for omega_z, kind in

@@ -1,15 +1,18 @@
-"""What ``import tapermode`` loads, checked in a fresh interpreter.
+"""What ``import tapermode`` loads, and the names the benchmark tracer needs from it.
 
 A subprocess is used so that modules imported by other tests (the
 references here import ``scipy.optimize``, ``scipy.signal`` and
 ``scipy.integrate``) cannot hide an import the package itself makes.
 """
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 PROBE = """
 import sys
@@ -27,3 +30,14 @@ def test_import_loads_no_scipy_module():
     location, loaded = result.stdout.split("\n")[:2]
     assert Path(location).resolve().parent == (SRC / "tapermode").resolve()
     assert loaded == ""
+
+
+def test_every_traced_name_resolves():
+    """``perfbench/spans.py`` rebinds each ``(module, name)`` of ``TRACED`` and fails on a
+    missing one, so a rename in the package must fail here first."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{name}" for module, name, _ in spans.TRACED
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert spans.TRACED and missing == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tapermode import modes, pipeline
-from tapermode.analysis import analyze_spectrum
+from tapermode.analysis import analyze_spectrum, fit_lorentzian_sum
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.dynamics import DriveScan, beam_weights, synthesize_spectra
 from tapermode.equilibrium import equilibrium_positions
@@ -152,10 +152,11 @@ def array_records():
     report = run_experiment(CONFIG, ExperimentPlan(omega_z_values=grid, **FAST_PLAN_KWARGS))
     point = report.points[0]
     fits = analyze_spectrum(point.spectrum, n_modes=3)
+    peaks = fit_lorentzian_sum(point.spectrum.drive_frequencies, point.spectrum.summed_amplitude(), 3)
     return [
         table, sweep, sweep.points[0], sweep.points[0].modes[0],
         DriveScan(table.frequencies("x"), damping_rate=1.0), point.spectrum,
-        report.plan, point, report, fits.lorentzians, fits.per_ion, fits.vectors, fits,
+        report.plan, point, report, peaks, fits.modes, fits.vectors, fits,
     ]
 
 
@@ -165,7 +166,7 @@ def test_array_records_compare_by_identity():
     assert [type(r).__name__ for r in first] == [
         "ModeTable", "SweepResult", "SweepPoint", "TrackedMode", "DriveScan",
         "SpectrumResult", "ExperimentPlan", "PointResult",
-        "ReproductionReport", "LorentzianFit", "FixedCenterFit", "ModeVectorEstimate",
+        "ReproductionReport", "LorentzianFit", "ModalFit", "ModeVectorEstimate",
         "SpectrumAnalysis",
     ]
     for a, b in zip(first, second):
@@ -200,11 +201,12 @@ class TestRunExperiment:
             run_experiment(CONFIG, plan)
 
     def test_oversize_pair_arrays_rejected_before_preparing(self, monkeypatch):
-        """800 scan points of 335 ions ask for 1 GiB of full-model pair separations."""
+        """800 scan points of 411 ions ask for 1 GiB of full-model pair separations
+        in the two rows an x drive holds, x and z."""
         monkeypatch.setattr(pipeline, "_prepare_point", None)  # never reached
         plan = ExperimentPlan(spectrum_source="full")
-        with pytest.raises(ConfigError, match="800 chains of 335 ions needs a 1 GiB array"):
-            run_experiment(TrapConfig(n_ions=335), plan)
+        with pytest.raises(ConfigError, match="800 chains of 411 ions needs a 1 GiB array"):
+            run_experiment(TrapConfig(n_ions=411), plan)
 
     def test_three_point_loop_report(self):
         plan = ExperimentPlan(
@@ -397,7 +399,7 @@ def per_point_experiment(config, plan, seed):
         spectrum = _add_noise(spectrum, plan.noise_fraction, np.random.default_rng(child))
         result = analyze_spectrum(spectrum, n_modes=theory_freqs.size)
         order, signs, strengths = assign_columns(theory_matrix, result.vectors.components)
-        fitted_freqs = result.lorentzians.centers[order]
+        fitted_freqs = result.modes.centers[order]
         fitted_matrix = result.vectors.components[:, order] * signs
         checked = np.abs(theory_matrix) > SIGN_CHECK_THRESHOLD
         sign_ok = (np.sign(fitted_matrix) == np.sign(theory_matrix)) | ~checked
@@ -412,7 +414,7 @@ def per_point_experiment(config, plan, seed):
             theory_frequencies=theory_freqs,
             theory_components=theory_matrix,
             fitted_frequencies=fitted_freqs,
-            fitted_hwhms=result.lorentzians.hwhms[order],
+            fitted_hwhms=result.modes.hwhms[order],
             fitted_components=fitted_matrix,
             frequency_errors=np.abs(fitted_freqs - theory_freqs),
             component_errors=np.abs(fitted_matrix - theory_matrix),
