@@ -244,8 +244,20 @@ class SpectrumResult:
 
 
 def wrap_phase(phi: np.ndarray | float) -> np.ndarray | float:
-    """Wrap angles into (-pi, pi]."""
-    out = (np.asarray(phi, dtype=float) + np.pi) % TWO_PI - np.pi
+    """Wrap angles into (-pi, pi].
+
+    The result is ``(phi + pi) % TWO_PI - pi``, bit for bit, with -pi sent to
+    pi. The remainder needs no division while every shifted angle
+    ``x = phi + pi`` lies in [0, 4 pi): below 2 pi, x is its own remainder,
+    and from 2 pi on, ``x - TWO_PI`` is exact (Sterbenz). Only an input with
+    a shifted angle outside [0, 4 pi), or not finite, takes the ``%``. Phases
+    from ``np.angle`` and ``np.angle + pi/2`` never do.
+    """
+    shifted = np.asarray(phi, dtype=float) + np.pi
+    if np.all((shifted >= 0.0) & (shifted < 2.0 * TWO_PI)):
+        out = np.where(shifted >= TWO_PI, shifted - TWO_PI, shifted) - np.pi
+    else:
+        out = shifted % TWO_PI - np.pi
     out = np.where(out == -np.pi, np.pi, out)
     return float(out) if np.ndim(phi) == 0 else out
 

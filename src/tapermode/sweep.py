@@ -4,10 +4,12 @@ Sweeping the axial frequency moves the chain through the localized-to-
 collective transition: ion spacing shrinks, the taper detuning falls and the
 Coulomb coupling grows. Eigenvalue order is not a stable mode identity
 through this transition, so modes are tracked point-to-point by eigenvector
-overlap (solved as an assignment problem) with sign continuity along each
-track. A track whose best overlap drops below ``TRACKING_OVERLAP_MIN``
-indicates the grid is too coarse to follow the modes and raises
-:class:`SolverError`.
+overlap with sign continuity along each track. One batched pass takes the
+overlaps of every grid interval from one stacked product and pairs each
+column with the column of its largest |overlap|; the assignment search runs
+only on the intervals where two columns pick the same one. A track whose
+matched overlap drops below ``TRACKING_OVERLAP_MIN`` indicates the grid is
+too coarse to follow the modes and raises :class:`SolverError`.
 
 The dimensionless positions u depend only on the ion count, so the radial
 stiffness matrices of the whole grid are ``I + t_k diag(u) + beta_k^2 K``
@@ -193,11 +195,54 @@ def match_columns(previous: np.ndarray, current: np.ndarray) -> tuple[np.ndarray
     order, signs, strengths = assign_columns(previous, current)
     weakest = float(np.min(strengths))
     if weakest < TRACKING_OVERLAP_MIN:
-        raise SolverError(
-            f"mode tracking failed: weakest matched overlap {weakest:.3f} < "
-            f"{TRACKING_OVERLAP_MIN}; refine the omega_z grid"
-        )
+        raise _tracking_error(weakest)
     return order, signs
+
+
+def _tracking_error(weakest: float) -> SolverError:
+    return SolverError(
+        f"mode tracking failed: weakest matched overlap {weakest:.3f} < "
+        f"{TRACKING_OVERLAP_MIN}; refine the omega_z grid"
+    )
+
+
+def _track_columns(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column order and signs that line each point's columns up with the tracks.
+
+    ``vectors`` [P, N, N] are the raw eigenvectors of a sweep. Returns
+    ``(orders, signs)`` [P, N] such that ``vectors[p][:, orders[p]] * signs[p]``
+    is point p in track order, the tracks being point 0's columns as given.
+    Raises :class:`SolverError` at the first interval, in grid order, whose
+    weakest matched overlap magnitude is below ``TRACKING_OVERLAP_MIN``.
+
+    One stacked product gives every interval's overlaps between the raw
+    columns of its two points. Interval k is matched as :func:`match_columns`
+    matches point k + 1 against point k in track order, and that order only
+    permutes and negates the rows of the raw overlap. So where the row-wise
+    largest |overlap| picks a different column for every row, it is the
+    assignment, read through point k's track order. Only the other intervals
+    run the search, on the rows in track order.
+    """
+    points, n = vectors.shape[:2]
+    overlap = np.matmul(np.swapaxes(vectors[:-1], 1, 2), vectors[1:])
+    negative = overlap < 0.0
+    strength = np.abs(overlap, out=overlap)
+    best = strength.argmax(axis=2)
+    collides = (np.diff(np.sort(best, axis=1), axis=1) == 0).any(axis=1).tolist()
+    orders = np.empty((points, n), dtype=np.intp)
+    orders[0] = np.arange(n)
+    for k, search in enumerate(collides):
+        track = orders[k]
+        orders[k + 1] = (_shortest_augmenting_path(-strength[k][track]) if search
+                         else best[k][track])
+    matched = (np.arange(points - 1)[:, None], orders[:-1], orders[1:])
+    weakest = strength[matched].min(axis=1)
+    failed = np.flatnonzero(weakest < TRACKING_OVERLAP_MIN)
+    if failed.size:
+        raise _tracking_error(float(weakest[failed[0]]))
+    flipped = np.zeros((points, n), dtype=bool)
+    np.logical_xor.accumulate(negative[matched], axis=0, out=flipped[1:])
+    return orders, np.where(flipped, -1.0, 1.0)
 
 
 def _mode_labels(n_ions: int, linear_rank: np.ndarray) -> tuple[str, ...]:
@@ -243,13 +288,12 @@ def run_sweep(
     linear_values = 1.0 + betas[:, None] ** 2 * kappa
     _require_stable(linear_values, lambda k: f"the untapered reference of {where(k)}")
 
-    # Track identities forward from the lowest omega_z, reordering each
-    # point's columns in place.
-    for k in range(1, omegas.size):
-        order, signs = match_columns(vectors[k - 1], vectors[k])
-        vectors[k] = vectors[k][:, order] * signs
-        values[k] = values[k][order]
-        participation[k] = participation[k][order]
+    # Track identities forward from the lowest omega_z.
+    orders, signs = _track_columns(vectors)
+    values = np.take_along_axis(values, orders, axis=1)
+    participation = np.take_along_axis(participation, orders, axis=1)
+    vectors = np.take_along_axis(vectors, orders[:, None, :], axis=2)
+    vectors *= signs[:, None, :]
 
     # Name the tracks by which untapered mode they become at the highest
     # omega_z (the collective end, where that identification is sharp).

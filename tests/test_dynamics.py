@@ -735,7 +735,36 @@ class TestModeRingDown:
         assert np.max(np.abs(measured - expected)) <= 5e-3 * np.max(expected)
 
 
+def modulo_wrap(phi):
+    """The definition of :func:`wrap_phase`: ``(phi + pi) % TWO_PI - pi``, -pi sent to pi."""
+    out = (np.asarray(phi, dtype=float) + np.pi) % TWO_PI - np.pi
+    return np.where(out == -np.pi, np.pi, out)
+
+
+#: The ends of both ranges, the quarter turns and the neighbours of -pi, pi and 3 pi.
+#: At phi = pi the shifted angle is exactly 2 pi, where both branches of the
+#: exact path give pi.
+EDGE_ANGLES = [math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1.5 * math.pi, 0.0, -0.0] + [
+    float(np.nextafter(angle, side)) for angle in (-math.pi, math.pi, 3 * math.pi)
+    for side in (-math.inf, math.inf)
+]
+ANGLES = (st.floats(allow_nan=False, allow_infinity=False) | st.floats(-4.0, 10.0)
+          | st.sampled_from(EDGE_ANGLES))
+
+
 class TestWrapPhase:
+    @settings(max_examples=500)
+    @given(ANGLES | hnp.arrays(float, hnp.array_shapes(max_dims=2, min_side=0, max_side=6),
+                               elements=ANGLES))
+    def test_bits_equal_the_modulo_form(self, phi):
+        got = np.asarray(wrap_phase(phi))
+        assert np.array_equal(got.view(np.int64), modulo_wrap(phi).view(np.int64))
+
+    def test_edge_angles_bits_equal_the_modulo_form(self):
+        for phi in EDGE_ANGLES + [np.array(EDGE_ANGLES), np.array(EDGE_ANGLES + [-4.0])]:
+            got = np.asarray(wrap_phase(phi))
+            assert np.array_equal(got.view(np.int64), modulo_wrap(phi).view(np.int64)), phi
+
     @given(st.floats(allow_nan=False, allow_infinity=False)
            | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8).map(np.array))
     def test_any_finite_angle_lands_in_the_half_open_interval(self, phi):

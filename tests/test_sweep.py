@@ -108,6 +108,67 @@ def highest_omega_z(config, direction):
     return min(limit, bare * math.sqrt(beta2 / (1.0 + beta2 / 2.0)))
 
 
+def solve_and_track(monkeypatch, config, grid):
+    """:func:`run_sweep` along x, with the raw stack it solved and every search cost.
+
+    Returns ``(result, stack, costs)``: ``stack`` is a copy of the
+    ``(values, vectors, participation)`` of the one stacked eigensolve, before
+    any tracking, and ``costs`` are the matrices given to the assignment
+    search, in call order.
+    """
+    stacks, costs = [], []
+    solve, search = sweep._eigensystem, sweep._shortest_augmenting_path
+
+    def capture(mats, where):
+        solved = solve(mats, where)
+        stacks.append(tuple(a.copy() for a in solved))
+        return solved
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "_eigensystem", capture)
+        patch.setattr(sweep, "_shortest_augmenting_path",
+                      lambda cost: costs.append(cost.copy()) or search(cost))
+        result = run_sweep(config, grid, "x")
+    (stack,) = stacks
+    return result, stack, costs
+
+
+def scipy_tracked_sweep(config, grid, stack):
+    """The x sweep of a raw stacked solve, tracked point by point by scipy.
+
+    ``stack`` is ``(values, vectors, participation)`` for the ascending
+    ``grid`` as the stacked eigensolve returns them. Each point's columns are
+    paired with the previous point's tracked columns by
+    ``linear_sum_assignment`` on |overlap| and signed to match; the labels
+    and the untapered reference follow :func:`run_sweep`'s documentation.
+    Returns ``(labels, arrays)`` with arrays keyed by ``SweepResult`` field.
+    """
+    values, vectors, participation = (a.copy() for a in stack)
+    for k in range(1, grid.size):
+        overlap = vectors[k - 1].T @ vectors[k]
+        rows, order = linear_sum_assignment(-np.abs(overlap))
+        matched = overlap[rows, order]
+        assert np.min(np.abs(matched)) >= TRACKING_OVERLAP_MIN
+        vectors[k] = vectors[k][:, order] * np.where(matched < 0.0, -1.0, 1.0)
+        values[k] = values[k][order]
+        participation[k] = participation[k][order]
+    kappa, linear_vectors = np.linalg.eigh(
+        coulomb_matrix(chain_positions_dimensionless(config.n_ions)))
+    _, rank = linear_sum_assignment(-np.abs(vectors[-1].T @ linear_vectors))
+    points = [config.replace(omega_z=w) for w in grid.tolist()]
+    betas = np.array([c.beta("x") for c in points])
+    units = np.array([c.radial_frequency("x") for c in points])[:, None]
+    linear_values = 1.0 + betas[:, None] ** 2 * kappa
+    return tuple(f"m{r + 1}" for r in rank), {
+        "omega_z": grid,
+        "eigenvalues": values,
+        "frequencies": np.sqrt(values) * units,
+        "vectors": vectors,
+        "participation": participation,
+        "linear_frequencies": (np.sqrt(linear_values) * units)[:, rank],
+    }
+
+
 def scipy_assign_columns(reference, candidate):
     """``assign_columns`` by ``scipy.optimize.linear_sum_assignment``, the reference."""
     overlap = reference.T @ candidate
@@ -156,23 +217,19 @@ class TestAssignColumns:
                     assert np.array_equal(a, b)
 
     def test_long_chain_sweep_with_a_collision_equals_scipy_tracking(self, monkeypatch):
-        """The N = 30 survey grid has a step whose row-wise best overlaps collide,
-        so the search runs, and the sweep equals, bit for bit, the one tracked by
-        scipy's assignment."""
+        """N = 30 over 21-81 kHz: on the 400-point survey grid the row-wise best
+        overlaps collide in the label assignment, and on 60 points in three
+        grid intervals as well. The search runs, and the sweep equals, bit for
+        bit, its own raw stack tracked point by point by scipy."""
         config = TrapConfig(n_ions=30)
-        grid = TWO_PI * np.linspace(21e3, 81e3, 400)
-        costs = []
-        solver = sweep._shortest_augmenting_path
-        monkeypatch.setattr(sweep, "_shortest_augmenting_path",
-                            lambda cost: costs.append(cost) or solver(cost))
-        result = run_sweep(config, grid, "x")
-        assert any(np.unique(cost.argmin(axis=1)).size < cost.shape[0] for cost in costs)
-        monkeypatch.setattr(sweep, "assign_columns", scipy_assign_columns)
-        expected = run_sweep(config, grid, "x")
-        assert result.labels == expected.labels
-        for name in ("omega_z", "eigenvalues", "frequencies", "vectors", "participation",
-                     "linear_frequencies"):
-            assert np.array_equal(getattr(result, name), getattr(expected, name)), name
+        for points in (400, 60):
+            grid = TWO_PI * np.linspace(21e3, 81e3, points)
+            result, stack, costs = solve_and_track(monkeypatch, config, grid)
+            assert any(np.unique(cost.argmin(axis=1)).size < cost.shape[0] for cost in costs)
+            labels, expected = scipy_tracked_sweep(config, grid, stack)
+            assert result.labels == labels
+            for name, array in expected.items():
+                assert np.array_equal(getattr(result, name), array), (points, name)
 
 
 class TestMatchColumns:
@@ -208,6 +265,79 @@ class TestMatchColumns:
 
     def test_threshold_is_documented_value(self):
         assert TRACKING_OVERLAP_MIN == 0.5
+
+
+class TestTrackColumns:
+    """The batched tracking pass against per-interval matching."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        points=st.integers(1, 12),
+        mixing=st.sampled_from([0.05, 0.3, 0.8, 3.0]),
+    )
+    def test_equals_the_match_columns_loop(self, seed, n, points, mixing):
+        """Random frames, each a rotation of the last with its columns shuffled
+        and signed: the batched orders and signs line the columns up exactly as
+        a :func:`match_columns` loop over the intervals does, or fail with its
+        message at the same interval."""
+        rng = np.random.default_rng(seed)
+        frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        frames = []
+        for _ in range(points):
+            frame, _ = np.linalg.qr(frame + mixing * rng.normal(size=(n, n)))
+            frames.append(frame[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n))
+        vectors = np.array(frames)
+        expected = vectors.copy()
+        try:
+            for k in range(1, points):
+                order, signs = match_columns(expected[k - 1], expected[k])
+                expected[k] = expected[k][:, order] * signs
+        except SolverError as error:
+            with pytest.raises(SolverError) as info:
+                sweep._track_columns(vectors)
+            assert str(info.value) == str(error)
+            return
+        orders, signs = sweep._track_columns(vectors)
+        tracked = np.take_along_axis(vectors, orders[:, None, :], axis=2) * signs[:, None, :]
+        assert np.array_equal(tracked, expected)
+
+    @pytest.mark.parametrize("points, colliding", [(400, 0), (60, 3)])
+    def test_search_runs_once_per_colliding_interval(self, monkeypatch, points, colliding):
+        """Only intervals whose row-wise best overlaps share a column reach the
+        search, once each; the last search is the label assignment."""
+        n = 30
+        grid = TWO_PI * np.linspace(21e3, 81e3, points)
+        _, (_, vectors, _), costs = solve_and_track(monkeypatch, TrapConfig(n_ions=n), grid)
+        collisions = [k for k in range(points - 1)
+                      if np.unique(np.abs(vectors[k].T @ vectors[k + 1]).argmax(axis=1)).size < n]
+        assert len(collisions) == colliding
+        assert len(costs) == colliding + 1
+        for cost in costs[:-1]:
+            assert np.unique(cost.argmin(axis=1)).size < n
+
+    @pytest.mark.parametrize("points, weakest",
+                             [(9, "0.446"), (17, "0.452"), (41, "0.448"), (81, None)])
+    def test_coarse_long_chain_grids_name_the_weakest_overlap(self, points, weakest):
+        """N = 30 over 21-81 kHz is first tracked at 81 points."""
+        grid = TWO_PI * np.linspace(21e3, 81e3, points)
+        if weakest is None:
+            assert run_sweep(TrapConfig(n_ions=30), grid).vectors.shape == (points, 30, 30)
+            return
+        message = f"weakest matched overlap {weakest} < 0.5; refine the omega_z grid"
+        with pytest.raises(SolverError, match=re.escape(message)):
+            run_sweep(TrapConfig(n_ions=30), grid)
+
+    @pytest.mark.parametrize("n, points", [(3, 1), (1, 1), (1, 7)])
+    def test_one_point_and_one_ion_sweeps_keep_their_shapes(self, n, points):
+        result = run_sweep(TrapConfig(n_ions=n), GRID[:points])
+        shapes = {"omega_z": (points,), "eigenvalues": (points, n),
+                  "frequencies": (points, n), "vectors": (points, n, n),
+                  "participation": (points, n), "linear_frequencies": (points, n)}
+        for name, shape in shapes.items():
+            assert getattr(result, name).shape == shape, name
+        assert len(result.labels) == n
 
 
 class TestRunSweep:
