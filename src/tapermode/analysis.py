@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_array_budget
 from .dynamics import SpectrumResult
 from .errors import AnalysisError
 
@@ -196,11 +197,13 @@ def least_squares(
     Each step ``p`` minimizes ``|J p + f|^2 + lam |D p|^2``, the least-squares
     solution of the stacked system ``[J; sqrt(lam) D] p = -[f; 0]``, with
     ``lam`` found by More's safeguarded Newton iteration so that ``|D p|``
-    meets the trust radius. One SVD of the triangular factor of ``J D^-1``
-    gives that solution for every ``lam``; ``J^T J`` is never formed. Bounds
-    are kept by projection (Kanzow, Yamashita & Fukushima, J. Comput. Appl.
-    Math. 172, 375 (2004)): a variable on a bound whose gradient points out
-    of the box is frozen for the step, and the step is clipped to the box.
+    meets the trust radius. One thin SVD ``J D^-1 = U S V^T`` of the free
+    columns per iteration, with the residual in the left singular basis as
+    ``U^T f``, gives that solution for every ``lam``; ``J^T J`` is never
+    formed. Bounds are kept by projection (Kanzow, Yamashita & Fukushima,
+    J. Comput. Appl. Math. 172, 375 (2004)): a variable on a bound whose
+    gradient points out of the box is frozen for the step, and the step is
+    clipped to the box.
     The radius follows More's rule on the ratio of actual to predicted
     reduction of the clipped step: a quarter of the step below 0.25, twice
     the step from 0.75 or after a Gauss-Newton step. The stopping tests,
@@ -233,10 +236,8 @@ def least_squares(
         if status is not None or nfev >= max_nfev:
             break
         free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
-        r = np.linalg.qr(np.column_stack([J[:, free] / d[free], f]), mode="r")
-        r = r[:np.count_nonzero(free)]
-        u, s, vt = np.linalg.svd(r[:, :-1], full_matrices=False)
-        uf = u.T @ r[:, -1]
+        u, s, vt = np.linalg.svd(J[:, free] / d[free], full_matrices=False)
+        uf = f @ u
         reduction = -1.0
         while reduction <= 0.0 and nfev < max_nfev:
             coeffs, lam = _damped_step(s, uf, radius, lam, max(J.shape))
@@ -343,6 +344,8 @@ def _normalize(frequencies: np.ndarray, amplitude: np.ndarray):
         raise AnalysisError("need a 1-D scan of at least 8 frequencies")
     if y.shape[0] != w.size:
         raise AnalysisError("amplitude length does not match the frequency axis")
+    if not np.all(np.isfinite(w)):
+        raise AnalysisError("frequencies contain non-finite values")
     if not np.all(np.diff(w) > 0):
         raise AnalysisError("frequencies must be strictly increasing")
     if not np.all(np.isfinite(y)):
@@ -706,11 +709,14 @@ def blurred_arcsine(x: np.ndarray, amplitude: float, sigma: float) -> np.ndarray
     ``(1/pi) int_0^pi G_sigma(x - A cos u) du``. The integrand is smooth and
     periodic in u, so the midpoint rule converges exponentially: the nested
     midpoint rule of :func:`_arcsine_quadrature` starts from
-    ``16 + ceil(pi A / sigma)`` nodes and triples them until the density
+    ``n = 16 + ceil(pi A / sigma)`` nodes and triples them until the density
     settles to ``PROFILE_QUAD_RTOL`` at every x (relative tolerance only, so
-    the result is scale-equivariant). The same pass yields the x, A and
-    sigma derivatives that :func:`fit_profile` uses as its analytic
-    Jacobian. Negative amplitudes count as zero. Integrates to 1 over x.
+    the result is scale-equivariant). Its first round takes all ``3n`` nodes
+    in one pass, the ``n``-node estimate being every third of them. The same
+    pass yields the x, A and sigma derivatives that :func:`fit_profile` uses
+    as its analytic Jacobian. Negative amplitudes count as zero; a
+    non-finite amplitude or sigma raises :class:`AnalysisError`. Integrates
+    to 1 over x.
     """
     x = np.asarray(x, dtype=float)
     return _arcsine_quadrature(x.ravel(), amplitude, sigma)[0].reshape(x.shape)
@@ -726,18 +732,30 @@ def _arcsine_quadrature(x: np.ndarray, amplitude: float, sigma: float) -> np.nda
     nodes. Each round triples the count and reuses the old nodes (the
     midpoints of ``n`` cells are the middle midpoints of ``3n``) and stops
     when two successive densities agree to ``PROFILE_QUAD_RTOL`` at every x.
-    The derivatives come from the same Gaussian values. New nodes are taken
-    in blocks, so temporaries stay ``O(x.size * block)`` at large A/sigma.
+    The first round evaluates all ``3n`` nodes in one pass and reads the
+    ``n``-node density off the middle node of each triple. The derivatives
+    come from the same Gaussian values. Nodes are taken in blocks of whole
+    triples, so temporaries stay ``O(x.size * block)`` at large A/sigma; the
+    first round's ``3n`` node array must fit ``core.MAX_ARRAY_BYTES``.
+    Raises :class:`AnalysisError` for a non-finite or non-positive sigma, a
+    non-finite amplitude, a start over that budget, or a density that has
+    not settled after ``_PROFILE_MAX_TRIPLINGS`` rounds.
     ``x`` is 1-D; the result has shape [4, x.size].
     """
-    if not sigma > 0:
-        raise AnalysisError("the point-spread width sigma must be positive")
-    amplitude = max(float(amplitude), 0.0)
-    block = max(_PROFILE_BLOCK_ELEMENTS // max(x.size, 1), 1)
-    # node sums of g, z g, z g cos u and z^2 g, with z = x - A cos u
-    sums = np.zeros((4, x.size))
+    amplitude, sigma = float(amplitude), float(sigma)
+    if not 0 < sigma < np.inf:
+        raise AnalysisError("the point-spread width sigma must be positive and finite")
+    if not np.isfinite(amplitude):
+        raise AnalysisError(f"the oscillation amplitude must be finite, got {amplitude!r}")
+    amplitude = max(amplitude, 0.0)
+    check_array_budget(f"the profile quadrature at A = {amplitude:g}, sigma = {sigma:g}",
+                       (3 * (16 + np.pi * amplitude / sigma),), AnalysisError)
+    block = 3 * max(_PROFILE_BLOCK_ELEMENTS // (3 * max(x.size, 1)), 1)
+    # node sums of g, z g, z g cos u and z^2 g, with z = x - A cos u, then of
+    # g over the first round's middle nodes
+    sums = np.zeros((5, x.size))
 
-    def add_nodes(u: np.ndarray) -> None:
+    def add_nodes(u: np.ndarray, first_round: bool = False) -> None:
         for start in range(0, u.size, block):
             cos_u = np.cos(u[start:start + block])
             z = x[:, None] - amplitude * cos_u
@@ -747,14 +765,17 @@ def _arcsine_quadrature(x: np.ndarray, amplitude: float, sigma: float) -> np.nda
             sums[1] += zg.sum(axis=1)
             sums[2] += zg @ cos_u
             sums[3] += (zg * z).sum(axis=1)
+            if first_round:
+                sums[4] += g[:, 1::3].sum(axis=1)
 
     n = 16 + int(np.ceil(np.pi * amplitude / sigma))
-    add_nodes(np.pi * (np.arange(n) + 0.5) / n)
-    density = sums[0] / n
-    for _ in range(_PROFILE_MAX_TRIPLINGS):
-        new = np.arange(3 * n)
-        new = new[new % 3 != 1]
-        add_nodes(np.pi * (new + 0.5) / (3 * n))
+    add_nodes(np.pi * (np.arange(3 * n) + 0.5) / (3 * n), first_round=True)
+    density = sums[4] / n
+    for tripling in range(_PROFILE_MAX_TRIPLINGS):
+        if tripling:
+            new = np.arange(3 * n)
+            new = new[new % 3 != 1]
+            add_nodes(np.pi * (new + 0.5) / (3 * n))
         n *= 3
         previous, density = density, sums[0] / n
         if np.all(np.abs(density - previous) <= PROFILE_QUAD_RTOL * np.abs(density)):
@@ -791,19 +812,25 @@ class ProfileFit:
     sigma_was_fixed: bool
 
 
-def _profile_params(params: np.ndarray, psf_sigma: float | None) -> np.ndarray:
-    """[A, sigma, center, baseline, scale]; a pinned ``psf_sigma`` is not fitted."""
-    return params if psf_sigma is None else np.insert(params, 1, psf_sigma)
+def _profile_params(params: np.ndarray, psf_sigma: float | None) -> tuple:
+    """(A, sigma, center, baseline, scale); a pinned ``psf_sigma`` is not fitted."""
+    return tuple(params) if psf_sigma is None else (params[0], psf_sigma, *params[1:])
 
 
 def _profile_model(
     params: np.ndarray, x: np.ndarray, psf_sigma: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``baseline + scale * blurred_arcsine(x - center)`` and its Jacobian."""
+    """``baseline + scale * blurred_arcsine(x - center)`` and its fitted Jacobian columns."""
     amp, sig, center, baseline, scale = _profile_params(params, psf_sigma)
     rho, d_x, d_amp, d_sig = _arcsine_quadrature(x - center, amp, sig)
-    jac = np.column_stack([scale * d_amp, scale * d_sig, -scale * d_x, np.ones_like(x), rho])
-    return baseline + scale * rho, jac if psf_sigma is None else np.delete(jac, 1, axis=1)
+    jac = np.empty((x.size, params.size))
+    jac[:, 0] = scale * d_amp
+    if psf_sigma is None:
+        jac[:, 1] = scale * d_sig
+    jac[:, -3] = -scale * d_x
+    jac[:, -2] = 1.0
+    jac[:, -1] = rho
+    return baseline + scale * rho, jac
 
 
 def fit_profile(
@@ -824,6 +851,8 @@ def fit_profile(
     y = np.asarray(counts, dtype=float)
     if x.ndim != 1 or x.size < 8 or y.shape != x.shape:
         raise AnalysisError("need matching 1-D positions and counts (>= 8 bins)")
+    if not np.all(np.isfinite(x)):
+        raise AnalysisError("positions must be finite")
     steps = np.diff(x)
     if not np.all(steps > 0) or (steps.max() - steps.min()) > 1e-6 * steps.mean():
         raise AnalysisError("positions must be a uniformly increasing grid")
@@ -844,8 +873,8 @@ def fit_profile(
         upper = np.array([span, span, x[-1], y.max(), 10.0 * total])
         x_scale = np.array([sigma0, sigma0, sigma0, max(y.max() * 1e-3, 1e-12), total])
     else:
-        if not psf_sigma > 0:
-            raise AnalysisError("psf_sigma must be positive")
+        if not 0 < psf_sigma < np.inf:
+            raise AnalysisError("psf_sigma must be positive and finite")
         s = float(psf_sigma)
         amp0 = max(np.sqrt(2.0 * max(variance - s**2, 1e-6 * variance)), 0.1 * s)
         p0 = np.array([amp0, center0, 0.0, total])

@@ -58,11 +58,11 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 MAX_ARRAY_BYTES = 1 << 30
 
 
-def check_array_budget(what: str, shape: tuple[int, ...]) -> None:
-    """Raise :class:`ConfigError` naming ``what`` if a float64 ``shape`` is over budget."""
+def check_array_budget(what: str, shape: tuple[int, ...], error: type = ConfigError) -> None:
+    """Raise ``error`` naming ``what`` if a float64 ``shape`` is over budget."""
     if 8 * math.prod(shape) > MAX_ARRAY_BYTES:
-        raise ConfigError(f"{what} needs a {8 * math.prod(shape) / 2**30:.3g} GiB array, "
-                          f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB budget")
+        raise error(f"{what} needs a {8 * math.prod(shape) / 2**30:.3g} GiB array, "
+                    f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB budget")
 
 
 def check_pair_budget(n_ions: int, batch: tuple[int, ...] = (), rows: int = 3) -> None:

@@ -356,6 +356,16 @@ class TestFixedCenters:
         with pytest.raises(AnalysisError, match="2-D"):
             fit_modal_sum(grid, np.ones(32), 1)
 
+    @pytest.mark.parametrize("where", [0, 20, -1])
+    def test_rejects_a_non_finite_frequency(self, where):
+        """An infinite frequency is a typed error, not a divide warning in the normalization."""
+        grid = np.linspace(2.0e5, 1.0e6, 301)
+        z = modal_response(grid, [4.0e5, 7.0e5], gamma_of(np.array([1.0e4, 1.0e4])),
+                           [[1.0, 0.5], [0.3, -2.0]])
+        grid[where] = np.inf
+        with pytest.raises(AnalysisError, match="^frequencies contain non-finite values$"):
+            fit_modal_sum(grid, z, 2)
+
 
 class TestReconstruct:
     GRID = np.linspace(0.9e6, 1.1e6, 41)
@@ -529,8 +539,61 @@ class TestBlurredArcsine:
     def test_rejects_bad_input(self):
         with pytest.raises(AnalysisError, match="sigma"):
             blurred_arcsine(np.zeros(3), 1.0, 0.0)
-        with pytest.raises(AnalysisError, match="did not settle"):
+        # a NaN position never settles: 20 starting nodes after eight triplings
+        expected = "profile quadrature did not settle within 131220 nodes (A = 1, sigma = 1)"
+        with pytest.raises(AnalysisError, match=f"^{re.escape(expected)}$"):
             blurred_arcsine(np.array([0.0, np.nan]), 1.0, 1.0)
+
+    @pytest.mark.parametrize("amplitude, sigma, message", [
+        (np.inf, 1.0, "amplitude must be finite"),
+        (-np.inf, 1.0, "amplitude must be finite"),
+        (np.nan, 1.0, "amplitude must be finite"),
+        (1.0, np.inf, "sigma must be positive and finite"),
+        (1.0, np.nan, "sigma must be positive and finite"),
+    ])
+    def test_rejects_non_finite_parameters(self, amplitude, sigma, message):
+        with pytest.raises(AnalysisError, match=message):
+            blurred_arcsine(np.linspace(-3.0, 3.0, 7), amplitude, sigma)
+
+    @pytest.mark.parametrize("amplitude, sigma", [(1e300, 1.0), (1.0, 1e-300), (2e7, 1.0)])
+    def test_rejects_a_start_over_the_node_budget(self, amplitude, sigma):
+        """The first round's 3 (16 + pi A / sigma) nodes are checked before any is made."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(AnalysisError, match="profile quadrature at A = .* GiB budget"):
+                blurred_arcsine(np.linspace(-3.0, 3.0, 7), amplitude, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("elements", [1, 1 << 16])
+    def test_first_round_checks_the_middle_node_rule(self, monkeypatch, elements):
+        """The first round compares the 26-node rule, read off the middle node of
+        each triple, with the 78-node rule (A = 3 sigma). They agree inside the
+        profile and differ by ~7e-7 at x = A + 30 sigma, also in blocks of one triple.
+        """
+        monkeypatch.setattr(analysis, "_PROFILE_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(analysis, "_PROFILE_MAX_TRIPLINGS", 1)
+        x = np.linspace(-8.0, 8.0, 33)
+        assert analysis._arcsine_quadrature(x, 3.0, 1.0)[0] == pytest.approx(
+            blurred_arcsine(x, 3.0, 1.0), rel=1e-14)
+        expected = "profile quadrature did not settle within 78 nodes (A = 3, sigma = 1)"
+        with pytest.raises(AnalysisError, match=f"^{re.escape(expected)}$"):
+            analysis._arcsine_quadrature(np.r_[x, 33.0], 3.0, 1.0)
+
+    @pytest.mark.parametrize("amplitude, sigma", [(0.0, 1.0), (3.0, 0.5), (40.0, 0.3), (2.0, 1e-3)])
+    def test_blocks_agree_with_one_pass(self, monkeypatch, amplitude, sigma):
+        """Blocks of whole triples, down to one triple, sum the same nodes as a single block."""
+        x = np.linspace(-1.0, 1.0, 37) * (amplitude + 5.0 * sigma)
+        monkeypatch.setattr(analysis, "_PROFILE_BLOCK_ELEMENTS", 1 << 40)
+        whole = analysis._arcsine_quadrature(x, amplitude, sigma)
+        for elements in (1, 5 * x.size, 64 * x.size):
+            monkeypatch.setattr(analysis, "_PROFILE_BLOCK_ELEMENTS", elements)
+            blocked = analysis._arcsine_quadrature(x, amplitude, sigma)
+            assert np.all(np.abs(blocked[0] - whole[0]) <= 1e-14 * whole[0])
+            # the derivatives cancel (d/dA is 0 at A = 0): hold them to rho / sigma
+            assert np.all(np.abs(blocked[1:] - whole[1:]) <= 1e-14 * whole[0].max() / sigma)
 
 
 class TestProfileJacobian:
@@ -613,6 +676,15 @@ class TestProfileFit:
             fit_profile(x[:5], y[:5])
         with pytest.raises(AnalysisError, match="not all zero"):
             fit_profile(x, np.zeros_like(y))
+        # typed errors, not RuntimeWarnings from the grid or width arithmetic
+        for sigma in (np.inf, np.nan):
+            with pytest.raises(AnalysisError, match="^psf_sigma must be positive and finite$"):
+                fit_profile(x, y, psf_sigma=sigma)
+        for where in (0, 50, -1):
+            bad = x.copy()
+            bad[where] = np.inf
+            with pytest.raises(AnalysisError, match="^positions must be finite$"):
+                fit_profile(bad, y)
 
 
 # -- the bounded least-squares solver -----------------------------------------
@@ -683,6 +755,39 @@ class TestLeastSquares:
         solved = analysis.least_squares(residual, [5.0], jac, gtol=0.0)
         assert solved.success and solved.status in (2, 3, 4)
         assert solved.x == pytest.approx([0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("deficiency", ["zero column", "equal columns"])
+    def test_rank_deficient_jacobian_reaches_the_trf_cost(self, deficiency):
+        """The damped step on a rank-deficient ``J D^-1`` reaches trf's cost.
+
+        An exponential decay ``a exp(-k t) + c`` fitted with a fourth
+        parameter that either never enters the model (an all-zero column) or
+        shares the rate with ``k`` (two equal columns). The strict warning
+        filters turn any warning of the solve into an error.
+        """
+        t = np.linspace(0.0, 4.0, 40)
+        rng = np.random.default_rng(5)
+        y = 2.0 * np.exp(-1.3 * t) + 0.4 + 1e-3 * rng.standard_normal(t.size)
+
+        def rate(p):
+            return p[1] + (p[3] if deficiency == "equal columns" else 0.0)
+
+        def residual(p):
+            return p[0] * np.exp(-rate(p) * t) + p[2] - y
+
+        def jac(p):
+            e = np.exp(-rate(p) * t)
+            d_rate = -p[0] * t * e
+            zero = np.zeros_like(t)
+            return np.column_stack([e, d_rate, np.ones_like(t),
+                                    d_rate if deficiency == "equal columns" else zero])
+
+        p0 = np.array([1.0, 0.5, 0.0, 0.2])
+        ours = analysis.least_squares(residual, p0, jac)
+        reference = trf(residual, p0, jac)
+        assert ours.success and reference.success
+        assert np.linalg.matrix_rank(ours.jac) == 3
+        assert ours.cost <= reference.cost * (1.0 + 1e-9)
 
     def test_free_fit_agrees_with_trf(self, monkeypatch):
         rng = np.random.default_rng(11)
