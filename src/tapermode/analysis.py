@@ -734,10 +734,12 @@ def _arcsine_quadrature(x: np.ndarray, amplitude: float, sigma: float) -> np.nda
     when two successive densities agree to ``PROFILE_QUAD_RTOL`` at every x.
     The first round evaluates all ``3n`` nodes in one pass and reads the
     ``n``-node density off the middle node of each triple. The derivatives
-    come from the same Gaussian values. Nodes are taken in blocks of whole
-    triples, so temporaries stay ``O(x.size * block)`` at large A/sigma; the
-    first round's ``3n`` node array must fit ``core.MAX_ARRAY_BYTES``.
-    Raises :class:`AnalysisError` for a non-finite or non-positive sigma, a
+    come from the same Gaussian values. Nodes are taken in blocks (of whole
+    triples in the first round), each made from its own index range, so
+    memory stays ``O(x.size * block)`` however many nodes a round has; the
+    first round's ``3n`` nodes, as one array, must fit
+    ``core.MAX_ARRAY_BYTES``, which bounds the start. Raises
+    :class:`AnalysisError` for a non-finite or non-positive sigma, a
     non-finite amplitude, a start over that budget, or a density that has
     not settled after ``_PROFILE_MAX_TRIPLINGS`` rounds.
     ``x`` is 1-D; the result has shape [4, x.size].
@@ -755,9 +757,15 @@ def _arcsine_quadrature(x: np.ndarray, amplitude: float, sigma: float) -> np.nda
     # g over the first round's middle nodes
     sums = np.zeros((5, x.size))
 
-    def add_nodes(u: np.ndarray, first_round: bool = False) -> None:
-        for start in range(0, u.size, block):
-            cos_u = np.cos(u[start:start + block])
+    def add_nodes(n: int, first_round: bool = False) -> None:
+        # the 3n-cell rule's nodes 3j + {0, 1, 2} in the first round, later
+        # its new nodes 3j + {0, 2}, each block made from its own index range
+        count = (3 if first_round else 2) * n
+        for start in range(0, count, block):
+            index = np.arange(start, min(start + block, count))
+            if not first_round:
+                index = 3 * (index // 2) + 2 * (index % 2)
+            cos_u = np.cos(np.pi * (index + 0.5) / (3 * n))
             z = x[:, None] - amplitude * cos_u
             g = np.exp(-0.5 * (z / sigma) ** 2)
             zg = z * g
@@ -769,13 +777,11 @@ def _arcsine_quadrature(x: np.ndarray, amplitude: float, sigma: float) -> np.nda
                 sums[4] += g[:, 1::3].sum(axis=1)
 
     n = 16 + int(np.ceil(np.pi * amplitude / sigma))
-    add_nodes(np.pi * (np.arange(3 * n) + 0.5) / (3 * n), first_round=True)
+    add_nodes(n, first_round=True)
     density = sums[4] / n
     for tripling in range(_PROFILE_MAX_TRIPLINGS):
         if tripling:
-            new = np.arange(3 * n)
-            new = new[new % 3 != 1]
-            add_nodes(np.pi * (new + 0.5) / (3 * n))
+            add_nodes(n)
         n *= 3
         previous, density = density, sums[0] / n
         if np.all(np.abs(density - previous) <= PROFILE_QUAD_RTOL * np.abs(density)):

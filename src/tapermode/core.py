@@ -153,34 +153,51 @@ class TrapConfig:
     @property
     def omega_x(self) -> float:
         """Effective radial angular frequency along x at z = 0 [rad/s]."""
-        return math.sqrt(self.omega_x0**2 - self.omega_z**2 / 2.0)
+        return self.radial_frequency("x")
 
     @property
     def omega_y(self) -> float:
         """Effective radial angular frequency along y at z = 0 [rad/s]."""
-        return math.sqrt(self.omega_y0**2 - self.omega_z**2 / 2.0)
+        return self.radial_frequency("y")
 
     @property
     def length_scale(self) -> float:
         """Chain length unit lam [m], lam^3 = q^2 / (4 pi eps0 m omega_z^2)."""
-        return (self.coulomb_coupling / (self.mass * self.omega_z**2)) ** (1.0 / 3.0)
+        return self._length_scale_at(self.omega_z)
 
     @property
     def taper_ratio(self) -> float:
         """Dimensionless taper strength 2 lam / L (0 for a linear trap)."""
-        return 2.0 * self.length_scale / self.funnel_length
+        return self._taper_ratio_at(self.omega_z)
 
     def beta(self, direction: str = "x") -> float:
         """Frequency ratio omega_z / omega_dir for a radial direction."""
-        return self.omega_z / self.radial_frequency(direction)
+        return self._radial_scalars(direction, self.omega_z)[0]
 
     def radial_frequency(self, direction: str) -> float:
         """Effective radial angular frequency for 'x' or 'y' [rad/s]."""
-        if direction == "x":
-            return self.omega_x
-        if direction == "y":
-            return self.omega_y
-        raise ConfigError(f"direction {direction!r} is not radial")
+        return self._radial_scalars(direction, self.omega_z)[1]
+
+    def _length_scale_at(self, omega_z: float) -> float:
+        return (self.coulomb_coupling / (self.mass * omega_z**2)) ** (1.0 / 3.0)
+
+    def _taper_ratio_at(self, omega_z: float) -> float:
+        return 2.0 * self._length_scale_at(omega_z) / self.funnel_length
+
+    def _radial_scalars(self, direction: str, omega_z: float) -> tuple[float, float, float]:
+        """``(beta, radial_frequency, taper_ratio)`` along ``direction`` at axial frequency
+        ``omega_z``, which must be one this config's checks would accept.
+
+        The one implementation of the derived quantities above, which read it
+        at the config's own ``omega_z``; a sweep reads it at each point
+        without building a config per point. It is Python float arithmetic
+        throughout: numpy's ``np.power(x, 1/3)`` is not always ``x ** (1/3)``.
+        """
+        bare = {"x": self.omega_x0, "y": self.omega_y0}.get(direction)
+        if bare is None:
+            raise ConfigError(f"direction {direction!r} is not radial")
+        radial = math.sqrt(bare**2 - omega_z**2 / 2.0)
+        return omega_z / radial, radial, self._taper_ratio_at(omega_z)
 
     def funnel_factor(self, z: np.ndarray | float) -> np.ndarray | float:
         """Radial stiffness scaling (1 + 2 z / L) at axial position z [m]."""

@@ -60,7 +60,8 @@ shows ``phi = -pi/2`` and ions moving against the reference ion differ by
 :func:`linear_response_spectrum` gives the same linearized steady state in
 closed form as a sum over the normal modes of the drive direction. With the
 mass-scaled stiffness ``K/m = A diag(l_k) A^T`` (eigenvalues ``l_k`` and
-orthonormal eigenvectors ``A`` from :func:`tapermode.modes.compute_modes`),
+orthonormal eigenvectors ``A`` of the drive direction alone, from
+:func:`tapermode.modes.direction_modes`),
 
     X(w_d) = A diag(1 / (l_k - w_d^2 + i Gamma w_d)) A^T (F0/m) w,
 
@@ -86,7 +87,7 @@ from .core import (
 )
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError, TapermodeError
-from .modes import ModeTable, compute_modes, coupling_matrix, reference_frequency
+from .modes import ModeTable, compute_modes, coupling_matrix, direction_modes, reference_frequency
 
 #: Hard floor on temporal resolution: the fastest period of the drive and
 #: of the modes of the integrated coordinates must be covered by at least
@@ -450,12 +451,12 @@ def _integrate(
     return results
 
 
-def _modal_response(table: ModeTable, scan: DriveScan, beam: BeamSpec) -> SpectrumResult:
-    """The closed-form modal sum of :func:`linear_response_spectrum` on a solved table."""
-    config = table.config
+def _modal_response(config: TrapConfig, values: np.ndarray, vectors: np.ndarray,
+                    scan: DriveScan, beam: BeamSpec) -> SpectrumResult:
+    """The closed-form modal sum of :func:`linear_response_spectrum`, from the eigenvalues
+    ``values`` [N] and eigenvectors ``vectors`` [N, N] of the beam's direction."""
     direction = beam.direction
-    vectors = table.matrix(direction)
-    stiffness = table.eigenvalues(direction) * reference_frequency(config, direction) ** 2
+    stiffness = values * reference_frequency(config, direction) ** 2
     weights = beam_weights(beam, equilibrium_positions(config))
     modal_force = vectors.T @ (beam.force_amplitude / config.mass * weights)
     w = scan.drive_frequencies[:, None]
@@ -494,7 +495,8 @@ def synthesize_spectra(
     for i, (table, scan, beam) in enumerate(zip(tables, scans, beams, strict=True)):
         try:
             if source == "response":
-                results[i] = _modal_response(table, scan, beam)
+                results[i] = _modal_response(table.config, table.eigenvalues(beam.direction),
+                                             table.matrix(beam.direction), scan, beam)
                 continue
             rows = _held_rows(source, beam.direction)
             if source == "full":
@@ -556,7 +558,13 @@ def linear_response_spectrum(
 ) -> SpectrumResult:
     """Closed-form linearized steady state of the same scan, as a modal sum.
 
-    Raises :class:`SolverError` when the on-axis chain is unstable (e.g.
-    past the radial zigzag instability), where no steady state exists.
+    Solves the modes of the beam's direction alone
+    (:func:`tapermode.modes.direction_modes`), which are those of
+    :func:`tapermode.modes.compute_modes`, so the spectrum is the
+    ``'response'`` one of :func:`synthesize_spectra` bit for bit. Raises the
+    :class:`SolverError` of :func:`tapermode.modes.compute_modes` when the
+    on-axis chain is unstable (e.g. past the radial zigzag instability),
+    where no steady state exists, even along a direction the beam does not
+    drive.
     """
-    return _modal_response(compute_modes(config), scan, beam)
+    return _modal_response(config, *direction_modes(config, beam.direction), scan, beam)

@@ -23,9 +23,13 @@ ratio ``1 / sum_i a_i^4`` measures how many ions a mode lives on: 1 when
 fully localized, N when uniformly shared.
 
 All eigenproblems go through one stacked solve, :func:`_eigensystem`: it
-takes matrices ``[M, N, N]`` (the directions of :func:`compute_modes`, or
-every point of a sweep in :func:`tapermode.sweep.run_sweep`), checks
-stability, and fixes signs and participation ratios column by column. Its
+takes matrices ``[M, N, N]`` (the directions of :func:`compute_modes`, the
+one direction of :func:`direction_modes`, or every point of a sweep in
+:func:`tapermode.sweep.run_sweep`), checks stability, and takes the
+participation ratios column by column. Signs are fixed by the callers,
+largest component positive (:func:`canonical_sign`): :func:`compute_modes`
+and :func:`direction_modes` sign every column, a sweep only its first
+point, since tracking signs the others by overlap continuity with it. The
 stacks are the only stored form of the solved modes: a :class:`ModeTable`
 holds them read-only, one row per direction, and builds no per-mode record.
 
@@ -122,15 +126,14 @@ def _eigensystem(mats: np.ndarray, where: Callable[[int], str]):
     """Solve a stack of dimensionless stiffness matrices ``mats`` [M, N, N] at once.
 
     Returns the ascending eigenvalues [M, N], the eigenvectors [M, N, N]
-    (column k of each matrix belongs to eigenvalue k, largest component
-    positive) and their participation ratios [M, N]. Raises
+    (column k of each matrix belongs to eigenvalue k, signs as the solver
+    gives them) and their participation ratios [M, N]. Raises
     :class:`SolverError` if a matrix has a non-positive eigenvalue (the
     on-axis chain is unstable there, e.g. past the radial zigzag
     instability); ``where(i)`` names matrix i in the message.
     """
     values, vectors = np.linalg.eigh(mats)
     _require_stable(values, where)
-    vectors = canonical_sign(vectors)
     return values, vectors, participation_ratio(vectors)
 
 
@@ -183,21 +186,48 @@ def reference_frequency(config: TrapConfig, direction: str) -> float:
 def compute_modes(config: TrapConfig) -> ModeTable:
     """Solve the normal modes of ``config`` along x, y and z.
 
-    The three directions' matrices are solved as one stack. Raises
+    The three directions' matrices are solved as one stack, and every
+    eigenvector is signed by :func:`canonical_sign`. Raises
     :class:`SolverError` if any eigenvalue is non-positive (the on-axis chain
     is no longer a stable equilibrium, e.g. past the radial zigzag
     instability, or with an end ion past half the funnel length).
     """
     u = chain_positions_dimensionless(config.n_ions)
     values, vectors, participation = _eigensystem(
-        np.stack([coupling_matrix(config, d, u) for d in DIRECTIONS]),
-        lambda i: f"direction {DIRECTIONS[i]!r}" + (_funnel_cause(config, u) if i < 2 else ""),
+        np.stack([coupling_matrix(config, d, u) for d in DIRECTIONS]), _direction_name(config, u)
     )
+    vectors = canonical_sign(vectors)
     units = np.array([reference_frequency(config, d) for d in DIRECTIONS])
     freqs = np.sqrt(values) * units[:, None]
     for array in (values, vectors, participation, freqs):
         array.setflags(write=False)
     return ModeTable(config, values, freqs, vectors, participation)
+
+
+def _direction_name(config: TrapConfig, u: np.ndarray) -> Callable[[int], str]:
+    """Name direction i of ``config`` in a stability error, with the funnel cause if radial."""
+    return lambda i: f"direction {DIRECTIONS[i]!r}" + (_funnel_cause(config, u) if i < 2 else "")
+
+
+def direction_modes(config: TrapConfig, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues [N] and eigenvectors [N, N] of one direction, as in :func:`compute_modes`.
+
+    One eigensolve, of ``direction`` alone. It raises the :class:`SolverError`
+    that :func:`compute_modes` raises, at the first unstable direction in x,
+    y, z order, so an undriven radial direction is checked by its eigenvalues.
+    z needs no check: ``I - 2K`` is the identity plus the graph Laplacian
+    ``-K``, so its eigenvalues are at least 1.
+    """
+    u = chain_positions_dimensionless(config.n_ions)
+    name = _direction_name(config, u)
+    driven = axis_index(direction)
+    for i in sorted({0, 1, driven}):
+        mat = coupling_matrix(config, DIRECTIONS[i], u)[None]
+        if i == driven:
+            values, vectors, _ = _eigensystem(mat, lambda _, i=i: name(i))
+        else:
+            _require_stable(np.linalg.eigvalsh(mat), lambda _, i=i: name(i))
+    return values[0], canonical_sign(vectors[0])
 
 
 def site_frequencies(config: TrapConfig, direction: str = "x") -> np.ndarray:

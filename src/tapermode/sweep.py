@@ -14,7 +14,12 @@ too coarse to follow the modes and raises :class:`SolverError`.
 The dimensionless positions u depend only on the ion count, so the radial
 stiffness matrices of the whole grid are ``I + t_k diag(u) + beta_k^2 K``
 with one Coulomb matrix K: they are built as one ``[P, N, N]`` stack and
-solved in one stacked eigensolve.
+solved in one stacked eigensolve. No config is built per point: beta_k, the
+radial frequency and t_k come from the base config's own formulas
+(``TrapConfig._radial_scalars``) at each omega_z, after the whole grid has
+been checked against the config's bounds at once. Only point 0's
+eigenvectors are signed (largest component positive); the tracking signs
+every later point by overlap with the one before.
 
 Each track also carries the frequency the same mode would have in the
 equivalent untapered trap (funnel length -> inf), the natural reference when
@@ -36,7 +41,13 @@ import numpy as np
 from .core import TWO_PI, TrapConfig, check_array_budget
 from .equilibrium import chain_positions_dimensionless, coulomb_matrix
 from .errors import ConfigError, SolverError
-from .modes import _eigensystem, _funnel_cause, _require_stable, radial_coupling_matrix
+from .modes import (
+    _eigensystem,
+    _funnel_cause,
+    _require_stable,
+    canonical_sign,
+    radial_coupling_matrix,
+)
 
 TRACKING_OVERLAP_MIN = 0.5
 
@@ -264,16 +275,22 @@ def run_sweep(
     stacked eigensolve, and the untapered reference in one eigensolve of the
     Coulomb matrix. Raises :class:`SolverError` naming the first axial
     frequency [Hz] at which the chain is unstable, and the end ion if it sits
-    past half the funnel length there. ``threads`` is accepted
-    for compatibility and ignored.
+    past half the funnel length there. Raises :class:`ConfigError` as
+    ``config.replace(omega_z=w)`` would at the first point that has one (NaN
+    sorts last), or, from point 0 on, for a direction that is not radial.
+    ``threads`` is accepted for compatibility and ignored.
     """
     omegas = np.sort(np.asarray(omega_z_values, dtype=float))
     if omegas.size < 1:
         raise ConfigError("sweep needs at least one omega_z value")
     check_array_budget(f"{omegas.size} sweep points", (omegas.size, config.n_ions, config.n_ions))
-    # Each point's config lives only while its three scalars are read.
-    scalars = ((c.beta(direction), c.radial_frequency(direction), c.taper_ratio)
-               for c in (config.replace(omega_z=w) for w in omegas.tolist()))
+    # The errors a config per point would raise: a non-radial direction at
+    # point 0, else the first omega_z the config's checks reject.
+    config.replace(omega_z=float(omegas[0])).beta(direction)
+    invalid = ~((omegas > 0.0) & (omegas < np.sqrt(2.0) * min(config.omega_x0, config.omega_y0)))
+    if invalid.any():
+        config.replace(omega_z=float(omegas[invalid.argmax()]))
+    scalars = (config._radial_scalars(direction, w) for w in omegas.tolist())
     betas, units, tapers = np.fromiter(scalars, (float, 3), omegas.size).T
     u = chain_positions_dimensionless(config.n_ions)
 
@@ -284,6 +301,7 @@ def run_sweep(
         radial_coupling_matrix(u, betas, tapers),
         lambda k: where(k) + _funnel_cause(config.replace(omega_z=float(omegas[k])), u),
     )
+    vectors[0] = canonical_sign(vectors[0])
     kappa, linear_vectors = np.linalg.eigh(coulomb_matrix(u))
     linear_values = 1.0 + betas[:, None] ** 2 * kappa
     _require_stable(linear_values, lambda k: f"the untapered reference of {where(k)}")

@@ -567,6 +567,21 @@ class TestBlurredArcsine:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_a_quadrature_that_never_settles_keeps_to_its_blocks(self):
+        """A NaN position at A = 300 sigma runs all eight triplings, to 6.3 million
+        nodes. Each block's nodes come from its own index range, so the peak
+        memory follows ``_PROFILE_BLOCK_ELEMENTS``, not the node count of a round
+        (whole-round node arrays peaked at 107 MB here)."""
+        expected = "profile quadrature did not settle within 6291999 nodes (A = 300, sigma = 1)"
+        tracemalloc.start()
+        try:
+            with pytest.raises(AnalysisError, match=f"^{re.escape(expected)}$"):
+                blurred_arcsine(np.array([0.0, np.nan, 1.0]), 300.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     @pytest.mark.parametrize("elements", [1, 1 << 16])
     def test_first_round_checks_the_middle_node_rule(self, monkeypatch, elements):
         """The first round compares the 26-node rule, read off the middle node of

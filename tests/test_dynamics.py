@@ -1,5 +1,6 @@
 """Driven-chain integrator versus the closed-form linear response."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,38 @@ class TestChainSpectra:
         assert config.beta("x") ** 2 > 5.0 / 12.0
         scan = DriveScan(np.linspace(0.5, 1.5, 11) * config.omega_x, damping_rate=GAMMA)
         with pytest.raises(SolverError, match="unstable"):
+            linear_response_spectrum(config, scan, BeamSpec("broad", FORCE, direction=direction))
+
+    @pytest.mark.parametrize("n_ions", [1, 3, 30])
+    @pytest.mark.parametrize("funnel_length", [core.DEFAULT_FUNNEL_LENGTH, math.inf])
+    @pytest.mark.parametrize("direction", ["x", "y", "z"])
+    @pytest.mark.parametrize("kind", ["broad", "focused"])
+    def test_response_equals_the_tabled_modal_sum(self, n_ions, funnel_length, direction, kind):
+        """One direction's solve gives the spectrum of the three-direction table bit for bit."""
+        config = TrapConfig(n_ions=n_ions, omega_z=TWO_PI * 47e3, funnel_length=funnel_length,
+                            omega_y0=TWO_PI * 0.9e6)
+        table = compute_modes(config)
+        omega = table.frequencies(direction)
+        scan = DriveScan(np.linspace(0.9 * omega[0], 1.1 * omega[-1], 301), damping_rate=GAMMA)
+        beam = BeamSpec(kind, FORCE, direction=direction, waist_radius=17e-6,
+                        center_z=float(equilibrium_positions(config)[0, 2]))
+        got = linear_response_spectrum(config, scan, beam)
+        (expected,) = synthesize_spectra([table], [scan], [beam], "response")
+        for name in ("drive_frequencies", "amplitude", "phase"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert (got.direction, got.model, got.steps_per_period) == (direction, "response", None)
+
+    @pytest.mark.parametrize("direction", ["x", "y", "z"])
+    def test_response_names_the_first_unstable_direction(self, direction):
+        """Every drive raises the error of the whole table: y is unstable here,
+        also under an x or z drive, which solves y for its eigenvalues alone."""
+        config = TrapConfig(n_ions=3, omega_y0=TWO_PI * 150e3)
+        scan = DriveScan(np.linspace(0.9, 1.1, 11) * config.omega_x, damping_rate=GAMMA)
+        message = ("direction 'y' has non-positive stiffness eigenvalue -0.37168: "
+                   "the on-axis chain is unstable for this configuration")
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+            compute_modes(config)
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
             linear_response_spectrum(config, scan, BeamSpec("broad", FORCE, direction=direction))
 
     def test_unknown_model_rejected(self, scan, beam):

@@ -19,6 +19,7 @@ from tapermode.modes import (
     canonical_sign,
     compute_modes,
     coupling_matrix,
+    direction_modes,
     participation_ratio,
     radial_coupling_matrix,
     site_frequencies,
@@ -212,6 +213,40 @@ class TestModeTable:
             "eigenvalue -0.0151"
         )
         assert "-0.9176 mm" in message and "-0.01397" in message
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 10, 30, 100, 300])
+    def test_axial_matrix_cannot_be_unstable(self, n_ions):
+        """I - 2K is the identity plus twice the graph Laplacian -K (positive
+        off-diagonal couplings, rows summing to zero): its lowest eigenvalue is
+        the centre-of-mass mode's 1, so no axial direction needs a stability check."""
+        mat = axial_curvature(chain_positions_dimensionless(n_ions))
+        laplacian = -coulomb_matrix(chain_positions_dimensionless(n_ions))
+        assert np.all(laplacian - np.diag(np.diag(laplacian)) <= 0.0)
+        assert np.abs(laplacian.sum(axis=1)).max() <= 1e-12 * np.abs(laplacian).max()
+        assert np.allclose(mat, np.eye(n_ions) + 2.0 * laplacian, rtol=0.0, atol=1e-12)
+        assert np.linalg.eigvalsh(mat)[0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n_ions", [1, 3, 30])
+    @pytest.mark.parametrize("funnel_length", [1.81e-3, math.inf])
+    def test_one_direction_equals_its_table_row(self, n_ions, funnel_length):
+        config = TrapConfig(n_ions=n_ions, omega_z=TWO_PI * 47e3, funnel_length=funnel_length,
+                            omega_y0=TWO_PI * 0.9e6)
+        table = compute_modes(config)
+        for direction in DIRECTIONS:
+            values, vectors = direction_modes(config, direction)
+            assert np.array_equal(values, table.eigenvalues(direction))
+            assert np.array_equal(vectors, table.matrix(direction))
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_one_direction_raises_the_table_error(self, direction):
+        """Both radial directions are unstable: every direction names x, as the table does."""
+        config = TrapConfig(n_ions=3, omega_x0=TWO_PI * 140e3, omega_y0=TWO_PI * 150e3)
+        with pytest.raises(SolverError) as expected:
+            compute_modes(config)
+        assert str(expected.value).startswith("direction 'x' has non-positive")
+        with pytest.raises(SolverError) as info:
+            direction_modes(config, direction)
+        assert str(info.value) == str(expected.value)
 
 
 class TestTaperedRegimes:

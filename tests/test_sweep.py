@@ -13,7 +13,7 @@ from tapermode import sweep
 from tapermode.core import TWO_PI, TrapConfig
 from tapermode.equilibrium import chain_positions_dimensionless, coulomb_matrix
 from tapermode.errors import ConfigError, SolverError
-from tapermode.modes import compute_modes, participation_ratio
+from tapermode.modes import canonical_sign, compute_modes, participation_ratio
 from tapermode.sweep import (
     THREE_ION_LABELS,
     TRACKING_OVERLAP_MIN,
@@ -113,15 +113,18 @@ def solve_and_track(monkeypatch, config, grid):
 
     Returns ``(result, stack, costs)``: ``stack`` is a copy of the
     ``(values, vectors, participation)`` of the one stacked eigensolve, before
-    any tracking, and ``costs`` are the matrices given to the assignment
-    search, in call order.
+    any tracking, with point 0's columns signed as :func:`run_sweep` signs
+    them, and ``costs`` are the matrices given to the assignment search, in
+    call order.
     """
     stacks, costs = [], []
     solve, search = sweep._eigensystem, sweep._shortest_augmenting_path
 
     def capture(mats, where):
         solved = solve(mats, where)
-        stacks.append(tuple(a.copy() for a in solved))
+        values, vectors, participation = (a.copy() for a in solved)
+        vectors[0] = canonical_sign(vectors[0])
+        stacks.append((values, vectors, participation))
         return solved
 
     with monkeypatch.context() as patch:
@@ -453,6 +456,84 @@ class TestRunSweep:
         with pytest.raises(SolverError) as info:
             run_sweep(config, grid[::-1])
         assert str(info.value).startswith(f"direction 'x' at omega_z = 9000 Hz{cause} has non-")
+
+
+class TestPerPointConfig:
+    """The sweep reads each point's scalars, and raises its errors, as a config per point would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_ions=st.integers(1, 8),
+        tapered=st.booleans(),
+        direction=st.sampled_from(["x", "y"]),
+        other_ratio=st.floats(0.7, 1.3),
+        fractions=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=12),
+    )
+    def test_scalars_equal_a_replaced_config(self, n_ions, tapered, direction, other_ratio,
+                                             fractions):
+        """beta, the radial frequency and the taper ratio at every point equal
+        ``config.replace(omega_z=w)``'s bit for bit; the radial frequency is read
+        off ``frequencies = sqrt(eigenvalues) * radial_frequency``."""
+        base = TrapConfig(n_ions=n_ions)
+        other = "omega_y0" if direction == "x" else "omega_x0"
+        config = base.replace(**{other: other_ratio * base.omega_x0},
+                              funnel_length=base.funnel_length if tapered else math.inf)
+        grid = np.array(fractions) * highest_omega_z(config, direction)
+        solved, build = [], sweep.radial_coupling_matrix
+
+        def capture(u, betas, tapers):
+            solved.append((betas.copy(), tapers.copy()))
+            return build(u, betas, tapers)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "radial_coupling_matrix", capture)
+            try:
+                result = run_sweep(config, grid, direction)
+            except SolverError:  # unstable, or too coarse to track
+                result = None
+        points = [config.replace(omega_z=w) for w in np.sort(grid).tolist()]
+        ((betas, tapers),) = solved
+        assert np.array_equal(betas, [c.beta(direction) for c in points])
+        assert np.array_equal(tapers, [c.taper_ratio for c in points])
+        if result is not None:
+            units = np.array([c.radial_frequency(direction) for c in points])
+            assert np.array_equal(result.frequencies, np.sqrt(result.eigenvalues) * units[:, None])
+
+    @pytest.mark.parametrize("grid_hz, omega_y0_hz, message", [
+        ([50e3, np.nan, 60e3], 1.057e6, "omega_z must be positive, got nan"),
+        ([50e3, 0.0, 60e3], 1.057e6, "omega_z must be positive, got 0.0"),
+        ([50e3, -1.0, np.nan], 1.057e6, "omega_z must be positive, got -6.283185307179586"),
+        ([50e3, 2e6, np.inf], 1.057e6,
+         "configuration invalid: omega_z = 1.25664e+07 rad/s exceeds sqrt(2) * omega_x0 = "
+         "9.39225e+06 rad/s; the effective radial confinement would vanish"),
+        ([50e3, 1e6, np.inf], 0.5e6,
+         "configuration invalid: omega_z = 6.28319e+06 rad/s exceeds sqrt(2) * omega_y0 = "
+         "4.44288e+06 rad/s; the effective radial confinement would vanish"),
+    ])
+    @pytest.mark.parametrize("direction", ["x", "y"])
+    def test_first_invalid_omega_z_is_named(self, grid_hz, omega_y0_hz, message, direction):
+        """The error names the first invalid point in ascending order (NaN sorts
+        last), with the message of a config at that point."""
+        config = TrapConfig(omega_y0=TWO_PI * omega_y0_hz)
+        with pytest.raises(ConfigError) as info:
+            run_sweep(config, TWO_PI * np.array(grid_hz), direction)
+        assert str(info.value) == message
+
+    def test_the_bound_itself_is_invalid(self):
+        """sqrt(2) omega_x0 is rejected as a config rejects it; the float below it
+        passes the check and fails as an unstable chain."""
+        config = TrapConfig()
+        edge = config.omega_x0 * math.sqrt(2.0)
+        with pytest.raises(ConfigError, match="^configuration invalid: omega_z = 9.39225e"):
+            run_sweep(config, [0.5 * edge, edge])
+        with pytest.raises(SolverError, match="non-positive stiffness eigenvalue"):
+            run_sweep(config, [0.5 * edge, np.nextafter(edge, 0.0)])
+
+    def test_a_non_radial_direction_is_named_unless_the_lowest_point_is_invalid(self):
+        with pytest.raises(ConfigError, match="^direction 'z' is not radial$"):
+            run_sweep(TrapConfig(), TWO_PI * np.array([50e3, np.nan]), "z")
+        with pytest.raises(ConfigError, match="^omega_z must be positive, got -inf$"):
+            run_sweep(TrapConfig(), TWO_PI * np.array([50e3, -np.inf]), "z")
 
 
 class TestStackedSolve:
