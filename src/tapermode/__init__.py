@@ -57,11 +57,9 @@ from .modes import (
     site_frequencies,
 )
 from .pipeline import (
-    AxialComCheck,
     ExperimentPlan,
     PointResult,
     ReproductionReport,
-    axial_com_check,
     run_experiment,
     select_beam,
 )
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
-    "AxialComCheck",
     "BeamSpec",
     "ConfigError",
     "DriveScan",
@@ -91,7 +88,6 @@ __all__ = [
     "TapermodeError",
     "TrapConfig",
     "analyze_spectrum",
-    "axial_com_check",
     "beam_weights",
     "blurred_arcsine",
     "chain_positions_dimensionless",

@@ -22,8 +22,8 @@ steps:
    anti-phase ions come out negative without any phase threshold.
 
 :func:`fit_lorentzian_sum` fits a sum of Lorentzians ``h / (1 + ((w -
-W)/g)^2)`` plus a flat offset to one real spectrum, from the same seeds; it
-serves one-peak fits, such as the axial center-of-mass check.
+W)/g)^2)`` plus a flat offset to one real spectrum, from the same seeds. It
+is a standalone API: no path of the package calls it.
 
 Fits run on internally normalized data (frequencies in units of the scan
 span, amplitudes scaled by their maximum) so all parameters are O(1)

@@ -174,6 +174,12 @@ def beam_weights(beam: BeamSpec, positions: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * (z - beam.center_z) ** 2 / beam.waist_radius**2)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an ``int`` or numpy integer (no bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DriveScan:
     """A steady-state frequency scan of the driven chain.
@@ -202,6 +208,8 @@ class DriveScan:
         freqs = np.atleast_1d(np.asarray(self.drive_frequencies, dtype=float))
         if freqs.ndim != 1 or freqs.size == 0 or not np.all(freqs > 0):
             raise ConfigError("drive_frequencies must be positive angular frequencies")
+        if not np.all(np.isfinite(freqs)):
+            raise ConfigError("drive_frequencies must be finite")
         freqs = freqs.copy()
         freqs.setflags(write=False)
         object.__setattr__(self, "drive_frequencies", freqs)
@@ -213,8 +221,7 @@ class DriveScan:
         if self.steps_per_period is not None:
             counts["steps_per_period"] = self.steps_per_period
         for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _check_count(name, value)
         if self.settle_cycles < 0 or self.measure_cycles < 1:
             raise ConfigError("need settle_cycles >= 0 and measure_cycles >= 1")
         if self.steps_per_period is not None and self.steps_per_period < 1:

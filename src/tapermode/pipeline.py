@@ -26,16 +26,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import analyze_spectrum, fit_lorentzian_sum
+from .analysis import analyze_spectrum
 from .core import TWO_PI, TrapConfig, check_array_budget, check_pair_budget
 from .dynamics import (
     SPECTRUM_SOURCES,
     BeamSpec,
     DriveScan,
     SpectrumResult,
+    _check_count,
     _held_rows,
     beam_weights,
-    linear_response_spectrum,
     synthesize_spectra,
     wrap_phase,
 )
@@ -75,8 +75,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         grid = DEFAULT_OMEGA_Z_GRID if self.omega_z_values is None else self.omega_z_values
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        if grid.size < 1 or np.any(grid <= 0):
-            raise ConfigError("omega_z_values must contain positive frequencies")
+        if grid.size < 1 or not np.all(np.isfinite(grid) & (grid > 0)):
+            raise ConfigError("omega_z_values must contain positive finite frequencies")
         grid = np.sort(grid)
         grid.flags.writeable = False
         object.__setattr__(self, "omega_z_values", grid)
@@ -91,10 +91,15 @@ class ExperimentPlan:
         for name in ("force_amplitude", "beam_crossover", "beam_waist", "focused_damping_scale"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        # An infinite crossover (every point broad) or waist is a valid plan.
+        for name in ("force_amplitude", "focused_damping_scale"):
+            if getattr(self, name) == np.inf:
+                raise ConfigError(f"{name} must be finite")
+        _check_count("scan_points", self.scan_points)
         if self.scan_points < 16:
             raise ConfigError("scan_points must be at least 16")
-        if self.noise_fraction < 0:
-            raise ConfigError("noise_fraction must be non-negative")
+        if not 0 <= self.noise_fraction < np.inf:
+            raise ConfigError("noise_fraction must be finite and non-negative")
 
     def _drive(self, drive_frequencies: np.ndarray, damping_scale: float = 1.0) -> DriveScan:
         """The plan's drive over ``drive_frequencies``, its damping times ``damping_scale``."""
@@ -217,7 +222,7 @@ class ReproductionReport:
 
 def scan_window(frequencies: np.ndarray | float, points: int) -> np.ndarray:
     """``points`` drive frequencies from 0.9x the lowest to 1.1x the highest driven mode
-    ``frequencies``: the scan of ``simulate``, of each ``pipeline`` point and of the COM check."""
+    ``frequencies``: the scan of ``simulate`` and of each ``pipeline`` point."""
     return np.linspace(0.9 * np.min(frequencies), 1.1 * np.max(frequencies), points)
 
 
@@ -402,34 +407,3 @@ def run_experiment(
         )
     return ReproductionReport(config=config, plan=plan, seed=seed, points=tuple(points))
 
-
-@dataclass(frozen=True)
-class AxialComCheck:
-    """Fitted axial centre-of-mass resonance against its exact value."""
-
-    nominal_frequency: float  #: [rad/s] — the axial confinement itself
-    fitted_frequency: float   #: [rad/s]
-    relative_error: float
-
-
-def axial_com_check(config: TrapConfig) -> AxialComCheck:
-    """Drive the chain uniformly along z and refit the centre-of-mass peak.
-
-    Uniform drive couples only to the centre-of-mass mode, whose frequency
-    equals the axial confinement exactly for any ion number and taper, so
-    this is an end-to-end calibration of the synthesis-plus-fit loop.
-    """
-    nominal = config.omega_z
-    scan = DriveScan(
-        drive_frequencies=scan_window(nominal, 201),
-        damping_rate=TWO_PI * 200.0,
-    )
-    beam = BeamSpec(kind="broad", force_amplitude=1e-23, direction="z")
-    spectrum = linear_response_spectrum(config, scan, beam)
-    fit = fit_lorentzian_sum(spectrum.drive_frequencies, spectrum.summed_amplitude(), 1)
-    fitted = float(fit.centers[0])
-    return AxialComCheck(
-        nominal_frequency=nominal,
-        fitted_frequency=fitted,
-        relative_error=abs(fitted - nominal) / nominal,
-    )

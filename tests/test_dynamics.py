@@ -119,6 +119,8 @@ class TestDriveScanValidation:
             DriveScan(np.array([]), damping_rate=1.0)
         with pytest.raises(ConfigError):
             DriveScan(np.array([0.0, 1e6]), damping_rate=1.0)
+        with pytest.raises(ConfigError, match="^drive_frequencies must be finite$"):
+            DriveScan(np.array([6e5, np.inf]), damping_rate=10.0)
 
     def test_rejects_bad_windows(self):
         with pytest.raises(ConfigError):

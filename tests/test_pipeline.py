@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from tapermode import modes, pipeline
-from tapermode.analysis import analyze_spectrum, fit_lorentzian_sum
+from tapermode.analysis import analyze_spectrum, fit_lorentzian_sum, fit_modal_sum
 from tapermode.core import TWO_PI, TrapConfig
-from tapermode.dynamics import DriveScan, beam_weights, synthesize_spectra
+from tapermode.dynamics import (
+    BeamSpec,
+    DriveScan,
+    beam_weights,
+    linear_response_spectrum,
+    synthesize_spectra,
+)
 from tapermode.equilibrium import equilibrium_positions
 from scipy.optimize import linear_sum_assignment
 
@@ -21,8 +27,8 @@ from tapermode.pipeline import (
     ExperimentPlan,
     PointResult,
     ReproductionReport,
-    axial_com_check,
     run_experiment,
+    scan_window,
     select_beam,
     _add_noise,
 )
@@ -59,6 +65,19 @@ class TestExperimentPlan:
             ExperimentPlan(damping_rate=0.0)
         with pytest.raises(ConfigError):
             ExperimentPlan(omega_z_values=np.array([0.0, 1e5]))
+        with pytest.raises(ConfigError, match="^scan_points must be an integer, got 800.0$"):
+            ExperimentPlan(scan_points=800.0)
+        assert ExperimentPlan(scan_points=np.int64(800)).scan_points == 800
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="^noise_fraction must be finite and non-negative$"):
+                ExperimentPlan(noise_fraction=bad)
+            with pytest.raises(ConfigError,
+                               match="^omega_z_values must contain positive finite frequencies$"):
+                ExperimentPlan(omega_z_values=np.array([bad, 1e5]))
+        for name in ("force_amplitude", "focused_damping_scale"):
+            with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+                ExperimentPlan(**{name: np.inf})
+        assert ExperimentPlan(beam_crossover=np.inf).beam_crossover == np.inf  # every point broad
 
     @pytest.mark.parametrize("drive, message", [
         ({"settle_cycles": -1}, "need settle_cycles >= 0 and measure_cycles >= 1"),
@@ -177,19 +196,26 @@ def test_array_records_compare_by_identity():
 
 
 class TestAxialComCheck:
-    @pytest.mark.parametrize("n_ions", [1, 3])
+    """A uniform z drive couples only to the axial centre-of-mass mode, whose frequency
+    is the axial confinement exactly for any ion number and taper: an end-to-end
+    calibration of the synthesis-plus-modal-fit loop."""
+
+    @staticmethod
+    def fitted_com(config):
+        scan = DriveScan(scan_window(config.omega_z, 201), damping_rate=TWO_PI * 200.0)
+        beam = BeamSpec(kind="broad", force_amplitude=1e-23, direction="z")
+        spectrum = linear_response_spectrum(config, scan, beam)
+        response = spectrum.amplitude * np.exp(1j * spectrum.phase)
+        return fit_modal_sum(spectrum.drive_frequencies, response, 1).centers[0]
+
+    @pytest.mark.parametrize("n_ions", [1, 3, 10])
     def test_matches_the_confinement_exactly(self, n_ions):
-        check = axial_com_check(CONFIG.replace(n_ions=n_ions))
-        assert check.nominal_frequency == CONFIG.omega_z
-        assert check.relative_error < 2e-4
-        assert check.fitted_frequency == pytest.approx(CONFIG.omega_z, rel=2e-4)
+        fitted = self.fitted_com(CONFIG.replace(n_ions=n_ions))
+        assert fitted == pytest.approx(CONFIG.omega_z, rel=1e-12, abs=0.0)
 
     def test_taper_does_not_shift_the_axial_com(self):
-        tapered = axial_com_check(CONFIG)
-        straight = axial_com_check(CONFIG.replace(funnel_length=math.inf))
-        assert tapered.fitted_frequency == pytest.approx(
-            straight.fitted_frequency, rel=1e-6
-        )
+        straight = self.fitted_com(CONFIG.replace(funnel_length=math.inf))
+        assert straight == pytest.approx(CONFIG.omega_z, rel=1e-12, abs=0.0)
 
 
 class TestRunExperiment:
