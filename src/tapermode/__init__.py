@@ -63,7 +63,7 @@ from .pipeline import (
     run_experiment,
     select_beam,
 )
-from .sweep import SweepResult, match_columns, run_sweep
+from .sweep import SweepResult, run_sweep
 
 __version__ = "0.1.0"
 
@@ -101,7 +101,6 @@ __all__ = [
     "hessian",
     "linear_response_spectrum",
     "lorentzian_sum",
-    "match_columns",
     "participation_ratio",
     "potential_energy",
     "reconstruct_eigenvectors",

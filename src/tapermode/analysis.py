@@ -50,9 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_array_budget
+from .core import check_array_budget, check_real
 from .dynamics import SpectrumResult
 from .errors import AnalysisError
+from .modes import canonical_sign
 
 #: Half-width lower bound, in scan steps (narrower peaks are unresolvable).
 WIDTH_FLOOR_STEPS = 1.0
@@ -654,9 +655,9 @@ def reconstruct_eigenvectors(
 
     Column k of ``heights`` [N_ions, K] is proportional to mode k's
     eigenvector, signs included, so each column is normalized with its
-    largest-magnitude component positive. A component whose height lies
-    within two of its errors of zero has an uncertain sign and is listed in
-    ``ambiguity_notes``.
+    largest-magnitude component positive (:func:`tapermode.modes.canonical_sign`).
+    A component whose height lies within two of its errors of zero has an
+    uncertain sign and is listed in ``ambiguity_notes``.
     """
     centers = np.asarray(centers, dtype=float)
     h = np.asarray(heights, dtype=float)
@@ -668,8 +669,7 @@ def reconstruct_eigenvectors(
     norms = np.linalg.norm(h, axis=0)
     if not np.all(norms > 0):
         raise AnalysisError(f"mode {int(np.argmin(norms))} has an all-zero height column")
-    loudest = h[np.argmax(np.abs(h), axis=0), np.arange(k)]
-    components = h * np.sign(loudest) / norms
+    components = canonical_sign(h) / norms
     notes: list[str] = []
     if height_errors is None:
         component_errors = np.full((n_ions, k), np.nan)
@@ -879,6 +879,7 @@ def fit_profile(
         upper = np.array([span, span, x[-1], y.max(), 10.0 * total])
         x_scale = np.array([sigma0, sigma0, sigma0, max(y.max() * 1e-3, 1e-12), total])
     else:
+        check_real("psf_sigma", psf_sigma, AnalysisError)
         if not 0 < psf_sigma < np.inf:
             raise AnalysisError("psf_sigma must be positive and finite")
         s = float(psf_sigma)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, NamedTuple
@@ -63,6 +64,13 @@ def check_array_budget(what: str, shape: tuple[int, ...], error: type = ConfigEr
     if 8 * math.prod(shape) > MAX_ARRAY_BYTES:
         raise error(f"{what} needs a {8 * math.prod(shape) / 2**30:.3g} GiB array, "
                     f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB budget")
+
+
+def check_real(name: str, value: Any, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is a real number: an int or float, Python or
+    numpy, but not a bool (any value, finite or not, the caller checks its range)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
 
 
 def check_pair_budget(n_ions: int, batch: tuple[int, ...] = (), rows: int = 3) -> None:
@@ -119,10 +127,12 @@ class TrapConfig:
         if type(self.n_ions) is not int or self.n_ions < 1:
             raise ConfigError(f"n_ions must be a positive integer, got {self.n_ions!r}")
         check_array_budget(f"n_ions = {self.n_ions}", (self.n_ions, self.n_ions))
+        for name in ("omega_z", "omega_x0", "omega_y0", "funnel_length", "mass"):
+            check_real(name, getattr(self, name))
         if not self.omega_z > 0:
             raise ConfigError(f"omega_z must be positive, got {self.omega_z!r}")
-        if not (self.omega_x0 > 0 and self.omega_y0 > 0):
-            raise ConfigError("bare radial frequencies must be positive")
+        if not all(0 < w and w * w < math.inf for w in (self.omega_x0, self.omega_y0)):
+            raise ConfigError("bare radial frequencies must be positive, with finite squares")
         for name in ("omega_x0", "omega_y0"):
             bare = getattr(self, name)
             if self.omega_z >= bare * math.sqrt(2.0):
@@ -133,10 +143,18 @@ class TrapConfig:
                 )
         if not self.funnel_length > 0:
             raise ConfigError("funnel_length must be positive (use inf for no taper)")
-        if not self.mass > 0:
-            raise ConfigError("mass must be positive")
+        if not 0 < self.mass < math.inf:
+            raise ConfigError("mass must be positive and finite")
         if type(self.charge_number) is not int or self.charge_number < 1:
             raise ConfigError("charge_number must be a positive integer")
+        try:
+            finite = self.coulomb_coupling < math.inf
+        except OverflowError:  # an int too large for a float, or a float power
+            finite = False
+        if not finite:
+            raise ConfigError("charge_number is too large: q^2 / (4 pi eps0) overflows")
+        for direction in ("x", "y"):
+            self._radial_scalars(direction, self.omega_z)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -168,7 +186,7 @@ class TrapConfig:
     @property
     def taper_ratio(self) -> float:
         """Dimensionless taper strength 2 lam / L (0 for a linear trap)."""
-        return self._taper_ratio_at(self.omega_z)
+        return self._radial_scalars("x", self.omega_z)[2]
 
     def beta(self, direction: str = "x") -> float:
         """Frequency ratio omega_z / omega_dir for a radial direction."""
@@ -181,9 +199,6 @@ class TrapConfig:
     def _length_scale_at(self, omega_z: float) -> float:
         return (self.coulomb_coupling / (self.mass * omega_z**2)) ** (1.0 / 3.0)
 
-    def _taper_ratio_at(self, omega_z: float) -> float:
-        return 2.0 * self._length_scale_at(omega_z) / self.funnel_length
-
     def _radial_scalars(self, direction: str, omega_z: float) -> tuple[float, float, float]:
         """``(beta, radial_frequency, taper_ratio)`` along ``direction`` at axial frequency
         ``omega_z``, which must be one this config's checks would accept.
@@ -192,12 +207,27 @@ class TrapConfig:
         at the config's own ``omega_z``; a sweep reads it at each point
         without building a config per point. It is Python float arithmetic
         throughout: numpy's ``np.power(x, 1/3)`` is not always ``x ** (1/3)``.
+        Raises :class:`ConfigError` unless the radial frequency, beta and the
+        chain length unit are positive finite floats and the taper ratio is
+        finite (the radial frequency is below the bare one, whose square the
+        config checks); every config checks both directions when it is built.
         """
         bare = {"x": self.omega_x0, "y": self.omega_y0}.get(direction)
         if bare is None:
             raise ConfigError(f"direction {direction!r} is not radial")
-        radial = math.sqrt(bare**2 - omega_z**2 / 2.0)
-        return omega_z / radial, radial, self._taper_ratio_at(omega_z)
+        try:
+            radial = math.sqrt(bare**2 - omega_z**2 / 2.0)
+            length = self._length_scale_at(omega_z)
+            beta, taper = omega_z / radial, 2.0 * length / self.funnel_length
+            valid = beta < math.inf and length > 0 and taper < math.inf
+        except (ArithmeticError, ValueError):  # Python floats raise where numpy gives inf or nan
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"configuration invalid: omega_z = {omega_z:.6g} rad/s gives a radial frequency, "
+                "beta or chain length unit that is zero or out of float range"
+            )
+        return beta, radial, taper
 
     def funnel_factor(self, z: np.ndarray | float) -> np.ndarray | float:
         """Radial stiffness scaling (1 + 2 z / L) at axial position z [m]."""

@@ -83,7 +83,9 @@ from .core import (
     _acceleration_kernel,
     _squared_frequencies,
     axis_index,
+    check_array_budget,
     check_pair_budget,
+    check_real,
 )
 from .equilibrium import equilibrium_positions
 from .errors import ConfigError, SimulationError, TapermodeError
@@ -151,10 +153,14 @@ class BeamSpec:
     def __post_init__(self) -> None:
         if self.kind not in BEAM_KINDS:
             raise ConfigError(f"beam kind must be one of {BEAM_KINDS}, got {self.kind!r}")
+        for name in ("force_amplitude", "center_z"):
+            check_real(name, getattr(self, name))
         if not (np.isfinite(self.force_amplitude) and self.force_amplitude >= 0):
             raise ConfigError("force_amplitude must be finite and non-negative")
         axis_index(self.direction)
         if self.kind == "focused":
+            if self.waist_radius is not None:
+                check_real("waist_radius", self.waist_radius)
             if self.waist_radius is None or not self.waist_radius > 0:
                 raise ConfigError("a focused beam needs a positive waist_radius")
         if not np.isfinite(self.center_z):
@@ -213,6 +219,7 @@ class DriveScan:
         freqs = freqs.copy()
         freqs.setflags(write=False)
         object.__setattr__(self, "drive_frequencies", freqs)
+        check_real("damping_rate", self.damping_rate)
         if not self.damping_rate > 0:
             raise ConfigError("damping_rate must be positive")
         if self.damping_rate == math.inf:
@@ -224,8 +231,12 @@ class DriveScan:
             _check_count(name, value)
         if self.settle_cycles < 0 or self.measure_cycles < 1:
             raise ConfigError("need settle_cycles >= 0 and measure_cycles >= 1")
-        if self.steps_per_period is not None and self.steps_per_period < 1:
-            raise ConfigError("steps_per_period must be a positive count or None")
+        if self.steps_per_period is not None:
+            if self.steps_per_period < 1:
+                raise ConfigError("steps_per_period must be a positive count or None")
+            # the integrator's per-period tables: phase, sine and complex exponential
+            check_array_budget(f"steps_per_period = {self.steps_per_period}",
+                               (4, int(self.steps_per_period)))
 
 
 @dataclass(frozen=True, eq=False)

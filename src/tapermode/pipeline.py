@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import analyze_spectrum
-from .core import TWO_PI, TrapConfig, check_array_budget, check_pair_budget
+from .core import TWO_PI, TrapConfig, check_array_budget, check_pair_budget, check_real
 from .dynamics import (
     SPECTRUM_SOURCES,
     BeamSpec,
@@ -87,6 +87,9 @@ class ExperimentPlan:
                 f"spectrum_source must be one of {SPECTRUM_SOURCES}, "
                 f"got {self.spectrum_source!r}"
             )
+        for name in ("damping_rate", "force_amplitude", "beam_crossover", "beam_waist",
+                     "noise_fraction", "focused_damping_scale"):
+            check_real(name, getattr(self, name))
         self._drive(grid)  # any positive frequencies; each point scans its own window
         for name in ("force_amplitude", "beam_crossover", "beam_waist", "focused_damping_scale"):
             if not getattr(self, name) > 0:
@@ -95,6 +98,10 @@ class ExperimentPlan:
         for name in ("force_amplitude", "focused_damping_scale"):
             if getattr(self, name) == np.inf:
                 raise ConfigError(f"{name} must be finite")
+        focused_damping = self.damping_rate * self.focused_damping_scale
+        if grid[-1] >= self.beam_crossover and not 0 < focused_damping < np.inf:
+            raise ConfigError("damping_rate * focused_damping_scale must be positive and "
+                              f"finite when a point is focused, got {focused_damping}")
         _check_count("scan_points", self.scan_points)
         if self.scan_points < 16:
             raise ConfigError("scan_points must be at least 16")
@@ -366,12 +373,15 @@ def run_experiment(
     diverged trajectory, a fit that does not converge) fails only its point,
     which is recorded with the reason in its :class:`PointResult`. Raises
     :class:`SolverError` only when more than half the points fail, and
-    :class:`ConfigError` for a negative ``seed``, a grid whose spectra,
-    grid points x scan points x ions, exceed ``core.MAX_ARRAY_BYTES``, or
-    (``spectrum_source='full'``) a point whose pair arrays exceed it.
+    :class:`ConfigError` for a ``seed`` that is not a non-negative integer,
+    a grid whose spectra, grid points x scan points x ions, exceed
+    ``core.MAX_ARRAY_BYTES``, or (``spectrum_source='full'``) a point whose
+    pair arrays exceed it.
     """
-    if seed is not None and seed < 0:
-        raise ConfigError(f"noise seed must be a non-negative integer, got {seed}")
+    if seed is not None:
+        _check_count("noise seed", seed)
+        if seed < 0:
+            raise ConfigError(f"noise seed must be a non-negative integer, got {seed}")
     shape = (plan.omega_z_values.size, plan.scan_points, config.n_ions)
     check_array_budget(f"spectra of grid x scan points x ions = {shape}", shape)
     if plan.spectrum_source == "full":

@@ -196,27 +196,6 @@ def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def match_columns(previous: np.ndarray, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair the columns of ``current`` with those of ``previous`` by overlap.
-
-    Returns ``(order, signs)`` such that ``current[:, order] * signs`` lines
-    up with ``previous`` column-for-column. Raises :class:`SolverError` when
-    any matched overlap magnitude falls below ``TRACKING_OVERLAP_MIN``.
-    """
-    order, signs, strengths = assign_columns(previous, current)
-    weakest = float(np.min(strengths))
-    if weakest < TRACKING_OVERLAP_MIN:
-        raise _tracking_error(weakest)
-    return order, signs
-
-
-def _tracking_error(weakest: float) -> SolverError:
-    return SolverError(
-        f"mode tracking failed: weakest matched overlap {weakest:.3f} < "
-        f"{TRACKING_OVERLAP_MIN}; refine the omega_z grid"
-    )
-
-
 def _track_columns(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column order and signs that line each point's columns up with the tracks.
 
@@ -227,12 +206,13 @@ def _track_columns(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weakest matched overlap magnitude is below ``TRACKING_OVERLAP_MIN``.
 
     One stacked product gives every interval's overlaps between the raw
-    columns of its two points. Interval k is matched as :func:`match_columns`
-    matches point k + 1 against point k in track order, and that order only
-    permutes and negates the rows of the raw overlap. So where the row-wise
-    largest |overlap| picks a different column for every row, it is the
-    assignment, read through point k's track order. Only the other intervals
-    run the search, on the rows in track order.
+    columns of its two points. Interval k pairs each track, as it stands at
+    point k, with the column of point k + 1 that maximizes the summed
+    |overlap| (:func:`assign_columns`); point k's track order only permutes
+    and negates the rows of the raw overlap. So where the row-wise largest
+    |overlap| picks a different column for every row, it is the assignment,
+    read through point k's track order. Only the other intervals run the
+    search, on the rows in track order.
     """
     points, n = vectors.shape[:2]
     overlap = np.matmul(np.swapaxes(vectors[:-1], 1, 2), vectors[1:])
@@ -250,7 +230,9 @@ def _track_columns(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weakest = strength[matched].min(axis=1)
     failed = np.flatnonzero(weakest < TRACKING_OVERLAP_MIN)
     if failed.size:
-        raise _tracking_error(float(weakest[failed[0]]))
+        worst = float(weakest[failed[0]])
+        raise SolverError(f"mode tracking failed: weakest matched overlap {worst:.3f} < "
+                          f"{TRACKING_OVERLAP_MIN}; refine the omega_z grid")
     flipped = np.zeros((points, n), dtype=bool)
     np.logical_xor.accumulate(negative[matched], axis=0, out=flipped[1:])
     return orders, np.where(flipped, -1.0, 1.0)
@@ -270,7 +252,7 @@ def run_sweep(
 ) -> SweepResult:
     """Track the radial modes along ``direction`` over the given axial frequencies.
 
-    ``omega_z_values`` are angular frequencies [rad/s]; they are processed in
+    ``omega_z_values`` is a 1-D array of angular frequencies [rad/s], taken in
     ascending order. The stiffness matrices of all points are solved in one
     stacked eigensolve, and the untapered reference in one eigensolve of the
     Coulomb matrix. Raises :class:`SolverError` naming the first axial
@@ -280,9 +262,10 @@ def run_sweep(
     sorts last), or, from point 0 on, for a direction that is not radial.
     ``threads`` is accepted for compatibility and ignored.
     """
-    omegas = np.sort(np.asarray(omega_z_values, dtype=float))
-    if omegas.size < 1:
-        raise ConfigError("sweep needs at least one omega_z value")
+    omegas = np.asarray(omega_z_values, dtype=float)
+    if omegas.ndim != 1 or omegas.size < 1:
+        raise ConfigError(f"sweep needs a 1-D array of omega_z values, got shape {omegas.shape}")
+    omegas = np.sort(omegas)
     check_array_budget(f"{omegas.size} sweep points", (omegas.size, config.n_ions, config.n_ions))
     # The errors a config per point would raise: a non-radial direction at
     # point 0, else the first omega_z the config's checks reject.

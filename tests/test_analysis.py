@@ -695,6 +695,8 @@ class TestProfileFit:
         for sigma in (np.inf, np.nan):
             with pytest.raises(AnalysisError, match="^psf_sigma must be positive and finite$"):
                 fit_profile(x, y, psf_sigma=sigma)
+        with pytest.raises(AnalysisError, match="^psf_sigma must be a real number, got '1'$"):
+            fit_profile(x, y, psf_sigma="1")
         for where in (0, 50, -1):
             bad = x.copy()
             bad[where] = np.inf
@@ -828,21 +830,36 @@ class TestLeastSquares:
         assert abs(ours.offset - reference.offset) < AGREEMENT * ours.offset_error
 
     def test_zero_height_lorentzian_agrees_with_trf(self):
-        """A third peak pinned on a dip cannot help the fit: its height stays at 0."""
+        """A third peak pinned on a dip cannot help the fit: its height stays at 0.
+
+        The test problem is three Lorentzians ``h / (1 + t^2)``, ``t = (x - c) / g``,
+        plus an offset, with parameters [c_0, g_0, h_0, c_1, ..., offset]."""
         x = np.linspace(0.0, 1.0, 401)
+
+        def model_and_jacobian(p):
+            c, g, h = p[:-1].reshape(-1, 3).T
+            t = (x[:, None] - c) / g
+            shape = 1.0 / (1.0 + t**2)
+            d_center = 2.0 * h * t * shape**2 / g
+            jac = np.ones((x.size, p.size))
+            jac[:, 0:-1:3] = d_center
+            jac[:, 1:-1:3] = d_center * t
+            jac[:, 2:-1:3] = shape
+            return p[-1] + (h / (1.0 + t**2)).sum(axis=1), jac
+
         rng = np.random.default_rng(0)
-        y = (lorentzian_sum(x, [0.3, 0.6], [0.03, 0.04], [1.0, 0.5], 0.05)
-             - 0.2 / (1.0 + ((x - 0.45) / 0.01) ** 2) + 1e-3 * rng.standard_normal(x.size))
+        dip = np.array([0.3, 0.03, 1.0, 0.6, 0.04, 0.5, 0.45, 0.01, -0.2, 0.05])
+        y = model_and_jacobian(dip)[0] + 1e-3 * rng.standard_normal(x.size)
         p0 = np.array([0.3, 0.03, 1.0, 0.6, 0.04, 0.5, 0.45, 0.01, 0.1, 0.05])
         lower = np.array([0.0, x[1], 0.0] * 3 + [0.0])
         upper = np.array([1.0, 1.0, np.inf] * 3 + [np.inf])
         lower[6:8], upper[6:8] = p0[6:8], p0[6:8] * (1.0 + 1e-12)
 
         def residual(p):
-            return _free_model(p, x, 3) - y
+            return model_and_jacobian(p)[0] - y
 
         def jac(p):
-            return _free_jacobian(p, x, 3)
+            return model_and_jacobian(p)[1]
 
         ours = analysis.least_squares(residual, p0, jac, bounds=(lower, upper))
         reference = trf(residual, p0, jac, bounds=(lower, upper))

@@ -642,6 +642,8 @@ class TestPipelineCommand:
         ({"gamma_hz": 0}, "drive.gamma_hz must be positive"),
         ({"scan_points": 8}, "drive.scan_points must be at least 16"),
         ({"gamma_hz": 1e308}, "drive.gamma_hz must be finite"),  # 2 pi x 1e308 overflows
+        ({"steps_per_period": 10**30}, f"drive.steps_per_period = {10**30} needs a "
+                                       "2.98e+22 GiB array, over the 1 GiB budget"),
     ])
     def test_malformed_drive_exits_2_before_any_point(self, tmp_path, capsys, monkeypatch,
                                                       drive, message):
@@ -654,6 +656,33 @@ class TestPipelineCommand:
                          "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    def test_focused_damping_overflow_exits_2_before_any_point(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(pipeline, "_prepare_point", None)  # never reached
+        data = {**self.CONFIG, "sweep": {"omega_z_min_hz": 100e3, "omega_z_max_hz": 160e3,
+                                         "points": 3},
+                "pipeline": {"focused_damping_scale": 1e308}}
+        out_dir = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", write_config(tmp_path, data),
+                         "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: drive.gamma_hz * pipeline.focused_damping_scale must be positive and "
+            "finite when a point is focused, got inf\n")
+        assert not out_dir.exists()
+
+    def test_point_beyond_float_range_fails_alone(self, tmp_path, capsys):
+        """At 1e-300 Hz the chain length unit is out of float range; that grid
+        point fails with the reason, and the run goes on."""
+        data = {**self.CONFIG, "sweep": {"omega_z_min_hz": 1e-300, "omega_z_max_hz": 100e3,
+                                         "points": 3}}
+        out_dir = tmp_path / "run"
+        assert cli.main(["pipeline", "--config", write_config(tmp_path, data),
+                         "--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["summary"]["n_failed"] == 1
+        assert report["points"][0]["failure"].startswith(
+            "configuration invalid: omega_z = 6.28319e-300 rad/s gives")
 
     @pytest.mark.parametrize("source, drive", [
         ("response", {}),
@@ -746,6 +775,30 @@ class TestConfigErrors:
         assert cli.main([command, "--config", write_config(tmp_path, data),
                          "--out", str(out)]) == 2
         assert "the pair separations of 32 chains of 3 ions needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, data, message", [
+        *[(command, {"trap": trap}, message) for command in ("equilibrium", "modes")
+          for trap, message in [
+              ({"charge_multiple": 10**400 - 1}, "charge_number is too large"),
+              ({"omega_z_hz": 1e-300}, "configuration invalid: omega_z = 6.28319e-300 rad/s"),
+          ]],
+        ("modes", {"trap": {"omega_x0_hz": 1e300, "omega_y0_hz": 1e300}},
+         "bare radial frequencies must be positive, with finite squares"),
+        ("sweep", {"sweep": {"omega_z_min_hz": 1e-300, "omega_z_max_hz": 100e3, "points": 3}},
+         "configuration invalid: omega_z = 6.28319e-300 rad/s"),
+        ("simulate", {"drive": {"model": "linearized", "scan_points": 20,
+                                "steps_per_period": 10**30}},
+         f"drive.steps_per_period = {10**30} needs a 2.98e+22 GiB array"),
+    ])
+    def test_values_beyond_float_range_exit_2(self, tmp_path, capsys, command, data, message):
+        """Finite config values whose derived quantities overflow or vanish exit 2
+        with one error line, not a traceback."""
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, data),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_non_object_top_level(self, tmp_path, capsys):

@@ -131,6 +131,33 @@ class TestTrapConfig:
         with pytest.raises(ConfigError, match=f"^trap\\.{key} must be "):
             TrapConfig.from_mapping(data)
 
+    @pytest.mark.parametrize("field", ["omega_z", "omega_x0", "omega_y0", "funnel_length",
+                                       "mass"])
+    @pytest.mark.parametrize("value", ["1", None, True])
+    def test_non_numbers_are_config_errors(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+            TrapConfig(**{field: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"mass": math.inf}, "mass must be positive and finite"),
+        ({"omega_x0": math.inf}, "bare radial frequencies must be positive, with finite squares"),
+        ({"omega_y0": TWO_PI * 1e300}, "bare radial frequencies must be positive, "
+                                       "with finite squares"),
+        ({"charge_number": 10**400}, "charge_number is too large: q^2 / (4 pi eps0) overflows"),
+        ({"charge_number": 10**170}, "charge_number is too large: q^2 / (4 pi eps0) overflows"),
+        ({"omega_z": TWO_PI * 1e-300}, "configuration invalid: omega_z = 6.28319e-300 rad/s "
+                                       "gives a radial frequency, beta or chain length unit "
+                                       "that is zero or out of float range"),
+        ({"mass": 1e300, "omega_z": 1e10, "omega_x0": 1e11, "omega_y0": 1e11},
+         "configuration invalid: omega_z = 1e+10 rad/s gives a radial frequency"),
+    ])
+    def test_values_beyond_float_range_are_config_errors(self, fields, message):
+        """A finite value whose derived scalars (charge, Coulomb coupling, radial
+        frequency, beta, chain length unit) overflow or vanish fails when the
+        config is built, not later as an OverflowError or ZeroDivisionError."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            TrapConfig(**fields)
+
     def test_bools_are_not_counts(self):
         with pytest.raises(ConfigError, match="n_ions"):
             TrapConfig(n_ions=True)

@@ -146,6 +146,25 @@ class TestDriveScanValidation:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             DriveScan(np.array([1e6]), damping_rate=1.0, **{field: value})
 
+    @pytest.mark.parametrize("kind, args, field", [
+        (DriveScan, ([1e6], "1"), "damping_rate"),
+        (DriveScan, ([1e6], None), "damping_rate"),
+        (BeamSpec, ("broad", "1"), "force_amplitude"),
+        (BeamSpec, ("broad", 1e-23, "x", None, None), "center_z"),
+        (BeamSpec, ("focused", 1e-23, "x", "17e-6"), "waist_radius"),
+    ])
+    def test_non_numbers_are_config_errors(self, kind, args, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+            kind(*args)
+
+    def test_steps_per_period_over_the_array_budget(self):
+        """The integrator's per-period tables are checked when the scan is built,
+        not left to fail in ``np.arange``."""
+        with pytest.raises(ConfigError, match=re.escape(
+                f"steps_per_period = {10**30} needs a 2.98e+22 GiB array, over the 1 GiB")):
+            DriveScan(np.array([1e6]), 1.0, steps_per_period=10**30)
+        assert DriveScan(np.array([1e6]), 1.0, steps_per_period=2**20).steps_per_period == 2**20
+
     def test_accepts_numpy_integer_counts(self):
         scan = DriveScan(np.array([1e6]), damping_rate=1.0, settle_cycles=np.int64(3),
                          measure_cycles=np.int32(2), steps_per_period=np.int64(96))

@@ -1,5 +1,6 @@
 """Closed-loop sweep: synthesize spectra, refit, compare with predictions."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -78,6 +79,31 @@ class TestExperimentPlan:
             with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
                 ExperimentPlan(**{name: np.inf})
         assert ExperimentPlan(beam_crossover=np.inf).beam_crossover == np.inf  # every point broad
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_fraction", "0.1"), ("force_amplitude", None), ("damping_rate", "1"),
+        ("beam_crossover", None), ("beam_waist", "17e-6"), ("focused_damping_scale", True),
+    ])
+    def test_non_numbers_are_config_errors(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+            ExperimentPlan(**{field: value})
+
+    def test_focused_damping_must_stay_finite(self):
+        """The focused points' damping is the product of two finite values; when it
+        overflows or underflows, the plan is rejected when it is built, not point by point."""
+        def message(product):
+            return "^" + re.escape("damping_rate * focused_damping_scale must be positive and "
+                                   f"finite when a point is focused, got {product}") + "$"
+
+        for grid_hz in ([100e3, 150e3, 160e3], [47e3, 135e3]):
+            with pytest.raises(ConfigError, match=message("inf")):
+                ExperimentPlan(omega_z_values=TWO_PI * np.array(grid_hz),
+                               damping_rate=TWO_PI * 400.0, focused_damping_scale=1e308)
+        with pytest.raises(ConfigError, match=message("0.0")):
+            ExperimentPlan(damping_rate=1e-300, focused_damping_scale=1e-300)
+        broad = ExperimentPlan(omega_z_values=TWO_PI * np.array([47e3, 134e3]),
+                               damping_rate=TWO_PI * 400.0, focused_damping_scale=1e308)
+        assert broad.focused_damping_scale == 1e308  # no point is focused
 
     @pytest.mark.parametrize("drive, message", [
         ({"settle_cycles": -1}, "need settle_cycles >= 0 and measure_cycles >= 1"),
@@ -383,6 +409,24 @@ class TestRunExperiment:
         report = run_experiment(CONFIG, plan)
         assert [p.failure for p in report.points] == [None, "fit did not converge", None]
         assert np.all(np.isnan(report.points[1].fitted_frequencies))
+
+    @pytest.mark.parametrize("seed", [1.5, "1", np.float64(2.0)])
+    def test_seed_must_be_an_integer(self, seed):
+        plan = ExperimentPlan(omega_z_values=TWO_PI * np.array([47e3]), **FAST_PLAN_KWARGS)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'noise seed must be an integer, got {seed!r}')}$"):
+            run_experiment(CONFIG, plan, seed=seed)
+        assert run_experiment(CONFIG, plan, seed=np.int64(1)).seed == 1
+
+    def test_point_beyond_float_range_fails_alone(self):
+        """At 1e-300 Hz the chain length unit is out of float range: that point
+        fails with a ConfigError's reason, and the others run."""
+        plan = ExperimentPlan(omega_z_values=TWO_PI * np.array([1e-300, 47e3, 100e3]),
+                              **FAST_PLAN_KWARGS)
+        report = run_experiment(CONFIG, plan)
+        assert report.summary["n_failed"] == 1
+        assert report.points[0].failure == (
+            "configuration invalid: omega_z = 6.28319e-300 rad/s gives a radial frequency, "
+            "beta or chain length unit that is zero or out of float range")
 
     def test_majority_failure_aborts(self):
         plan = ExperimentPlan(

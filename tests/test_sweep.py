@@ -18,7 +18,6 @@ from tapermode.sweep import (
     THREE_ION_LABELS,
     TRACKING_OVERLAP_MIN,
     assign_columns,
-    match_columns,
     run_sweep,
 )
 
@@ -235,14 +234,29 @@ class TestAssignColumns:
                 assert np.array_equal(getattr(result, name), array), (points, name)
 
 
+def track_pair(previous, current):
+    """``(order, signs)`` such that ``current[:, order] * signs`` lines up with
+    ``previous``: :func:`sweep._track_columns` on the two-point stack."""
+    orders, signs = sweep._track_columns(np.array([previous, current]))
+    return orders[1], signs[1]
+
+
+def tracking_message(weakest):
+    return (f"mode tracking failed: weakest matched overlap {weakest:.3f} < "
+            f"{TRACKING_OVERLAP_MIN}; refine the omega_z grid")
+
+
 class TestMatchColumns:
+    """Matching the columns of one frame to another's: two-point stacks tracked
+    by :func:`sweep._track_columns`."""
+
     def test_recovers_permutation_and_signs(self):
         rng = np.random.default_rng(7)
         previous, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         perm = rng.permutation(5)
         flips = rng.choice([-1.0, 1.0], size=5)
         current = previous[:, perm] * flips
-        order, signs = match_columns(previous, current)
+        order, signs = track_pair(previous, current)
         assert np.allclose(current[:, order] * signs, previous, atol=1e-12)
 
     def test_identity_for_small_rotation(self):
@@ -252,19 +266,19 @@ class TestMatchColumns:
             [math.cos(theta), -math.sin(theta)],
             [math.sin(theta), math.cos(theta)],
         ])
-        order, signs = match_columns(previous, current)
+        order, signs = track_pair(previous, current)
         assert list(order) == [0, 1]
         assert list(signs) == [1.0, 1.0]
 
     def test_weak_overlap_raises(self):
         previous = np.eye(3)
         current = 0.1 * np.eye(3)  # columns too short to identify confidently
-        with pytest.raises(SolverError, match="refine"):
-            match_columns(previous, current)
+        with pytest.raises(SolverError, match=f"^{re.escape(tracking_message(0.1))}$"):
+            track_pair(previous, current)
         # and all assignments of a maximally mixed non-orthogonal frame fail
         mixed = np.full((3, 3), 1.0 / 3.0)
-        with pytest.raises(SolverError):
-            match_columns(previous, mixed)
+        with pytest.raises(SolverError, match="refine the omega_z grid"):
+            track_pair(previous, mixed)
 
     def test_threshold_is_documented_value(self):
         assert TRACKING_OVERLAP_MIN == 0.5
@@ -280,11 +294,12 @@ class TestTrackColumns:
         points=st.integers(1, 12),
         mixing=st.sampled_from([0.05, 0.3, 0.8, 3.0]),
     )
-    def test_equals_the_match_columns_loop(self, seed, n, points, mixing):
+    def test_equals_the_scipy_loop(self, seed, n, points, mixing):
         """Random frames, each a rotation of the last with its columns shuffled
         and signed: the batched orders and signs line the columns up exactly as
-        a :func:`match_columns` loop over the intervals does, or fail with its
-        message at the same interval."""
+        a loop over the intervals of scipy's ``linear_sum_assignment``
+        (:func:`scipy_assign_columns`) does, or fail with the message of the
+        first interval whose weakest matched overlap is below the threshold."""
         rng = np.random.default_rng(seed)
         frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
         frames = []
@@ -293,15 +308,14 @@ class TestTrackColumns:
             frames.append(frame[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n))
         vectors = np.array(frames)
         expected = vectors.copy()
-        try:
-            for k in range(1, points):
-                order, signs = match_columns(expected[k - 1], expected[k])
-                expected[k] = expected[k][:, order] * signs
-        except SolverError as error:
-            with pytest.raises(SolverError) as info:
-                sweep._track_columns(vectors)
-            assert str(info.value) == str(error)
-            return
+        for k in range(1, points):
+            order, signs, strengths = scipy_assign_columns(expected[k - 1], expected[k])
+            if strengths.min() < TRACKING_OVERLAP_MIN:
+                message = tracking_message(float(strengths.min()))
+                with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+                    sweep._track_columns(vectors)
+                return
+            expected[k] = expected[k][:, order] * signs
         orders, signs = sweep._track_columns(vectors)
         tracked = np.take_along_axis(vectors, orders[:, None, :], axis=2) * signs[:, None, :]
         assert np.array_equal(tracked, expected)
@@ -528,6 +542,18 @@ class TestPerPointConfig:
             run_sweep(config, [0.5 * edge, edge])
         with pytest.raises(SolverError, match="non-positive stiffness eigenvalue"):
             run_sweep(config, [0.5 * edge, np.nextafter(edge, 0.0)])
+
+    def test_grid_must_be_one_dimensional(self):
+        grid = TWO_PI * np.array([[47e3, 100e3], [50e3, 60e3]])
+        with pytest.raises(ConfigError, match=re.escape("1-D array of omega_z values, "
+                                                        "got shape (2, 2)")):
+            run_sweep(TrapConfig(), grid)
+
+    def test_point_beyond_float_range_is_a_config_error(self):
+        """At 1e-300 Hz the chain length unit is out of float range."""
+        with pytest.raises(ConfigError, match="^configuration invalid: omega_z = 6.28319e-300 "
+                                              "rad/s gives a radial frequency"):
+            run_sweep(TrapConfig(), TWO_PI * np.array([1e-300, 50e3, 100e3]))
 
     def test_a_non_radial_direction_is_named_unless_the_lowest_point_is_invalid(self):
         with pytest.raises(ConfigError, match="^direction 'z' is not radial$"):
