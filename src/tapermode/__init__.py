@@ -12,17 +12,14 @@ tool.
 """
 
 from .analysis import (
-    LorentzianFit,
     ModalFit,
     ModeVectorEstimate,
     ProfileFit,
     SpectrumAnalysis,
     analyze_spectrum,
     blurred_arcsine,
-    fit_lorentzian_sum,
     fit_modal_sum,
     fit_profile,
-    lorentzian_sum,
     reconstruct_eigenvectors,
 )
 from .core import (
@@ -73,7 +70,6 @@ __all__ = [
     "ConfigError",
     "DriveScan",
     "ExperimentPlan",
-    "LorentzianFit",
     "ModalFit",
     "ModeTable",
     "ModeVectorEstimate",
@@ -94,13 +90,11 @@ __all__ = [
     "compute_modes",
     "coupling_matrix",
     "equilibrium_positions",
-    "fit_lorentzian_sum",
     "fit_modal_sum",
     "fit_profile",
     "gradient",
     "hessian",
     "linear_response_spectrum",
-    "lorentzian_sum",
     "participation_ratio",
     "potential_energy",
     "reconstruct_eigenvectors",

@@ -21,18 +21,14 @@ steps:
    its largest component positive. The signs are the residue signs, so
    anti-phase ions come out negative without any phase threshold.
 
-:func:`fit_lorentzian_sum` fits a sum of Lorentzians ``h / (1 + ((w -
-W)/g)^2)`` plus a flat offset to one real spectrum, from the same seeds. It
-is a standalone API: no path of the package calls it.
-
 Fits run on internally normalized data (frequencies in units of the scan
 span, amplitudes scaled by their maximum) so all parameters are O(1)
 regardless of physical units, and use analytic Jacobians. Every fit is one
 call of :func:`least_squares`, a bounded trust-region Levenberg-Marquardt
 solver written here in numpy, so importing this module loads no scipy.
-Half-widths are floored at one scan step: anything narrower is
-unresolvable by construction and lets a zero-height peak collapse onto a
-single sample.
+The modal fit floors every half-width at one scan step: the samples cannot
+tell a narrower line's width, so without the floor its damping could run
+toward zero.
 
 :func:`fit_profile` handles the imaging side: a time-averaged oscillation
 at amplitude A has an arcsine position density, observed through a Gaussian
@@ -47,6 +43,7 @@ profile fit, like every fit here, uses an analytic Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -67,37 +64,6 @@ _PROFILE_BLOCK_ELEMENTS = 1 << 16
 
 #: Node-count triplings before the profile quadrature reports failure.
 _PROFILE_MAX_TRIPLINGS = 8
-
-
-def lorentzian_sum(
-    frequencies: np.ndarray,
-    centers: np.ndarray,
-    hwhms: np.ndarray,
-    heights: np.ndarray,
-    offset: float,
-) -> np.ndarray:
-    """Sum of Lorentzians ``h_k / (1 + ((w - c_k)/g_k)^2)`` plus offset."""
-    w = np.asarray(frequencies, dtype=float)[..., None]
-    t = (w - np.atleast_1d(centers)) / np.atleast_1d(hwhms)
-    return float(offset) + (np.atleast_1d(heights) / (1.0 + t**2)).sum(axis=-1)
-
-
-@dataclass(frozen=True, eq=False)
-class LorentzianFit:
-    """Free sum-of-Lorentzians fit, peaks sorted by ascending center."""
-
-    centers: np.ndarray
-    hwhms: np.ndarray
-    heights: np.ndarray
-    offset: float
-    center_errors: np.ndarray
-    hwhm_errors: np.ndarray
-    height_errors: np.ndarray
-    offset_error: float
-
-    @property
-    def n_peaks(self) -> int:
-        return self.centers.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,38 +324,15 @@ def _normalize(frequencies: np.ndarray, amplitude: np.ndarray):
     return (w - w[0]) / span, y / scale, w[0], span, scale
 
 
-def _errors_from_jacobian(result, param_scales: np.ndarray) -> np.ndarray:
-    """1-sigma parameter errors from the final least-squares Jacobian.
+def _covariance(result, dof: int) -> tuple[float, np.ndarray]:
+    """Residual variance and the parameters' covariance at a least-squares solution.
 
-    Linearized estimate; parameters pinned at an active bound come out
-    optimistic. NaN when there are no spare degrees of freedom.
+    Linearized estimate from the final Jacobian, with the fit's own ``dof``
+    (residual degrees of freedom); parameters pinned at an active bound come
+    out optimistic. NaN when there are no spare degrees of freedom.
     """
-    jac = result.jac
-    dof = jac.shape[0] - jac.shape[1]
-    if dof <= 0:
-        return np.full(param_scales.shape, np.nan)
-    variance = 2.0 * result.cost / dof
-    cov = variance * np.linalg.pinv(jac.T @ jac)
-    return np.sqrt(np.maximum(np.diag(cov), 0.0)) * param_scales
-
-
-def _free_model(params: np.ndarray, x: np.ndarray, n_peaks: int) -> np.ndarray:
-    """Parameters [c_0, g_0, h_0, c_1, ..., offset]."""
-    c, g, h = params[:-1].reshape(n_peaks, 3).T
-    return lorentzian_sum(x, c, g, h, params[-1])
-
-
-def _free_jacobian(params: np.ndarray, x: np.ndarray, n_peaks: int) -> np.ndarray:
-    c, g, h = params[:-1].reshape(n_peaks, 3).T
-    t = (x[:, None] - c) / g
-    shape = 1.0 / (1.0 + t**2)
-    d_center = 2.0 * h * t * shape**2 / g
-    jac = np.empty((x.size, params.size))
-    jac[:, 0:-1:3] = d_center
-    jac[:, 1:-1:3] = d_center * t
-    jac[:, 2:-1:3] = shape
-    jac[:, -1] = 1.0
-    return jac
+    variance = 2.0 * result.cost / dof if dof > 0 else np.nan
+    return variance, variance * np.linalg.pinv(result.jac.T @ result.jac)
 
 
 def _stack_bases(tops: list[float], gaps: list[float]) -> list[float]:
@@ -484,59 +427,6 @@ def _peak_seeds(y: np.ndarray, n_peaks: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(seeds, dtype=int)[order], np.array(widths, dtype=float)[order]
 
 
-def fit_lorentzian_sum(frequencies: np.ndarray, amplitude: np.ndarray, n_peaks: int) -> LorentzianFit:
-    """Fit ``n_peaks`` Lorentzians plus a flat offset to one spectrum.
-
-    The optimizer starts at the peaks :func:`_peak_seeds` picks, two scan
-    steps wide. Raises :class:`AnalysisError` when the spectrum has fewer
-    candidate peaks than ``n_peaks``.
-    """
-    x, y, w0, span, scale = _normalize(frequencies, amplitude)
-    seeds = _peak_seeds(y, n_peaks)[0]
-    smoothed = _smooth5(y)
-
-    step = x[1] - x[0]
-    floor = WIDTH_FLOOR_STEPS * step
-    offset0 = float(np.percentile(y, 10))
-    p0, lower, upper = [], [], []
-    for i in seeds:
-        p0 += [x[i], max(2.0 * step, floor), max(smoothed[i] - offset0, 1e-6)]
-        lower += [0.0, floor, 0.0]
-        upper += [1.0, 1.0, np.inf]
-    p0.append(offset0)
-    lower.append(0.0)
-    upper.append(np.inf)
-
-    result = least_squares(
-        lambda p: _free_model(p, x, n_peaks) - y,
-        p0,
-        jac=lambda p: _free_jacobian(p, x, n_peaks),
-        bounds=(lower, upper),
-    )
-    if not result.success:
-        raise AnalysisError(f"Lorentzian fit did not converge: {result.message}")
-
-    params = result.x
-    scales = np.empty_like(params)
-    scales[0:-1:3] = span
-    scales[1:-1:3] = span
-    scales[2:-1:3] = scale
-    scales[-1] = scale
-    errors = _errors_from_jacobian(result, scales)
-
-    order = np.argsort(params[0:-1:3])
-    return LorentzianFit(
-        centers=w0 + span * params[0:-1:3][order],
-        hwhms=span * params[1:-1:3][order],
-        heights=scale * params[2:-1:3][order],
-        offset=scale * float(params[-1]),
-        center_errors=errors[0:-1:3][order],
-        hwhm_errors=errors[1:-1:3][order],
-        height_errors=errors[2:-1:3][order],
-        offset_error=float(errors[-1]),
-    )
-
-
 def _residue_basis(g: np.ndarray, u: np.ndarray, u_k: np.ndarray) -> np.ndarray:
     """Peak-normalized modal basis ``g u_k / (u_k^2 - u^2 + i g u)`` and its derivatives.
 
@@ -620,10 +510,8 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     )
     if not result.success:
         raise AnalysisError(f"modal fit did not converge: {result.message}")
-    _, jac, heights, r_inv, pinv_d = project(result.x)
-    dof = 2 * data.size - result.x.size - heights.size
-    variance = 2.0 * result.cost / dof if dof > 0 else np.nan
-    cov = variance * np.linalg.pinv(jac.T @ jac)
+    heights, r_inv, pinv_d = project(result.x)[2:]
+    variance, cov = _covariance(result, 2 * data.size - result.x.size - heights.size)
     errors = np.sqrt(np.maximum(np.diag(cov), 0.0)) * span
     # Height variance at fixed parameters, plus the parameters' own covariance
     # carried through dH_ji/dp = -(B^+ dB/dp)_j H_(mode of p) i.
@@ -644,6 +532,17 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
 
 #: ``perfbench/spans.py`` counts the modal fits under this name.
 fit_fixed_centers = fit_modal_sum
+
+
+def fit_lorentzian_sum(*args: object, **kwargs: object) -> NoReturn:
+    """The retired free Lorentzian fit: raises :class:`AnalysisError`.
+
+    ``perfbench/spans.py`` traces this name, as it does ``fit_fixed_centers``
+    and ``quad_vec``; ROADMAP item 7 deletes all three. It is not an alias of
+    :func:`fit_modal_sum`, whose calls the tracer would then count twice.
+    """
+    raise AnalysisError("fit_lorentzian_sum is retired; fit amplitude * exp(i phase) "
+                        "with fit_modal_sum")
 
 
 def reconstruct_eigenvectors(
@@ -898,7 +797,7 @@ def fit_profile(
     )
     if not result.success:
         raise AnalysisError(f"profile fit did not converge: {result.message}")
-    errors = _errors_from_jacobian(result, np.ones_like(result.x))
+    cov = _covariance(result, result.jac.shape[0] - result.jac.shape[1])[1]
     amp, sig, center, baseline, scale = _profile_params(result.x, psf_sigma)
     return ProfileFit(
         amplitude=float(amp),
@@ -906,6 +805,6 @@ def fit_profile(
         center=float(center),
         baseline=float(baseline),
         density_scale=float(scale),
-        amplitude_error=float(errors[0]),
+        amplitude_error=float(np.sqrt(max(cov[0, 0], 0.0))),
         sigma_was_fixed=psf_sigma is not None,
     )

@@ -211,7 +211,10 @@ class DriveScan:
     steps_per_period: int | None = None
 
     def __post_init__(self) -> None:
-        freqs = np.atleast_1d(np.asarray(self.drive_frequencies, dtype=float))
+        try:
+            freqs = np.atleast_1d(np.asarray(self.drive_frequencies, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"drive_frequencies must be numbers: {exc}") from None
         if freqs.ndim != 1 or freqs.size == 0 or not np.all(freqs > 0):
             raise ConfigError("drive_frequencies must be positive angular frequencies")
         if not np.all(np.isfinite(freqs)):
@@ -298,9 +301,18 @@ def _spectrum(scan: DriveScan, response: np.ndarray, phase: np.ndarray, directio
 
 
 def _steps_per_period(scan: DriveScan, omega_fast: float) -> int:
-    """Shared step count per drive period satisfying the resolution floor."""
+    """Shared step count per drive period satisfying the resolution floor.
+
+    A floor above ``DEFAULT_STEPS_PER_PERIOD`` must fit the per-period tables
+    in ``core.MAX_ARRAY_BYTES``; from a drive far below ``omega_fast`` it is
+    over the budget, or infinite, and raises :class:`ConfigError`.
+    """
     w_min = float(np.min(scan.drive_frequencies))
-    needed = math.ceil(MIN_STEPS_PER_FASTEST_PERIOD * omega_fast / w_min)
+    floor = MIN_STEPS_PER_FASTEST_PERIOD * omega_fast / w_min
+    if floor > DEFAULT_STEPS_PER_PERIOD:
+        check_array_budget(f"a resolution floor of {floor:.4g} steps per period (fastest "
+                           f"{omega_fast:.4g} rad/s, drive from {w_min:.4g} rad/s)", (4, floor))
+    needed = math.ceil(floor)
     if scan.steps_per_period is not None:
         if scan.steps_per_period < needed:
             raise ConfigError(

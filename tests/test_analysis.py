@@ -20,13 +20,9 @@ from tapermode.analysis import (
     ProfileFit,
     analyze_spectrum,
     blurred_arcsine,
-    fit_lorentzian_sum,
     fit_modal_sum,
     fit_profile,
-    lorentzian_sum,
     reconstruct_eigenvectors,
-    _free_jacobian,
-    _free_model,
     _profile_model,
     _project_residues,
     _prominences,
@@ -37,99 +33,6 @@ from tapermode.dynamics import BeamSpec, DriveScan, linear_response_spectrum
 from tapermode.equilibrium import equilibrium_positions
 from tapermode.errors import AnalysisError
 from tapermode.modes import compute_modes
-
-
-def synthetic_spectrum(grid, centers, hwhms, heights, offset, rng=None, noise=0.0):
-    y = lorentzian_sum(grid, centers, hwhms, heights, offset)
-    if noise:
-        y = np.maximum(y + noise * np.max(y) * rng.standard_normal(y.size), 0.0)
-    return y
-
-
-class TestFreeFit:
-    CENTERS = np.array([6.2e6, 6.5e6, 6.8e6])
-    HWHMS = np.array([3.0e4, 4.0e4, 5.0e4])
-    HEIGHTS = np.array([1.0e-7, 2.3e-7, 1.4e-7])
-    OFFSET = 1.0e-9
-
-    def test_noiseless_recovery(self):
-        grid = np.linspace(6.0e6, 7.0e6, 401)
-        y = synthetic_spectrum(grid, self.CENTERS, self.HWHMS, self.HEIGHTS, self.OFFSET)
-        fit = fit_lorentzian_sum(grid, y, 3)
-        assert fit.n_peaks == 3
-        assert fit.centers == pytest.approx(self.CENTERS, rel=1e-6)
-        assert fit.hwhms == pytest.approx(self.HWHMS, rel=1e-4)
-        assert fit.heights == pytest.approx(self.HEIGHTS, rel=1e-4)
-        assert fit.offset == pytest.approx(self.OFFSET, abs=1e-4 * self.HEIGHTS.max())
-
-    def test_peaks_sorted_by_center(self):
-        grid = np.linspace(6.0e6, 7.0e6, 401)
-        y = synthetic_spectrum(grid, self.CENTERS, self.HWHMS, self.HEIGHTS, self.OFFSET)
-        fit = fit_lorentzian_sum(grid, y, 3)
-        assert np.all(np.diff(fit.centers) > 0)
-
-    def test_errors_reflect_noise(self):
-        rng = np.random.default_rng(11)
-        grid = np.linspace(6.0e6, 7.0e6, 401)
-        y = synthetic_spectrum(
-            grid, self.CENTERS, self.HWHMS, self.HEIGHTS, self.OFFSET, rng, noise=0.01
-        )
-        fit = fit_lorentzian_sum(grid, y, 3)
-        assert np.all(np.isfinite(fit.center_errors))
-        assert np.all(fit.center_errors > 0)
-        # 1 percent noise on resolved peaks pins centers far better than a width
-        assert np.all(fit.center_errors < self.HWHMS)
-        assert np.all(np.abs(fit.centers - self.CENTERS) < 5 * fit.center_errors + 1e3)
-
-    def test_width_floor_clamps_needle_peaks(self):
-        grid = np.linspace(0.0, 1.0e6, 101)
-        y = np.full(grid.size, 0.01)
-        y[50] = 1.0
-        fit = fit_lorentzian_sum(grid, y, 1)
-        step = grid[1] - grid[0]
-        assert fit.hwhms[0] >= WIDTH_FLOOR_STEPS * step * (1.0 - 1e-12)
-
-    def test_too_few_maxima(self):
-        grid = np.linspace(6.0e6, 7.0e6, 201)
-        y = synthetic_spectrum(grid, [6.5e6], [5.0e4], [1.0], 0.0)
-        with pytest.raises(AnalysisError, match="local maxima"):
-            fit_lorentzian_sum(grid, y, 3)
-
-    def test_input_validation(self):
-        grid = np.linspace(0.0, 1.0, 64)
-        with pytest.raises(AnalysisError, match="identically zero"):
-            fit_lorentzian_sum(grid, np.zeros(64), 1)
-        with pytest.raises(AnalysisError, match="at least 8"):
-            fit_lorentzian_sum(grid[:4], np.ones(4), 1)
-        with pytest.raises(AnalysisError, match="increasing"):
-            fit_lorentzian_sum(grid[::-1], np.ones(64), 1)
-        with pytest.raises(AnalysisError, match="non-finite"):
-            fit_lorentzian_sum(grid, np.full(64, np.nan), 1)
-        with pytest.raises(AnalysisError, match="n_peaks"):
-            fit_lorentzian_sum(grid, np.ones(64), 0)
-
-    def test_jacobian_matches_finite_differences(self):
-        x = np.linspace(0.0, 1.0, 50)
-        params = np.array([0.3, 0.05, 1.2, 0.7, 0.08, 0.8, 0.1])
-        jac = _free_jacobian(params, x, 2)
-        eps = 1e-7
-        for j in range(params.size):
-            bumped = params.copy()
-            bumped[j] += eps
-            fd = (_free_model(bumped, x, 2) - _free_model(params, x, 2)) / eps
-            assert np.allclose(jac[:, j], fd, atol=1e-5)
-
-    def test_quantised_spectrum_fits_without_warning(self):
-        """Rounding leaves rising plateaus whose first sample has prominence 0.
-
-        Such a candidate ranks last; the strict warning filters would turn
-        any prominence warning into an error here.
-        """
-        grid = np.linspace(0.0, 1.0, 401)
-        y = np.round(synthetic_spectrum(grid, [0.3, 0.7], [0.03, 0.04], [1.0, 0.6], 0.0), 1)
-        fit = fit_lorentzian_sum(grid, y, 2)
-        assert fit.centers == pytest.approx([0.3, 0.7], abs=0.01)
-        assert fit.heights == pytest.approx([1.0, 0.6], rel=0.05)
 
 
 def local_maxima(y):
@@ -355,6 +258,43 @@ class TestFixedCenters:
         grid = np.linspace(0.0, 1.0, 32)
         with pytest.raises(AnalysisError, match="2-D"):
             fit_modal_sum(grid, np.ones(32), 1)
+
+    def test_input_validation(self):
+        grid = np.linspace(0.0, 1.0, 64)
+        ones = np.ones((64, 2))
+        with pytest.raises(AnalysisError, match="identically zero"):
+            fit_modal_sum(grid, np.zeros((64, 2)), 1)
+        with pytest.raises(AnalysisError, match="at least 8"):
+            fit_modal_sum(grid[:4], ones[:4], 1)
+        with pytest.raises(AnalysisError, match="increasing"):
+            fit_modal_sum(grid[::-1], ones, 1)
+        with pytest.raises(AnalysisError, match="non-finite"):
+            fit_modal_sum(grid, np.full((64, 2), np.nan), 1)
+        with pytest.raises(AnalysisError, match="n_peaks"):
+            fit_modal_sum(grid, ones, 0)
+
+    def test_quantised_response_fits_without_warning(self):
+        """Rounded amplitudes leave rising plateaus whose first sample has prominence 0.
+
+        Such a candidate ranks last; the strict warning filters would turn
+        any prominence warning into an error here.
+        """
+        grid = np.linspace(0.5, 1.5, 401)
+        centers, gammas = np.array([0.8, 1.2]), gamma_of(np.array([0.03, 0.04]))
+        heights = np.array([[1.0, 0.6], [0.5, -0.6]])
+        z = modal_response(grid, centers, gammas, heights * gammas * centers)
+        z = np.round(np.abs(z), 1) * np.exp(1j * np.angle(z))
+        smoothed = analysis._smooth5(np.abs(z).sum(axis=1))
+        candidates = local_maxima(smoothed)
+        assert np.any(_prominences(smoothed, candidates) == 0.0)
+        fit = fit_modal_sum(grid, z, 2)
+        assert fit.centers == pytest.approx(centers, abs=0.01)
+        assert fit.heights == pytest.approx(heights, rel=0.05)
+
+    def test_the_retired_free_fit_raises(self):
+        expected = "fit_lorentzian_sum is retired; fit amplitude * exp(i phase) with fit_modal_sum"
+        with pytest.raises(AnalysisError, match=f"^{re.escape(expected)}$"):
+            analysis.fit_lorentzian_sum(np.linspace(0.0, 1.0, 64), np.ones(64), 1)
 
     @pytest.mark.parametrize("where", [0, 20, -1])
     def test_rejects_a_non_finite_frequency(self, where):
@@ -806,28 +746,21 @@ class TestLeastSquares:
         assert np.linalg.matrix_rank(ours.jac) == 3
         assert ours.cost <= reference.cost * (1.0 + 1e-9)
 
-    def test_free_fit_agrees_with_trf(self, monkeypatch):
+    def test_modal_fit_agrees_with_trf(self, monkeypatch):
+        grid = np.linspace(0.8e6, 1.2e6, 600)
+        centers = np.array([0.9e6, 1.0e6, 1.08e6])
+        gammas = np.array([6.0e3, 8.0e3, 5.0e3])
+        heights = np.array([[1.0, -0.6, 0.3], [0.5, 0.8, -1.0], [0.2, 0.4, 0.9]]) * 1e-6
+        z = modal_response(grid, centers, gammas, heights * gammas * centers)
         rng = np.random.default_rng(11)
-        grid = np.linspace(6.0e6, 7.0e6, 401)
-        y = synthetic_spectrum(grid, TestFreeFit.CENTERS, TestFreeFit.HWHMS,
-                               TestFreeFit.HEIGHTS, TestFreeFit.OFFSET, rng, noise=0.01)
-        ours = fit_lorentzian_sum(grid, y, 3)
-        reference = fit_with_trf(monkeypatch, fit_lorentzian_sum, grid, y, 3)
+        z = z + 0.01 * np.abs(z).max() * (rng.standard_normal(z.shape)
+                                           + 1j * rng.standard_normal(z.shape))
+        ours = fit_modal_sum(grid, z, 3)
+        reference = fit_with_trf(monkeypatch, fit_modal_sum, grid, z, 3)
         for value, error in (("centers", "center_errors"), ("hwhms", "hwhm_errors"),
-                             ("heights", "height_errors"), ("offset", "offset_error")):
+                             ("heights", "height_errors")):
             assert np.all(np.abs(getattr(ours, value) - getattr(reference, value))
                           < AGREEMENT * getattr(ours, error)), value
-
-    def test_width_floor_agrees_with_trf(self, monkeypatch):
-        grid = np.linspace(0.0, 1.0e6, 101)
-        y = np.full(grid.size, 0.01)
-        y[50] = 1.0
-        ours = fit_lorentzian_sum(grid, y, 1)
-        reference = fit_with_trf(monkeypatch, fit_lorentzian_sum, grid, y, 1)
-        assert ours.hwhms[0] == WIDTH_FLOOR_STEPS * (grid[1] - grid[0])
-        assert ours.hwhms == pytest.approx(reference.hwhms, rel=1e-9)
-        assert abs(ours.heights[0] - reference.heights[0]) < AGREEMENT * ours.height_errors[0]
-        assert abs(ours.offset - reference.offset) < AGREEMENT * ours.offset_error
 
     def test_zero_height_lorentzian_agrees_with_trf(self):
         """A third peak pinned on a dip cannot help the fit: its height stays at 0.
@@ -866,7 +799,8 @@ class TestLeastSquares:
         assert ours.success and reference.success
         assert ours.x[8] == 0.0
         fitted = np.r_[0:6, 8, 9]  # the pinned center and width have no error
-        errors = analysis._errors_from_jacobian(ours, np.ones(10))[fitted]
+        cov = analysis._covariance(ours, x.size - p0.size)[1]
+        errors = np.sqrt(np.maximum(np.diag(cov), 0.0))[fitted]
         assert np.all(np.abs(ours.x - reference.x)[fitted] < AGREEMENT * errors)
 
     def test_damping_at_the_floor_agrees_with_trf(self, monkeypatch):
@@ -904,7 +838,6 @@ class TestLeastSquares:
             assert getattr(ours, name) == pytest.approx(getattr(reference, name), rel=1e-7)
 
     @pytest.mark.parametrize("fit, message", [
-        ("free", "Lorentzian fit did not converge"),
         ("modal", "modal fit did not converge"),
         ("profile", "profile fit did not converge"),
     ])
@@ -914,13 +847,9 @@ class TestLeastSquares:
                             lambda *args, **kwargs: solver(*args, **kwargs, max_nfev=1))
         expected = f"{message}: The maximum number of function evaluations is exceeded."
         grid = np.linspace(6.0e6, 7.0e6, 401)
-        y = synthetic_spectrum(grid, TestFreeFit.CENTERS, TestFreeFit.HWHMS,
-                               TestFreeFit.HEIGHTS, TestFreeFit.OFFSET)
+        centers, hwhms = np.array([6.2e6, 6.5e6, 6.8e6]), np.array([3.0e4, 4.0e4, 5.0e4])
         with pytest.raises(AnalysisError, match=f"^{re.escape(expected)}$"):
-            if fit == "free":
-                fit_lorentzian_sum(grid, y, 3)
-            elif fit == "modal":
-                fit_modal_sum(grid, modal_response(grid, TestFreeFit.CENTERS,
-                                                   gamma_of(TestFreeFit.HWHMS), np.eye(3)), 3)
+            if fit == "modal":
+                fit_modal_sum(grid, modal_response(grid, centers, gamma_of(hwhms), np.eye(3)), 3)
             else:
                 fit_profile(*TestProfileFit().make_profile(1.0), psf_sigma=1.0)

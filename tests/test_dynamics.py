@@ -121,6 +121,8 @@ class TestDriveScanValidation:
             DriveScan(np.array([0.0, 1e6]), damping_rate=1.0)
         with pytest.raises(ConfigError, match="^drive_frequencies must be finite$"):
             DriveScan(np.array([6e5, np.inf]), damping_rate=10.0)
+        with pytest.raises(ConfigError, match="^drive_frequencies must be numbers: could not convert"):
+            DriveScan(np.array(["a"]), damping_rate=1.0)
 
     def test_rejects_bad_windows(self):
         with pytest.raises(ConfigError):
@@ -716,6 +718,30 @@ class TestStepControl:
         )
         with pytest.raises(ConfigError, match="need at least"):
             simulate_spectrum(CONFIG, scan, beam, model="linearized")
+
+    def test_an_infinite_resolution_floor_is_a_config_error(self):
+        """A drive far below the modes: 20 steps per fastest period overflow to an
+        infinite count, which fails as a typed error, not an ``OverflowError``."""
+        scan = DriveScan(np.array([1e-310, 1.0]), 1.0, 1, 1)
+        with pytest.raises(ConfigError, match=r"^a resolution floor of inf steps per period "
+                                              r"\(.*\) needs a inf GiB array, over the 1 GiB budget$"):
+            simulate_spectrum(TrapConfig(), scan, BeamSpec("broad", 1e-23), "linearized")
+
+    @pytest.mark.filterwarnings("ignore:settle window")
+    def test_a_floor_over_the_array_budget_fails_its_point_alone(self):
+        """A finite floor above the default is checked against the array budget
+        before its per-period tables are made; the other points still run."""
+        points = [grid_point(47), grid_point(100), grid_point(205)]
+        far = (points[1][0], DriveScan(np.array([1.0, 2.0]), GAMMA, 3, 2), points[1][2])
+        spectra = synthesize_spectra(*zip(points[0], far, points[2]), "linearized")
+        floor = 20.0 * points[1][0].frequencies("x")[-1]
+        assert isinstance(spectra[1], ConfigError)
+        assert re.fullmatch(re.escape(f"a resolution floor of {floor:.4g} steps per period ")
+                            + r"\(.*\) needs a 3\.\d+ GiB array, over the 1 GiB budget",
+                            str(spectra[1]))
+        for i in (0, 2):
+            solo = simulate_spectrum(points[i][0].config, points[i][1], points[i][2], "linearized")
+            assert np.array_equal(spectra[i].amplitude, solo.amplitude)
 
     def test_short_settle_warns(self, beam):
         scan = DriveScan(

@@ -41,3 +41,12 @@ def test_every_traced_name_resolves():
     missing = [f"{module}.{name}" for module, name, _ in spans.TRACED
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert spans.TRACED and missing == []
+
+
+def test_every_exported_name_resolves():
+    """``from tapermode import *`` fails on a name left in ``__all__`` after its import is gone."""
+    import tapermode
+
+    missing = [name for name in tapermode.__all__ if not hasattr(tapermode, name)]
+    assert missing == []
+    assert "fit_lorentzian_sum" not in tapermode.__all__
