@@ -48,7 +48,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core import check_array_budget, check_real
-from .dynamics import SpectrumResult
+from .dynamics import SpectrumResult, _check_count
 from .errors import AnalysisError
 from .modes import canonical_sign
 
@@ -395,8 +395,6 @@ def _peak_seeds(y: np.ndarray, n_peaks: int) -> tuple[np.ndarray, np.ndarray]:
     candidate's value or starts to rise again (a neighbouring peak). Seeds
     come sorted by index.
     """
-    if n_peaks < 1:
-        raise AnalysisError("n_peaks must be at least 1")
     smoothed = _smooth5(y)
     inner = smoothed[1:-1]
     candidates = np.flatnonzero((inner > smoothed[:-2]) & (inner >= smoothed[2:])) + 1
@@ -486,8 +484,12 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     1e-7 level, so the fit stops at ``ftol = 1e-10``. (Tighter still, a mode
     the data barely constrain creeps along the valley to the ``nfev`` cap.)
     Returns the modes sorted by center, with signed peak heights
-    ``R_ik / (Gamma_k w_k)``.
+    ``R_ik / (Gamma_k w_k)``. ``n_modes`` must be an ``int`` or numpy integer
+    (not a bool) of at least 1, or :class:`AnalysisError` is raised.
     """
+    _check_count("n_modes", n_modes, AnalysisError)
+    if n_modes < 1:
+        raise AnalysisError(f"n_modes must be at least 1, got {n_modes}")
     z = np.asarray(response, dtype=complex)
     if z.ndim != 2:
         raise AnalysisError("response must be a [scan, ion] 2-D array")

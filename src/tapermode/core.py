@@ -390,17 +390,25 @@ def _acceleration_kernel(
     every chain shares: the ion count, the Coulomb coupling per mass and the
     funnel length L. The Coulomb term runs over the fixed list of pairs
     i < j, held as the incidence matrix ``S`` [N, P] whose column p is
-    e_i - e_j. With separations ``d = x S + origin S``,
+    e_i - e_j. With separations ``d = x S + origin S`` and squared
+    distances ``s = |d|^2``,
 
-        a_coulomb = (k q^2 / m) (d / |d|^3) S^T,
+        a_coulomb = (k q^2 / m) (d / (s sqrt(s))) S^T,
 
     and the trap term is ``-W r`` plus the taper cross terms
-    ``-2 W_c r_c z / L`` on each transverse row c and
-    ``-sum_c W_c r_c^2 / L`` on z. Every constant is built here, once per
+    ``-(2 W_c / L) r_c z`` on each transverse row c and
+    ``-sum_c (W_c / L) r_c r_c`` on z, each a coefficient times a coordinate
+    product. Every constant and work array is built here, once per
     :func:`gradient` call or time-domain lockstep (the kernel's two callers),
-    and broadcast to full size, so a call is a short run of same-shape array
-    operations. N = 1 has no pairs and gives the trap term alone.
-    Over-budget pair arrays raise :class:`ConfigError`.
+    and broadcast to full size. A call is then a short run of array passes:
+    the two products with ``S`` each take one 2-D ``np.dot`` over the
+    [rows, N] or [rows, P] view, and ``s`` is one ``d * d`` plus row adds
+    in row order. With two rows (c, z), the two taper products are the one
+    multiply ``r_c (z, r_c)``; more rows form the same products row by row.
+    Each taper coefficient is the same float for any set of held rows, so
+    two-row and three-row kernels agree bit for bit. N = 1 has no pairs and
+    gives the trap term alone. Every call returns a new array and leaves
+    ``x`` unchanged. Over-budget pair arrays raise :class:`ConfigError`.
     """
     n = config.n_ions
     check_pair_budget(n, shape[1:-1], shape[0])
@@ -410,32 +418,43 @@ def _acceleration_kernel(
     incidence[first, pairs] = 1.0
     incidence[second, pairs] = -1.0
     scatter = (config.coulomb_coupling / config.mass) * np.ascontiguousarray(incidence.T)
-    origin = np.broadcast_to(origin, shape)
-    r0 = origin.copy()
-    d0 = origin @ incidence
+    held = shape[0]
+    rows = math.prod(shape[:-1])
+    r0 = np.broadcast_to(origin, shape).copy()
+    d0 = np.dot(r0.reshape(rows, n), incidence)
     omega_sq = np.asarray(omega_sq, dtype=float)
     omega_sq = omega_sq.reshape(omega_sq.shape + (1,) * (len(shape) - omega_sq.ndim))
     stiffness = np.broadcast_to(omega_sq, shape).copy()
     inv_l = 1.0 / config.funnel_length
-    transverse = shape[0] - 1
+    tapered = bool(inv_l) and held > 1
+    taper = stiffness[:-1] * inv_l  # W_c / L of each transverse row c
+    cross = 2.0 * taper
+    if held == 2:
+        # rows (c, z) times (z, c): both taper products in one multiply
+        taper = np.concatenate([cross, taper])
 
     def accel(x: np.ndarray) -> np.ndarray:
-        d = x @ incidence
+        d = np.dot(x.reshape(rows, n), incidence)
         d += d0
-        square = d[0] * d[0]
-        for row in d[1:]:
-            square += row * row
-        d *= square ** -1.5
-        a = d @ scatter
+        by_row = d.reshape(held, -1)
+        square = by_row * by_row
+        s = square[0]
+        for row in square[1:]:
+            s += row
+        s *= np.sqrt(s)
+        by_row /= s
+        a = np.dot(d, scatter).reshape(shape)
         r = x + r0
-        trap = stiffness * r
-        a -= trap
-        if inv_l and transverse:
-            a[:-1] -= trap[:-1] * (2.0 * inv_l * r[-1])
-            radial = trap[0] * r[0]
-            for c in range(1, transverse):
-                radial += trap[c] * r[c]
-            a[-1] -= inv_l * radial
+        a -= stiffness * r
+        if not tapered:
+            return a
+        if held == 2:
+            a -= taper * (r[0] * r[::-1])
+            return a
+        for c in range(held - 1):
+            a[c] -= cross[c] * (r[c] * r[-1])
+        for c in range(held - 1):
+            a[-1] -= taper[c] * (r[c] * r[c])
         return a
 
     return accel

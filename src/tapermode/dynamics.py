@@ -22,7 +22,13 @@ The full nonlinear forces come from the package's one force kernel,
 ``core._acceleration_kernel``. It works on component-major states
 [C, ..., N] held as displacements from equilibrium, sums the Coulomb force
 over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
-its constants once per lockstep, not once per step.
+its constants and work arrays once per lockstep, not once per step. A step
+is a short run of array passes: one 2-D product with the incidence matrix
+for the pair separations and one for the Coulomb scatter, the inverse cube
+as ``1 / (s sqrt(s))`` of the squared distance s, and each taper term as a
+coefficient times one coordinate product. That association is the same
+whatever rows are held, so the two-row lockstep kernel and the three-row
+one of ``core.gradient`` agree bit for bit.
 
 The time-domain spectra of a whole grid of configurations are integrated in
 one lockstep by :func:`synthesize_spectra`. The state is component-major
@@ -180,10 +186,10 @@ def beam_weights(beam: BeamSpec, positions: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * (z - beam.center_z) ** 2 / beam.waist_radius**2)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is an ``int`` or numpy integer (no bool)."""
+def _check_count(name: str, value, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` or numpy integer (no bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,7 +74,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         grid = DEFAULT_OMEGA_Z_GRID if self.omega_z_values is None else self.omega_z_values
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        try:
+            grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"omega_z_values must be numbers: {exc}") from None
         if grid.ndim != 1:
             raise ConfigError(f"omega_z_values must be a 1-D grid, got shape {grid.shape}")
         if grid.size < 1 or not np.all(np.isfinite(grid) & (grid > 0)):

@@ -270,8 +270,11 @@ class TestFixedCenters:
             fit_modal_sum(grid[::-1], ones, 1)
         with pytest.raises(AnalysisError, match="non-finite"):
             fit_modal_sum(grid, np.full((64, 2), np.nan), 1)
-        with pytest.raises(AnalysisError, match="n_peaks"):
+        with pytest.raises(AnalysisError, match="^n_modes must be at least 1, got 0$"):
             fit_modal_sum(grid, ones, 0)
+        for count in (2.0, True, np.float64(1.0)):
+            with pytest.raises(AnalysisError, match="^n_modes must be an integer, got "):
+                fit_modal_sum(grid, ones, count)
 
     def test_quantised_response_fits_without_warning(self):
         """Rounded amplitudes leave rising plateaus whose first sample has prominence 0.

@@ -424,6 +424,31 @@ class TestFullModelKernel:
                                     (len(rows), *shape[1:]))(x[rows])
         assert np.array_equal(held, every[rows])
 
+    @pytest.mark.parametrize("n_ions", [1, 2, 5])
+    @pytest.mark.parametrize("rows", [[0, 2], [0, 1, 2]])
+    @pytest.mark.parametrize("tapered", [True, False])
+    def test_results_never_alias_the_work_arrays(self, n_ions, rows, tapered):
+        """A kernel called twice returns what two fresh kernels return, and leaves x as it was."""
+        config = CONFIG.replace(
+            n_ions=n_ions, funnel_length=CONFIG.funnel_length if tapered else math.inf
+        )
+        shape = (len(rows), 2, 3, n_ions)
+        origin = equilibrium_positions(config).T[rows][:, None, None, :]
+        omega_sq = _squared_frequencies(config)[rows]
+
+        def kernel():
+            return _acceleration_kernel(config, origin, omega_sq, shape)
+
+        rng = np.random.default_rng(n_ions)
+        first, second = (1e-3 * config.length_scale * rng.standard_normal(shape) for _ in range(2))
+        inputs = first.copy(), second.copy()
+        force = kernel()
+        got = force(first), force(second)
+        assert np.array_equal(first, inputs[0]) and np.array_equal(second, inputs[1])
+        assert np.array_equal(got[0], kernel()(inputs[0]))
+        assert np.array_equal(got[1], kernel()(inputs[1]))
+        assert not np.shares_memory(got[0], got[1])
+
     @pytest.mark.parametrize("model", ["linearized", "full"])
     def test_z_drive_floor_ignores_the_radial_modes(self, model):
         """A z drive integrates z alone, so the radial modes, about ten times

@@ -82,6 +82,8 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError, match=r"^omega_z_values must be a 1-D grid, got shape \(2, 2\)$"):
             ExperimentPlan(omega_z_values=np.full((2, 2), 1e5))
         assert ExperimentPlan(omega_z_values=1e5).omega_z_values.shape == (1,)  # a scalar is one point
+        with pytest.raises(ConfigError, match="^omega_z_values must be numbers: "):
+            ExperimentPlan(omega_z_values=np.array(["a"]))
 
     @pytest.mark.parametrize("field, value", [
         ("noise_fraction", "0.1"), ("force_amplitude", None), ("damping_rate", "1"),
