@@ -9,7 +9,10 @@ steps:
    (w_k^2 - w^2 + i Gamma_k w)``. Each mode's center and damping are the 2K
    nonlinear parameters. All ions share the modal basis, so the N x K real
    residues come from one linear solve per evaluation (variable
-   projection). The centers are seeded at the most prominent local maxima
+   projection): a scaled CholeskyQR2 of the basis and its derivatives, with
+   the data projected on it explicitly and never put in a Gram matrix, and
+   a point where the basis is numerically rank-deficient treated as
+   infeasible. The centers are seeded at the most prominent local maxima
    of the smoothed chain-level spectrum (summed over ions), the dampings
    at their half-maximum widths. A peak's prominence is its height above
    the higher of its two bases, each the lowest point between it and the
@@ -42,6 +45,7 @@ profile fit, like every fit here, uses an analytic Jacobian.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -64,6 +68,11 @@ _PROFILE_BLOCK_ELEMENTS = 1 << 16
 
 #: Node-count triplings before the profile quadrature reports failure.
 _PROFILE_MAX_TRIPLINGS = 8
+
+#: Smallest second-pass pivot the modal fit's CholeskyQR2 accepts. Q loses
+#: about eps / pivot^2 of its orthogonality, so this keeps that under 1e-6;
+#: below it the basis is numerically rank-deficient, the trial point infeasible.
+_MIN_PIVOT = math.sqrt(np.finfo(float).eps / 1e-6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,33 +185,41 @@ def least_squares(
     the step from 0.75 or after a Gauss-Newton step. The stopping tests,
     their defaults, ``max_nfev = 100 n`` and the status codes are those of
     ``scipy.optimize.least_squares``, with the gradient test on the
-    projected gradient ``x - clip(x - g)``.
+    projected gradient ``x - clip(x - g)``. A trial point with a non-finite
+    residual is infeasible: the step is rejected and the radius cut to a
+    quarter of it. A non-finite residual at ``x0`` raises
+    :class:`AnalysisError` after that one evaluation, where scipy raises
+    ``ValueError``.
     """
     x = np.asarray(x0, dtype=float)
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
-    x = np.clip(x, lower, upper)
+    x = np.minimum(np.maximum(x, lower), upper)
     n = x.size
     max_nfev = 100 * n if max_nfev is None else max_nfev
     f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise AnalysisError("residuals are not finite at the initial point")
     J = jac(x)
     nfev = 1
     cost = 0.5 * (f @ f)
     jac_scale = isinstance(x_scale, str)
     if jac_scale:
-        d = np.sqrt(np.sum(J**2, axis=0))
+        d = np.sqrt((J * J).sum(axis=0))
         d[d == 0.0] = 1.0
     else:
         d = np.broadcast_to(1.0 / np.asarray(x_scale, dtype=float), x.shape)
-    radius = float(np.linalg.norm(x * d)) or 1.0
+    radius = _norm(x * d) or 1.0
     lam = 0.0
     status = None
     while True:
         g = J.T @ f
-        if np.max(np.abs(x - np.clip(x - g, lower, upper)), initial=0.0) < gtol:
+        if np.abs(x - np.minimum(np.maximum(x - g, lower), upper)).max(initial=0.0) < gtol:
             status = 1
         if status is not None or nfev >= max_nfev:
             break
         free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        if free.all():
+            free = slice(None)  # a view: no copy of J or d
         u, s, vt = np.linalg.svd(J[:, free] / d[free], full_matrices=False)
         uf = f @ u
         reduction = -1.0
@@ -210,9 +227,9 @@ def least_squares(
             coeffs, lam = _damped_step(s, uf, radius, lam, max(J.shape))
             step = np.zeros(n)
             step[free] = (vt.T @ coeffs) / d[free]
-            x_new = np.clip(x + step, lower, upper)
+            x_new = np.minimum(np.maximum(x + step, lower), upper)
             step = x_new - x
-            step_norm = float(np.linalg.norm(step * d))
+            step_norm = _norm(step * d)
             f_new = fun(x_new)
             nfev += 1
             if not np.all(np.isfinite(f_new)):
@@ -232,8 +249,7 @@ def least_squares(
                 new_radius = 2.0 * step_norm
             else:
                 new_radius = radius
-            status = _converged(reduction, cost, ratio, np.linalg.norm(step),
-                                np.linalg.norm(x), ftol, xtol)
+            status = _converged(reduction, cost, ratio, _norm(step), _norm(x), ftol, xtol)
             if status is not None:
                 break
             if new_radius > 0.0:
@@ -243,9 +259,14 @@ def least_squares(
             x, f, cost = x_new, f_new, cost_new
             J = jac(x)
             if jac_scale:
-                d = np.maximum(d, np.sqrt(np.sum(J**2, axis=0)))
+                d = np.maximum(d, np.sqrt((J * J).sum(axis=0)))
     return LeastSquaresResult(x=x, cost=float(cost), jac=J, nfev=nfev,
                               status=0 if status is None else status)
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D vector as ``np.linalg.norm`` computes it, without its dispatch."""
+    return math.sqrt(v @ v)
 
 
 def _damped_step(s: np.ndarray, uf: np.ndarray, radius: float, lam: float, rows: int):
@@ -262,19 +283,19 @@ def _damped_step(s: np.ndarray, uf: np.ndarray, radius: float, lam: float, rows:
     full_rank = s.size > 0 and s[-1] > np.finfo(float).eps * rows * s[0]
     if full_rank:
         c = -uf / s
-        norm = np.linalg.norm(c)
+        norm = _norm(c)
         if norm <= radius:
             return c, 0.0
         low = (norm - radius) * norm / np.sum(c**2 / s**2)  # -phi(0) / phi'(0)
     else:
         low = 0.0
-    high = np.linalg.norm(g) / radius
+    high = _norm(g) / radius
     for _ in range(10):
         if not low < lam <= high:
             lam = max(1e-3 * high, np.sqrt(low * high))
         denom = s**2 + lam
         c = -g / denom
-        norm = np.linalg.norm(c)
+        norm = _norm(c)
         phi = norm - radius
         if abs(phi) <= 0.1 * radius:
             break
@@ -432,38 +453,96 @@ def _residue_basis(g: np.ndarray, u: np.ndarray, u_k: np.ndarray) -> np.ndarray:
     dB_k/dg_k, then dB_k/du_k. Basis function k depends only on (u_k, g_k),
     so each parameter moves one of them. At ``u = u_k`` every basis function
     equals ``-i``, so its coefficient is the peak amplitude of that mode.
+    Each block is written in place into the one array returned.
     """
     g, u_k = g[:, None], u_k[:, None]
-    inv = 1.0 / ((u_k - u) * (u_k + u) + 1j * g * u)
-    basis = g * u_k * inv
-    return np.concatenate([basis, (u_k - 1j * u * basis) * inv, (g - 2.0 * u_k * basis) * inv])
+    rows = np.empty((3, g.size, u.size), complex)
+    den = rows[1]  # scratch until dB/dg overwrites it
+    np.multiply(u_k - u, u_k + u, out=den.real)
+    np.multiply(g, u, out=den.imag)
+    inv = 1.0 / den
+    basis = np.multiply(g * u_k, inv, out=rows[0])
+    d_g = np.multiply(1j * u, basis, out=rows[1])
+    np.subtract(u_k, d_g, out=d_g)
+    d_g *= inv
+    d_u = np.multiply(2.0 * u_k, basis, out=rows[2])
+    np.subtract(g, d_u, out=d_u)
+    d_u *= inv
+    return rows.reshape(-1, u.size)
 
 
 def _project_residues(g: np.ndarray, u: np.ndarray, u_k: np.ndarray, data: np.ndarray):
     """Variable projection of the responses ``data`` [N, M] at dampings ``g``, centers ``u_k``.
 
-    All the tall linear algebra is one QR, without Q, of the real [2M, 3K + N]
-    columns [B | dB | data], each complex sample split into a real and an
-    imaginary row. Its first K columns are the QR of the basis B; the next
-    2K factor the derivatives projected off B into an orthonormal W times a
-    triangle S; the last N hold each ion's data along B, its residual along
-    W, and the norm of the rest of the residual. Returns that residual and
-    Kaufman's Jacobian of it in (g, u_k) with each ion's 2M rows rotated into
-    those 2K + 1: along W the Jacobian is -S times the ion's heights, and on
-    the last row it is zero. Rotating rows leaves every norm and inner
-    product the optimizer uses unchanged, so only its linear algebra gets
-    smaller. Also returns the residues themselves [K, N] as peak heights in
-    data units, ``R^-1`` of the basis ``B = QR`` and ``B^+ dB`` [K, 2K].
+    All the tall linear algebra is one scaled CholeskyQR2
+    (:func:`_cholesky_qr2`) of the real [2M, 3K] columns [B | dB], each
+    complex sample split into a real and an imaginary row, with the data
+    projected on its Q explicitly. Its first K columns are the QR of the
+    basis B; the next 2K factor the derivatives projected off B into an
+    orthonormal W times a triangle S. Each ion's data give its coefficients
+    along B, its residual along W, and the norm of the rest of its residual.
+    Returns that residual and Kaufman's Jacobian of it in (g, u_k) with each
+    ion's 2M rows rotated into those 2K + 1: along W the Jacobian is -S
+    times the ion's heights, and on the last row it is zero. Rotating rows
+    leaves every norm and inner product the optimizer uses unchanged, so only
+    its linear algebra gets smaller, and the row signs of R (here its
+    diagonal is positive) change nothing it uses. Also returns the residues
+    themselves [K, N] as peak heights in data units, ``R^-1`` of the basis
+    ``B = QR`` and ``B^+ dB`` [K, 2K]. For a numerically rank-deficient
+    [B | dB] (two coinciding modes, say) the residual is all NaN and the
+    other four are None, so :func:`least_squares` rejects the point as
+    infeasible.
     """
     k = g.size
-    columns = np.concatenate([_residue_basis(g, u, u_k), data]).view(float).T
-    r = np.linalg.qr(columns, mode="r")
+    factored = _cholesky_qr2(_residue_basis(g, u, u_k).view(float),
+                             np.ascontiguousarray(data).view(float))
+    if factored is None:
+        return np.full((2 * k + 1) * data.shape[0], np.nan), None, None, None, None
+    r, qtd, rest = factored
     r_inv = np.linalg.inv(r[:k, :k])
-    heights = r_inv @ r[:k, 3 * k:]
+    heights = r_inv @ qtd[:k]
     jac = np.zeros((2 * k + 1, data.shape[0], 2 * k))
-    jac[:-1] = -r[k:3 * k, None, k:3 * k] * np.tile(heights, (2, 1)).T
-    residual = np.vstack([r[k:3 * k, 3 * k:], np.linalg.norm(r[3 * k:, 3 * k:], axis=0)])
-    return residual.ravel(), jac.reshape(-1, 2 * k), heights, r_inv, r_inv @ r[:k, k:3 * k]
+    jac[:-1] = -r[k:, None, k:] * np.concatenate([heights, heights]).T
+    residual = np.concatenate([qtd[k:], rest[None]])
+    return residual.ravel(), jac.reshape(-1, 2 * k), heights, r_inv, r_inv @ r[:k, k:]
+
+
+def _cholesky_qr2(x: np.ndarray, d: np.ndarray):
+    """R of the tall columns ``x.T = QR``, ``Q^T d.T``, and the norms of ``d``'s rows off span(Q).
+
+    ``x`` [C, L] and ``d`` [N, L] hold the columns as rows. Scaled
+    CholeskyQR2 (Fukaya et al., ScalA 2014; Yamamoto et al., ETNA 44, 306
+    (2015)): the Gram matrix ``G = x x^T`` is the one tall product of the
+    first pass, and its diagonal gives the column scaling ``S = diag(G)^-1/2``
+    at no extra pass; ``L1 = chol(S G S)`` and ``Y = L1^-1 S x`` leave ``Y``
+    orthonormal to about ``kappa(S x)^2 eps``, which the second pass,
+    ``L2 = chol(Y Y^T)`` and ``Q^T = L2^-1 Y``, brings to round-off. So
+    ``R = (L1 L2)^T S^-1``, with a positive diagonal. The triangular factors
+    are at most C square, so they are inverted explicitly (numpy has no
+    triangular solve). ``d`` never enters a Gram matrix: where it lies almost
+    inside span(x), as a fit's data do at convergence, that matrix would be
+    singular to working precision. Its coefficients come from the product
+    ``Y d^T``, and its residual is formed explicitly as
+    ``d - (Q^T d^T)^T Q^T``, never as a difference of squares. Returns None
+    when the columns are numerically rank-deficient: when either Cholesky
+    factor does not exist, or when a pivot of ``L2`` is under ``_MIN_PIVOT``
+    (columns an ulp apart can pass both factorizations with a residual that
+    is wrong by percents).
+    """
+    gram = x @ x.T
+    s = 1.0 / np.sqrt(gram.diagonal())
+    try:
+        l1 = np.linalg.cholesky(s[:, None] * gram * s)
+        y = (np.linalg.inv(l1) * s) @ x
+        l2 = np.linalg.cholesky(y @ y.T)
+    except np.linalg.LinAlgError:
+        return None
+    if l2.diagonal().min() < _MIN_PIVOT:
+        return None
+    l2_inv = np.linalg.inv(l2)
+    qtd = l2_inv @ (y @ d.T)
+    rest = d - (qtd.T @ l2_inv) @ y
+    return (l1 @ l2).T / s, qtd, np.sqrt(np.einsum("ij,ij->i", rest, rest))
 
 
 def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -> ModalFit:
@@ -478,7 +557,14 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     ``WIDTH_FLOOR_STEPS`` scan steps of half-width. For given centers and
     dampings the residues shared by all ions follow from one linear
     least-squares solve (variable projection; Golub & Pereyra 1973), and the
-    optimizer sees Kaufman's Jacobian of the projected residual. Centers and
+    optimizer sees Kaufman's Jacobian of the projected residual. Each
+    evaluation factors only the basis and its derivatives, by scaled
+    CholeskyQR2, and projects the data on that explicitly: near convergence
+    the data lie almost inside the basis's span, so a Gram matrix holding
+    them would be singular (:func:`_cholesky_qr2`). Parameters at which the
+    basis is numerically rank-deficient are infeasible: a trial step there
+    is rejected and the trust radius cut, and seeds there raise
+    :class:`AnalysisError` at once. Centers and
     dampings trade off along a shallow valley of the cost, where the default
     ``ftol`` leaves the half-widths dependent on the solver's path at the
     1e-7 level, so the fit stops at ``ftol = 1e-10``. (Tighter still, a mode
@@ -497,7 +583,7 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     seeds, widths = _peak_seeds(y.sum(axis=1), n_modes)
     u0 = w0 / span
     u = x + u0
-    data = z.T / scale
+    data = np.ascontiguousarray(z.T) / scale
     to_g = 2.0 / np.sqrt(3.0)
     step = x[1] - x[0]
     floor = to_g * WIDTH_FLOOR_STEPS * step

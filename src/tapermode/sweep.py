@@ -259,10 +259,14 @@ def run_sweep(
     frequency [Hz] at which the chain is unstable, and the end ion if it sits
     past half the funnel length there. Raises :class:`ConfigError` as
     ``config.replace(omega_z=w)`` would at the first point that has one (NaN
-    sorts last), or, from point 0 on, for a direction that is not radial.
+    sorts last), from point 0 on for a direction that is not radial, and for
+    a grid that is not numbers.
     ``threads`` is accepted for compatibility and ignored.
     """
-    omegas = np.asarray(omega_z_values, dtype=float)
+    try:
+        omegas = np.asarray(omega_z_values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"omega_z_values must be numbers: {exc}") from None
     if omegas.ndim != 1 or omegas.size < 1:
         raise ConfigError(f"sweep needs a 1-D array of omega_z values, got shape {omegas.shape}")
     omegas = np.sort(omegas)

@@ -23,6 +23,7 @@ from tapermode.analysis import (
     fit_modal_sum,
     fit_profile,
     reconstruct_eigenvectors,
+    _cholesky_qr2,
     _profile_model,
     _project_residues,
     _prominences,
@@ -308,6 +309,97 @@ class TestFixedCenters:
         grid[where] = np.inf
         with pytest.raises(AnalysisError, match="^frequencies contain non-finite values$"):
             fit_modal_sum(grid, z, 2)
+
+
+def householder_projection(g, u, u_k, data):
+    """Heights [K, N] and projected residual [2K + 1, N] by Householder QR of [B | dB | data].
+
+    The reference for :func:`_project_residues`: the same rotated residual,
+    read off ``np.linalg.qr`` of the whole block, data columns included.
+    """
+    k = g.size
+    columns = np.concatenate([_residue_basis(g, u, u_k), data]).view(float).T
+    r = np.linalg.qr(columns, mode="r")
+    heights = np.linalg.solve(r[:k, :k], r[:k, 3 * k:])
+    return heights, np.vstack([r[k:3 * k, 3 * k:], np.linalg.norm(r[3 * k:, 3 * k:], axis=0)])
+
+
+def conditioned_block(rng, columns, rows, condition):
+    """A random [rows, columns] block: this condition number once its columns are
+    normalized, then column scales of 0.1-10."""
+    left = np.linalg.qr(rng.standard_normal((rows, columns)))[0]
+    right = np.linalg.qr(rng.standard_normal((columns, columns)))[0]
+    values = np.geomspace(1.0, 1.0 / condition, columns)
+    return (left * values) @ right.T * rng.uniform(0.1, 10.0, columns)
+
+
+class TestCholeskyQR2:
+    """The modal fit's factorization against Householder QR, ``np.linalg.qr``."""
+
+    @pytest.mark.parametrize("condition", [1.0, 1e4])
+    def test_matches_householder_up_to_row_signs(self, condition):
+        rng = np.random.default_rng(int(condition))
+        for _ in range(20):
+            c, n = int(rng.integers(2, 40)), int(rng.integers(1, 10))
+            block = conditioned_block(rng, c, int(rng.integers(2 * c, 1700)), condition)
+            column_norms = np.linalg.norm(block, axis=0)
+            assert 0.1 * condition <= np.linalg.cond(block / column_norms) <= 10.0 * condition
+            data = rng.standard_normal((n, block.shape[0]))
+            r, qtd, rest = _cholesky_qr2(np.ascontiguousarray(block.T), data)
+            reference = np.linalg.qr(np.hstack([block, data.T]), mode="r")
+            signs = np.sign(np.diag(reference))[:c, None]
+            assert np.all(np.diag(r) > 0.0)
+            assert np.array_equal(r, np.triu(r))
+            assert np.all(np.abs(r - signs * reference[:c, :c]) <= 1e-12 * column_norms)
+            data_norms = np.linalg.norm(data, axis=1)
+            assert np.all(np.abs(qtd - signs * reference[:c, c:]) <= 1e-10 * data_norms)
+            assert rest == pytest.approx(np.linalg.norm(reference[c:, c:], axis=0), rel=1e-10)
+
+    @pytest.mark.parametrize("u_k, g", [
+        ([4.3, 4.5, 4.8], [0.02, 0.03, 0.025]),     # condition ~1e2
+        ([4.49, 4.5, 4.51], [0.02, 0.02, 0.02]),    # ~6e3
+        ([4.495, 4.5, 4.505], [0.02, 0.03, 0.02]),  # ~1e4
+    ])
+    @pytest.mark.parametrize("noise", [1.0, 1e-9])
+    def test_projection_matches_householder(self, u_k, g, noise):
+        """Heights and the rotated residual, for data far from and almost inside span(B).
+
+        At ``noise = 1e-9`` a residual taken as a difference of squares would
+        be off by ~1e-8 of the data norm; formed explicitly it agrees to 1e-10.
+        """
+        u = np.linspace(4.0, 5.0, 400)
+        g, u_k = np.array(g), np.array(u_k)
+        rng = np.random.default_rng(4)
+        basis = _residue_basis(g, u, u_k)[:3]
+        data = rng.standard_normal((2, 3)) @ basis + noise * (
+            rng.standard_normal((2, u.size)) + 1j * rng.standard_normal((2, u.size)))
+        f, jac, heights = _project_residues(g, u, u_k, data)[:3]
+        ref_heights, ref_residual = householder_projection(g, u, u_k, data)
+        assert np.abs(heights - ref_heights).max() <= 1e-10 * np.abs(ref_heights).max()
+        residual = f.reshape(ref_residual.shape)
+        scale = 1e-10 * np.linalg.norm(data, axis=1)
+        assert np.all(np.abs(np.abs(residual) - np.abs(ref_residual)) <= scale)
+        assert np.all(np.abs(np.linalg.norm(residual, axis=0)
+                             - np.linalg.norm(ref_residual, axis=0)) <= scale)
+
+    def test_coincident_centers_give_a_non_finite_residual(self):
+        """Two modes with one width, their centers 0-2 ulp apart: the point is infeasible.
+
+        Equal columns have no Cholesky factor. Columns an ulp apart often do,
+        in about 1 case of 20 with a residual off by up to 66 %; the
+        second-pass pivot test rejects those.
+        """
+        u = np.linspace(4.0, 5.0, 200)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            data = rng.standard_normal((3, u.size)) + 0j
+            center, width = rng.uniform(4.1, 4.9), rng.uniform(0.005, 0.1)
+            for second in (center, np.nextafter(center, 5.0),
+                           np.nextafter(np.nextafter(center, 5.0), 5.0)):
+                f, *rest = _project_residues(np.array([width, width, 0.03]), u,
+                                             np.array([center, second, 4.95]), data)
+                assert f.shape == (7 * 3,) and np.all(np.isnan(f)), (seed, second)
+                assert rest == [None] * 4
 
 
 class TestReconstruct:
@@ -716,6 +808,37 @@ class TestLeastSquares:
         assert solved.success and solved.status in (2, 3, 4)
         assert solved.x == pytest.approx([0.0], abs=1e-12)
 
+    def test_a_non_finite_start_stops_after_one_evaluation(self):
+        calls = []
+
+        def residual(p):
+            calls.append(p)
+            return np.array([p[0] - 1.0, np.nan])
+
+        def jac(p):
+            raise AssertionError("the Jacobian is never needed")
+
+        with pytest.raises(AnalysisError, match="^residuals are not finite at the initial point$"):
+            analysis.least_squares(residual, [5.0], jac)
+        assert len(calls) == 1
+
+    def test_an_infeasible_trial_point_cuts_the_radius(self):
+        """A non-finite residual at a trial point is a rejected step a quarter as long."""
+        trials = []
+
+        def residual(p):
+            trials.append(p[0])
+            if len(trials) == 2:
+                return np.array([np.inf, 0.0])
+            return np.array([p[0] - 1.0, 2.0 * (p[0] + 1.0)])
+
+        def jac(p):
+            return np.array([[1.0], [2.0]])
+
+        result = analysis.least_squares(residual, [5.0], jac, x_scale=1.0)
+        assert result.success and result.x == pytest.approx([-0.6], abs=1e-12)
+        assert abs(trials[2] - 5.0) == pytest.approx(0.25 * abs(trials[1] - 5.0))
+
     @pytest.mark.parametrize("deficiency", ["zero column", "equal columns"])
     def test_rank_deficient_jacobian_reaches_the_trf_cost(self, deficiency):
         """The damped step on a rank-deficient ``J D^-1`` reaches trf's cost.
@@ -839,6 +962,26 @@ class TestLeastSquares:
             assert reference.amplitude < 1e-9
         for name in ("center", "baseline", "density_scale"):
             assert getattr(ours, name) == pytest.approx(getattr(reference, name), rel=1e-7)
+
+    @pytest.mark.parametrize("fit", ["modal", "profile"])
+    def test_a_non_finite_start_says_so(self, monkeypatch, fit):
+        """Each fit raises the solver's error at once, not "did not converge"."""
+        solver = analysis.least_squares
+        starts = []
+
+        def infeasible(fun, x0, *args, **kwargs):
+            starts.append(x0)
+            return solver(lambda p: np.full_like(fun(p), np.nan), x0, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "least_squares", infeasible)
+        grid = np.linspace(6.0e6, 7.0e6, 401)
+        centers, hwhms = np.array([6.2e6, 6.5e6, 6.8e6]), np.array([3.0e4, 4.0e4, 5.0e4])
+        with pytest.raises(AnalysisError, match="^residuals are not finite at the initial point$"):
+            if fit == "modal":
+                fit_modal_sum(grid, modal_response(grid, centers, gamma_of(hwhms), np.eye(3)), 3)
+            else:
+                fit_profile(*TestProfileFit().make_profile(1.0), psf_sigma=1.0)
+        assert len(starts) == 1
 
     @pytest.mark.parametrize("fit, message", [
         ("modal", "modal fit did not converge"),

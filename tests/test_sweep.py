@@ -549,6 +549,11 @@ class TestPerPointConfig:
                                                         "got shape (2, 2)")):
             run_sweep(TrapConfig(), grid)
 
+    @pytest.mark.parametrize("grid", [np.array(["a"]), [47e3, "x"], [object()]])
+    def test_a_grid_that_is_not_numbers_is_a_config_error(self, grid):
+        with pytest.raises(ConfigError, match="^omega_z_values must be numbers: "):
+            run_sweep(TrapConfig(), grid)
+
     def test_point_beyond_float_range_is_a_config_error(self):
         """At 1e-300 Hz the chain length unit is out of float range."""
         with pytest.raises(ConfigError, match="^configuration invalid: omega_z = 6.28319e-300 "
