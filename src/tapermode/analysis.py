@@ -69,10 +69,11 @@ _PROFILE_BLOCK_ELEMENTS = 1 << 16
 #: Node-count triplings before the profile quadrature reports failure.
 _PROFILE_MAX_TRIPLINGS = 8
 
-#: Smallest second-pass pivot the modal fit's CholeskyQR2 accepts. Q loses
-#: about eps / pivot^2 of its orthogonality, so this keeps that under 1e-6;
-#: below it the basis is numerically rank-deficient, the trial point infeasible.
-_MIN_PIVOT = math.sqrt(np.finfo(float).eps / 1e-6)
+#: Smallest singular value of the second-pass factor ``L2`` that the modal
+#: fit's CholeskyQR2 accepts, tested through ``||L2^-1||_F``. Q loses about
+#: eps / sigma^2 of its orthogonality, so this keeps that under 1e-6; below it
+#: the basis is numerically rank-deficient, the trial point infeasible.
+_MIN_SIGMA = math.sqrt(np.finfo(float).eps / 1e-6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,9 +526,11 @@ def _cholesky_qr2(x: np.ndarray, d: np.ndarray):
     ``Y d^T``, and its residual is formed explicitly as
     ``d - (Q^T d^T)^T Q^T``, never as a difference of squares. Returns None
     when the columns are numerically rank-deficient: when either Cholesky
-    factor does not exist, or when a pivot of ``L2`` is under ``_MIN_PIVOT``
-    (columns an ulp apart can pass both factorizations with a residual that
-    is wrong by percents).
+    factor does not exist, or when ``||L2^-1||_F`` exceeds ``1 / _MIN_SIGMA``
+    (two modes of one width with centers an ulp to 1e-7 of the scan apart
+    can pass both factorizations with a residual that is wrong by percents).
+    The diagonal of ``L2`` is no such test: its pivots can sit far above its
+    smallest singular value.
     """
     gram = x @ x.T
     s = 1.0 / np.sqrt(gram.diagonal())
@@ -537,9 +540,9 @@ def _cholesky_qr2(x: np.ndarray, d: np.ndarray):
         l2 = np.linalg.cholesky(y @ y.T)
     except np.linalg.LinAlgError:
         return None
-    if l2.diagonal().min() < _MIN_PIVOT:
-        return None
     l2_inv = np.linalg.inv(l2)
+    if (l2_inv * l2_inv).sum() > _MIN_SIGMA**-2:
+        return None
     qtd = l2_inv @ (y @ d.T)
     rest = d - (qtd.T @ l2_inv) @ y
     return (l1 @ l2).T / s, qtd, np.sqrt(np.einsum("ij,ij->i", rest, rest))

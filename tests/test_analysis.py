@@ -386,8 +386,8 @@ class TestCholeskyQR2:
         """Two modes with one width, their centers 0-2 ulp apart: the point is infeasible.
 
         Equal columns have no Cholesky factor. Columns an ulp apart often do,
-        in about 1 case of 20 with a residual off by up to 66 %; the
-        second-pass pivot test rejects those.
+        in about 1 case of 20 with a residual off by up to 66 %; the bound on
+        ``||L2^-1||`` rejects those.
         """
         u = np.linspace(4.0, 5.0, 200)
         for seed in range(100):
@@ -400,6 +400,28 @@ class TestCholeskyQR2:
                                              np.array([center, second, 4.95]), data)
                 assert f.shape == (7 * 3,) and np.all(np.isnan(f)), (seed, second)
                 assert rest == [None] * 4
+
+    @pytest.mark.parametrize("separation", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+    def test_nearly_coincident_centers_are_infeasible_or_exact(self, separation):
+        """Two modes with one width, their centers this fraction of the scan apart.
+
+        The point is infeasible, or its cost agrees with Householder QR of
+        [B | data]. The cost depends on span(B) alone, which that resolves
+        here, while [B | dB] is far worse conditioned. Up to 1e-6 the pivots
+        of ``L2`` can sit far above its smallest singular value, with costs
+        off by up to 0.15 %, so only the bound on ``||L2^-1||`` rejects them.
+        """
+        u = np.linspace(4.0, 5.0, 200)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            data = rng.standard_normal((3, u.size)) + 0j
+            center, width = rng.uniform(4.1, 4.9), rng.uniform(0.005, 0.1)
+            g, u_k = np.array([width, width, 0.03]), np.array([center, center + separation, 4.95])
+            f = _project_residues(g, u, u_k, data)[0]
+            if np.all(np.isfinite(f)):
+                columns = np.concatenate([_residue_basis(g, u, u_k)[:3], data]).view(float).T
+                reference = np.linalg.qr(columns, mode="r")[3:, 3:]
+                assert f @ f == pytest.approx(np.sum(reference**2), rel=1e-8), seed
 
 
 class TestReconstruct:
