@@ -458,7 +458,7 @@ def _residue_basis(g: np.ndarray, u: np.ndarray, u_k: np.ndarray) -> np.ndarray:
     """
     g, u_k = g[:, None], u_k[:, None]
     rows = np.empty((3, g.size, u.size), complex)
-    den = rows[1]  # scratch until dB/dg overwrites it
+    den = rows[1]  # work space until dB/dg overwrites it
     np.multiply(u_k - u, u_k + u, out=den.real)
     np.multiply(g, u, out=den.imag)
     inv = 1.0 / den
