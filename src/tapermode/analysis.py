@@ -28,7 +28,9 @@ Fits run on internally normalized data (frequencies in units of the scan
 span, amplitudes scaled by their maximum) so all parameters are O(1)
 regardless of physical units, and use analytic Jacobians. Every fit is one
 call of :func:`least_squares`, a bounded trust-region Levenberg-Marquardt
-solver written here in numpy, so importing this module loads no scipy.
+solver written here in numpy, so importing this module loads no scipy. It
+calls each fit's one-pass model of residual and Jacobian once per trial
+point, and the modal fit reads its residues off the accepted point's pass.
 The modal fit floors every half-width at one scan step: the samples cannot
 tell a narrower line's width, so without the floor its damping could run
 toward zero.
@@ -51,8 +53,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import check_array_budget, check_real
-from .dynamics import SpectrumResult, _check_count
+from .core import check_array_budget, check_count, check_real
+from .dynamics import SpectrumResult
 from .errors import AnalysisError
 from .modes import canonical_sign
 
@@ -106,25 +108,6 @@ class SpectrumAnalysis:
     vectors: ModeVectorEstimate
 
 
-def _at_last_point(evaluate):
-    """``evaluate`` computed once per parameter vector, keeping only the latest.
-
-    :func:`least_squares` asks for the Jacobian only at a point it has just
-    accepted, the last one whose residual it evaluated, so a model that yields
-    both from one pass is computed once per point.
-    """
-    last = {}
-
-    def cached(params: np.ndarray):
-        key = params.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = evaluate(params)
-        return last[key]
-
-    return cached
-
-
 # -- bounded least squares ----------------------------------------------------
 
 _LSQ_MESSAGES = {
@@ -143,8 +126,9 @@ class LeastSquaresResult:
     x: np.ndarray      #: the solution
     cost: float        #: half the squared residual norm at ``x``
     jac: np.ndarray    #: the Jacobian at ``x``
-    nfev: int          #: residual evaluations, the first included
+    nfev: int          #: model evaluations, the first included
     status: int        #: 0 evaluation cap, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
+    evaluation: tuple  #: ``model(x)``: the residual, ``jac`` and the by-products of that pass
 
     @property
     def success(self) -> bool:
@@ -156,9 +140,8 @@ class LeastSquaresResult:
 
 
 def least_squares(
-    fun,
+    model,
     x0,
-    jac,
     bounds=(-np.inf, np.inf),
     x_scale="jac",
     ftol: float = 1e-8,
@@ -166,8 +149,11 @@ def least_squares(
     gtol: float = 1e-8,
     max_nfev: int | None = None,
 ) -> LeastSquaresResult:
-    """Minimize ``0.5 |fun(x)|^2`` over the box ``bounds`` with an analytic ``jac``.
+    """Minimize ``0.5 |f|^2`` over the box ``bounds``, where ``model(x)`` returns ``(f, J, ...)``.
 
+    ``model`` yields the residual ``f``, its Jacobian ``J`` and any by-products
+    in one pass, once per trial point; the accepted point's tuple is the
+    result's ``evaluation``, and nothing but ``f`` is read where it is not finite.
     A trust-region Levenberg-Marquardt method (More, Lect. Notes Math. 630,
     105 (1978)) in the variables scaled by ``D``: the column norms of the
     Jacobian, never decreasing (``x_scale="jac"``), or ``1 / x_scale``.
@@ -197,10 +183,10 @@ def least_squares(
     x = np.minimum(np.maximum(x, lower), upper)
     n = x.size
     max_nfev = 100 * n if max_nfev is None else max_nfev
-    f = fun(x)
+    evaluation = model(x)
+    f, J = evaluation[:2]
     if not np.all(np.isfinite(f)):
         raise AnalysisError("residuals are not finite at the initial point")
-    J = jac(x)
     nfev = 1
     cost = 0.5 * (f @ f)
     jac_scale = isinstance(x_scale, str)
@@ -231,7 +217,8 @@ def least_squares(
             x_new = np.minimum(np.maximum(x + step, lower), upper)
             step = x_new - x
             step_norm = _norm(step * d)
-            f_new = fun(x_new)
+            trial = model(x_new)
+            f_new = trial[0]
             nfev += 1
             if not np.all(np.isfinite(f_new)):
                 radius = 0.25 * step_norm
@@ -257,12 +244,12 @@ def least_squares(
                 lam *= radius / new_radius
             radius = new_radius
         if reduction > 0.0:
-            x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
+            x, evaluation, cost = x_new, trial, cost_new
+            f, J = evaluation[:2]
             if jac_scale:
                 d = np.maximum(d, np.sqrt((J * J).sum(axis=0)))
     return LeastSquaresResult(x=x, cost=float(cost), jac=J, nfev=nfev,
-                              status=0 if status is None else status)
+                              status=0 if status is None else status, evaluation=evaluation)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -326,8 +313,16 @@ def _smooth5(y: np.ndarray) -> np.ndarray:
     return np.convolve(padded, np.ones(5) / 5.0, mode="valid")
 
 
+def _as_array(name: str, value, dtype: type = float) -> np.ndarray:
+    """``value`` as a ``dtype`` array, or :class:`AnalysisError` naming the argument."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise AnalysisError(f"{name} must be numbers: {exc}") from None
+
+
 def _normalize(frequencies: np.ndarray, amplitude: np.ndarray):
-    w = np.asarray(frequencies, dtype=float)
+    w = _as_array("frequencies", frequencies)
     y = np.asarray(amplitude, dtype=float)
     if w.ndim != 1 or w.size < 8:
         raise AnalysisError("need a 1-D scan of at least 8 frequencies")
@@ -576,10 +571,10 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     ``R_ik / (Gamma_k w_k)``. ``n_modes`` must be an ``int`` or numpy integer
     (not a bool) of at least 1, or :class:`AnalysisError` is raised.
     """
-    _check_count("n_modes", n_modes, AnalysisError)
+    check_count("n_modes", n_modes, AnalysisError)
     if n_modes < 1:
         raise AnalysisError(f"n_modes must be at least 1, got {n_modes}")
-    z = np.asarray(response, dtype=complex)
+    z = _as_array("response", response, complex)
     if z.ndim != 2:
         raise AnalysisError("response must be a [scan, ion] 2-D array")
     x, y, w0, span, scale = _normalize(frequencies, np.abs(z))
@@ -593,15 +588,14 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     g0 = np.clip(to_g * widths * step, floor, to_g)
     k = seeds.size
 
-    project = _at_last_point(lambda p: _project_residues(p[:k], u, p[k:] + u0, data))
     result = least_squares(
-        lambda p: project(p)[0], np.r_[g0, x[seeds]], jac=lambda p: project(p)[1],
+        lambda p: _project_residues(p[:k], u, p[k:] + u0, data), np.r_[g0, x[seeds]],
         bounds=(np.r_[np.full(k, floor), np.zeros(k)], np.r_[np.full(k, to_g), np.ones(k)]),
         x_scale=np.r_[g0, g0], ftol=1e-10,
     )
     if not result.success:
         raise AnalysisError(f"modal fit did not converge: {result.message}")
-    heights, r_inv, pinv_d = project(result.x)[2:]
+    heights, r_inv, pinv_d = result.evaluation[2:]
     variance, cov = _covariance(result, 2 * data.size - result.x.size - heights.size)
     errors = np.sqrt(np.maximum(np.diag(cov), 0.0)) * span
     # Height variance at fixed parameters, plus the parameters' own covariance
@@ -647,15 +641,20 @@ def reconstruct_eigenvectors(
     eigenvector, signs included, so each column is normalized with its
     largest-magnitude component positive (:func:`tapermode.modes.canonical_sign`).
     A component whose height lies within two of its errors of zero has an
-    uncertain sign and is listed in ``ambiguity_notes``.
+    uncertain sign and is listed in ``ambiguity_notes``. Non-numeric input,
+    a non-finite or all-zero height column, and ``height_errors`` not shaped
+    like ``heights`` raise :class:`AnalysisError`.
     """
-    centers = np.asarray(centers, dtype=float)
-    h = np.asarray(heights, dtype=float)
+    centers = _as_array("centers", centers)
+    h = _as_array("heights", heights)
     if h.ndim != 2:
         raise AnalysisError("heights must be an [ion, mode] 2-D array")
     n_ions, k = h.shape
     if centers.size != k:
         raise AnalysisError("heights column count must match the number of centers")
+    finite = np.isfinite(h).all(axis=0)
+    if not finite.all():
+        raise AnalysisError(f"mode {int(np.argmin(finite))} has non-finite heights")
     norms = np.linalg.norm(h, axis=0)
     if not np.all(norms > 0):
         raise AnalysisError(f"mode {int(np.argmin(norms))} has an all-zero height column")
@@ -664,7 +663,9 @@ def reconstruct_eigenvectors(
     if height_errors is None:
         component_errors = np.full((n_ions, k), np.nan)
     else:
-        errors = np.asarray(height_errors, dtype=float)
+        errors = _as_array("height_errors", height_errors)
+        if errors.shape != h.shape:
+            raise AnalysisError(f"height_errors has shape {errors.shape}, heights {h.shape}")
         component_errors = errors / norms
         for i, j in zip(*np.nonzero(np.abs(h) < 2.0 * errors)):
             notes.append(
@@ -704,11 +705,13 @@ def blurred_arcsine(x: np.ndarray, amplitude: float, sigma: float) -> np.ndarray
     the result is scale-equivariant). Its first round takes all ``3n`` nodes
     in one pass, the ``n``-node estimate being every third of them. The same
     pass yields the x, A and sigma derivatives that :func:`fit_profile` uses
-    as its analytic Jacobian. Negative amplitudes count as zero; a
-    non-finite amplitude or sigma raises :class:`AnalysisError`. Integrates
-    to 1 over x.
+    as its analytic Jacobian. Negative amplitudes count as zero; an
+    amplitude or sigma that is not a finite real number raises
+    :class:`AnalysisError`. Integrates to 1 over x.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_array("x", x)
+    check_real("amplitude", amplitude, AnalysisError)
+    check_real("sigma", sigma, AnalysisError)
     return _arcsine_quadrature(x.ravel(), amplitude, sigma)[0].reshape(x.shape)
 
 
@@ -843,8 +846,8 @@ def fit_profile(
     near-zero amplitudes are not identifiable with a free width, because the
     blurred density approaches a Gaussian of variance sigma^2 + A^2/2.
     """
-    x = np.asarray(positions, dtype=float)
-    y = np.asarray(counts, dtype=float)
+    x = _as_array("positions", positions)
+    y = _as_array("counts", counts)
     if x.ndim != 1 or x.size < 8 or y.shape != x.shape:
         raise AnalysisError("need matching 1-D positions and counts (>= 8 bins)")
     if not np.all(np.isfinite(x)):
@@ -879,13 +882,12 @@ def fit_profile(
         upper = np.array([span, x[-1], y.max(), 10.0 * total])
         x_scale = np.array([s, s, max(y.max() * 1e-3, 1e-12), total])
 
-    model = _at_last_point(lambda p: _profile_model(p, x, psf_sigma))
-    result = least_squares(
-        lambda p: (model(p)[0] - y) / weights,
-        p0,
-        jac=lambda p: model(p)[1] / weights[:, None],
-        bounds=(lower, upper), x_scale=x_scale, ftol=1e-12, xtol=1e-12, gtol=1e-12,
-    )
+    def weighted(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, jac = _profile_model(params, x, psf_sigma)
+        return (values - y) / weights, jac / weights[:, None]
+
+    result = least_squares(weighted, p0, bounds=(lower, upper), x_scale=x_scale,
+                           ftol=1e-12, xtol=1e-12, gtol=1e-12)
     if not result.success:
         raise AnalysisError(f"profile fit did not converge: {result.message}")
     cov = _covariance(result, result.jac.shape[0] - result.jac.shape[1])[1]

@@ -73,6 +73,12 @@ def check_real(name: str, value: Any, error: type = ConfigError) -> None:
         raise error(f"{name} must be a real number, got {value!r}")
 
 
+def check_count(name: str, value: Any, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` or numpy integer (no bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def check_pair_budget(n_ions: int, batch: tuple[int, ...] = (), rows: int = 3) -> None:
     """Raise :class:`ConfigError` if the force kernel's incidence matrix [N, P] or the
     separations [rows, *batch, P] of its P = N(N-1)/2 pairs in ``batch`` chains are over budget.

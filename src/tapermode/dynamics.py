@@ -90,6 +90,7 @@ from .core import (
     _squared_frequencies,
     axis_index,
     check_array_budget,
+    check_count,
     check_pair_budget,
     check_real,
 )
@@ -186,12 +187,6 @@ def beam_weights(beam: BeamSpec, positions: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * (z - beam.center_z) ** 2 / beam.waist_radius**2)
 
 
-def _check_count(name: str, value, error: type = ConfigError) -> None:
-    """Raise ``error`` unless ``value`` is an ``int`` or numpy integer (no bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class DriveScan:
     """A steady-state frequency scan of the driven chain.
@@ -237,7 +232,7 @@ class DriveScan:
         if self.steps_per_period is not None:
             counts["steps_per_period"] = self.steps_per_period
         for name, value in counts.items():
-            _check_count(name, value)
+            check_count(name, value)
         if self.settle_cycles < 0 or self.measure_cycles < 1:
             raise ConfigError("need settle_cycles >= 0 and measure_cycles >= 1")
         if self.steps_per_period is not None:

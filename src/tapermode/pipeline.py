@@ -27,13 +27,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import analyze_spectrum
-from .core import TWO_PI, TrapConfig, check_array_budget, check_pair_budget, check_real
+from .core import TWO_PI, TrapConfig, check_array_budget, check_count, check_pair_budget, check_real
 from .dynamics import (
     SPECTRUM_SOURCES,
     BeamSpec,
     DriveScan,
     SpectrumResult,
-    _check_count,
     _held_rows,
     beam_weights,
     synthesize_spectra,
@@ -107,7 +106,7 @@ class ExperimentPlan:
         if grid[-1] >= self.beam_crossover and not 0 < focused_damping < np.inf:
             raise ConfigError("damping_rate * focused_damping_scale must be positive and "
                               f"finite when a point is focused, got {focused_damping}")
-        _check_count("scan_points", self.scan_points)
+        check_count("scan_points", self.scan_points)
         if self.scan_points < 16:
             raise ConfigError("scan_points must be at least 16")
         if not 0 <= self.noise_fraction < np.inf:
@@ -384,7 +383,7 @@ def run_experiment(
     pair arrays exceed it.
     """
     if seed is not None:
-        _check_count("noise seed", seed)
+        check_count("noise seed", seed)
         if seed < 0:
             raise ConfigError(f"noise seed must be a non-negative integer, got {seed}")
     shape = (plan.omega_z_values.size, plan.scan_points, config.n_ions)

@@ -360,8 +360,8 @@ def test_09_profile_amplitudes_from_monte_carlo_counts(monkeypatch):
     solves = []  # (nfev, evaluation cap) of each least-squares solve
     solver = analysis.least_squares
 
-    def counted(fun, x0, jac, **kwargs):
-        result = solver(fun, x0, jac, **kwargs)
+    def counted(model, x0, **kwargs):
+        result = solver(model, x0, **kwargs)
         solves.append((result.nfev, 100 * len(x0)))
         return result
 

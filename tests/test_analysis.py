@@ -34,6 +34,7 @@ from tapermode.dynamics import BeamSpec, DriveScan, linear_response_spectrum
 from tapermode.equilibrium import equilibrium_positions
 from tapermode.errors import AnalysisError
 from tapermode.modes import compute_modes
+from tapermode.pipeline import ExperimentPlan, run_experiment
 
 
 def local_maxima(y):
@@ -468,6 +469,14 @@ class TestReconstruct:
         with pytest.raises(AnalysisError, match="all-zero"):
             reconstruct_eigenvectors(np.array([1.0e6]), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("heights, message", [
+        ([[np.nan, 1.0], [1.0, 1.0]], "mode 0 has non-finite heights"),
+        ([[1.0, 1.0], [1.0, -np.inf]], "mode 1 has non-finite heights"),
+    ])
+    def test_a_non_finite_column_is_not_called_all_zero(self, heights, message):
+        with pytest.raises(AnalysisError, match=f"^{message}$"):
+            reconstruct_eigenvectors([1.0e6, 2.0e6], heights)
+
     def test_center_count_mismatch(self):
         with pytest.raises(AnalysisError, match="column count"):
             reconstruct_eigenvectors(np.array([1.0e6, 2.0e6]), np.ones((2, 1)))
@@ -475,6 +484,33 @@ class TestReconstruct:
     def test_requires_2d_heights(self):
         with pytest.raises(AnalysisError, match="2-D"):
             reconstruct_eigenvectors(np.array([1.0e6]), np.ones(2))
+
+
+#: argument -> (a call with that argument malformed, the AnalysisError message it raises)
+MALFORMED = {
+    "frequencies": (lambda: fit_modal_sum(["a"] * 100, np.ones((100, 2), complex), 1),
+                    "frequencies must be numbers: could not convert string to float: 'a'"),
+    "response": (lambda: fit_modal_sum(np.linspace(1.0, 2.0, 100), [["a"]] * 100, 1),
+                 "response must be numbers: complex() arg is a malformed string"),
+    "positions": (lambda: fit_profile(["a"] * 10, np.ones(10)),
+                  "positions must be numbers: could not convert string to float: 'a'"),
+    "x": (lambda: blurred_arcsine(["a"], 1.0, 1.0),
+          "x must be numbers: could not convert string to float: 'a'"),
+    "amplitude": (lambda: blurred_arcsine(np.zeros(3), "a", 1.0),
+                  "amplitude must be a real number, got 'a'"),
+    "centers": (lambda: reconstruct_eigenvectors(["a", "b"], np.ones((2, 2))),
+                "centers must be numbers: could not convert string to float: 'a'"),
+    "height_errors": (lambda: reconstruct_eigenvectors([1.0, 2.0], np.ones((2, 2)),
+                                                       np.ones((3, 2))),
+                      "height_errors has shape (3, 2), heights (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("argument", MALFORMED)
+def test_malformed_input_is_an_analysis_error_naming_the_argument(argument):
+    call, message = MALFORMED[argument]
+    with pytest.raises(AnalysisError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestAnalyzeSpectrum:
@@ -763,9 +799,16 @@ class TestProfileFit:
 
 # -- the bounded least-squares solver -----------------------------------------
 
-def trf(fun, x0, jac, **kwargs):
-    """scipy's trust-region reflective solver, the reference for ``analysis.least_squares``."""
-    return scipy_least_squares(fun, x0, jac=jac, method="trf", **kwargs)
+def trf(model, x0, **kwargs):
+    """scipy's trust-region reflective solver, the reference for ``analysis.least_squares``.
+
+    It takes the same ``model`` returning ``(residual, jacobian, ...)`` and
+    sets ``evaluation`` to the model's return value at the solution.
+    """
+    result = scipy_least_squares(lambda x: model(x)[0], x0, jac=lambda x: model(x)[1],
+                                 method="trf", **kwargs)
+    result.evaluation = model(result.x)
+    return result
 
 
 def fit_with_trf(monkeypatch, fit, *args, **kwargs):
@@ -794,7 +837,7 @@ class TestLeastSquares:
             x0 = np.clip(rng.normal(size=n), lower, upper)
             if rng.random() < 0.5:
                 x0 = np.where(np.isfinite(lower), lower, x0)
-            result = analysis.least_squares(lambda x: a @ x - b, x0, lambda x: a,
+            result = analysis.least_squares(lambda x: (a @ x - b, a), x0,
                                             bounds=(lower, upper))
             best = lsq_linear(a, b, bounds=(lower, upper), method="bvls").x
             assert result.success
@@ -804,60 +847,52 @@ class TestLeastSquares:
 
     def test_rosenbrock(self):
         result = analysis.least_squares(
-            lambda p: np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),
+            lambda p: (np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]]),
+                       np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])),
             np.array([-1.2, 1.0]),
-            lambda p: np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]]),
         )
         assert result.success
         assert result.x == pytest.approx([1.0, 1.0], abs=1e-8)
         assert result.jac.shape == (2, 2)
 
     def test_status_codes_and_messages(self):
-        def residual(p):
-            return np.array([p[0] - 1.0, p[0] + 1.0])
+        def model(p):
+            return np.array([p[0] - 1.0, p[0] + 1.0]), np.array([[1.0], [1.0]])
 
-        def jac(p):
-            return np.array([[1.0], [1.0]])
-
-        capped = analysis.least_squares(residual, [5.0], jac, max_nfev=1)
+        capped = analysis.least_squares(model, [5.0], max_nfev=1)
         assert (capped.status, capped.success, capped.nfev) == (0, False, 1)
         assert capped.message == "The maximum number of function evaluations is exceeded."
-        at_minimum = analysis.least_squares(residual, [0.0], jac)
+        at_minimum = analysis.least_squares(model, [0.0])
         assert (at_minimum.status, at_minimum.nfev) == (1, 1)
         assert at_minimum.message == "`gtol` termination condition is satisfied."
         assert at_minimum.cost == 1.0
-        solved = analysis.least_squares(residual, [5.0], jac, gtol=0.0)
+        solved = analysis.least_squares(model, [5.0], gtol=0.0)
         assert solved.success and solved.status in (2, 3, 4)
         assert solved.x == pytest.approx([0.0], abs=1e-12)
 
     def test_a_non_finite_start_stops_after_one_evaluation(self):
         calls = []
 
-        def residual(p):
+        def model(p):
             calls.append(p)
-            return np.array([p[0] - 1.0, np.nan])
-
-        def jac(p):
-            raise AssertionError("the Jacobian is never needed")
+            return np.array([p[0] - 1.0, np.nan]), None  # the Jacobian is never needed
 
         with pytest.raises(AnalysisError, match="^residuals are not finite at the initial point$"):
-            analysis.least_squares(residual, [5.0], jac)
+            analysis.least_squares(model, [5.0])
         assert len(calls) == 1
 
     def test_an_infeasible_trial_point_cuts_the_radius(self):
         """A non-finite residual at a trial point is a rejected step a quarter as long."""
         trials = []
 
-        def residual(p):
+        def model(p):
             trials.append(p[0])
+            jac = np.array([[1.0], [2.0]])
             if len(trials) == 2:
-                return np.array([np.inf, 0.0])
-            return np.array([p[0] - 1.0, 2.0 * (p[0] + 1.0)])
+                return np.array([np.inf, 0.0]), jac
+            return np.array([p[0] - 1.0, 2.0 * (p[0] + 1.0)]), jac
 
-        def jac(p):
-            return np.array([[1.0], [2.0]])
-
-        result = analysis.least_squares(residual, [5.0], jac, x_scale=1.0)
+        result = analysis.least_squares(model, [5.0], x_scale=1.0)
         assert result.success and result.x == pytest.approx([-0.6], abs=1e-12)
         assert abs(trials[2] - 5.0) == pytest.approx(0.25 * abs(trials[1] - 5.0))
 
@@ -877,19 +912,16 @@ class TestLeastSquares:
         def rate(p):
             return p[1] + (p[3] if deficiency == "equal columns" else 0.0)
 
-        def residual(p):
-            return p[0] * np.exp(-rate(p) * t) + p[2] - y
-
-        def jac(p):
+        def model(p):
             e = np.exp(-rate(p) * t)
             d_rate = -p[0] * t * e
             zero = np.zeros_like(t)
-            return np.column_stack([e, d_rate, np.ones_like(t),
-                                    d_rate if deficiency == "equal columns" else zero])
+            return p[0] * e + p[2] - y, np.column_stack(
+                [e, d_rate, np.ones_like(t), d_rate if deficiency == "equal columns" else zero])
 
         p0 = np.array([1.0, 0.5, 0.0, 0.2])
-        ours = analysis.least_squares(residual, p0, jac)
-        reference = trf(residual, p0, jac)
+        ours = analysis.least_squares(model, p0)
+        reference = trf(model, p0)
         assert ours.success and reference.success
         assert np.linalg.matrix_rank(ours.jac) == 3
         assert ours.cost <= reference.cost * (1.0 + 1e-9)
@@ -936,14 +968,12 @@ class TestLeastSquares:
         upper = np.array([1.0, 1.0, np.inf] * 3 + [np.inf])
         lower[6:8], upper[6:8] = p0[6:8], p0[6:8] * (1.0 + 1e-12)
 
-        def residual(p):
-            return model_and_jacobian(p)[0] - y
+        def model(p):
+            values, jac = model_and_jacobian(p)
+            return values - y, jac
 
-        def jac(p):
-            return model_and_jacobian(p)[1]
-
-        ours = analysis.least_squares(residual, p0, jac, bounds=(lower, upper))
-        reference = trf(residual, p0, jac, bounds=(lower, upper))
+        ours = analysis.least_squares(model, p0, bounds=(lower, upper))
+        reference = trf(model, p0, bounds=(lower, upper))
         assert ours.success and reference.success
         assert ours.x[8] == 0.0
         fitted = np.r_[0:6, 8, 9]  # the pinned center and width have no error
@@ -991,9 +1021,9 @@ class TestLeastSquares:
         solver = analysis.least_squares
         starts = []
 
-        def infeasible(fun, x0, *args, **kwargs):
+        def infeasible(model, x0, **kwargs):
             starts.append(x0)
-            return solver(lambda p: np.full_like(fun(p), np.nan), x0, *args, **kwargs)
+            return solver(lambda p: (np.full_like(model(p)[0], np.nan), None), x0, **kwargs)
 
         monkeypatch.setattr(analysis, "least_squares", infeasible)
         grid = np.linspace(6.0e6, 7.0e6, 401)
@@ -1021,3 +1051,44 @@ class TestLeastSquares:
                 fit_modal_sum(grid, modal_response(grid, centers, gamma_of(hwhms), np.eye(3)), 3)
             else:
                 fit_profile(*TestProfileFit().make_profile(1.0), psf_sigma=1.0)
+
+
+class TestOneModelCallPerEvaluation:
+    """Each fit evaluates its model exactly ``nfev`` times: once per trial point, never after."""
+
+    @staticmethod
+    def count(monkeypatch, model_name):
+        """Calls of ``analysis.<model_name>``, and the ``nfev`` of each solve."""
+        calls, solves = [], []
+        model, solver = getattr(analysis, model_name), analysis.least_squares
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return model(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            result = solver(*args, **kwargs)
+            solves.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(analysis, model_name, counted)
+        monkeypatch.setattr(analysis, "least_squares", solve)
+        return calls, solves
+
+    @pytest.mark.parametrize("n_ions", [3, 10])
+    def test_modal_fit(self, monkeypatch, n_ions):
+        """Noiseless ``response`` spectra, one under the broad beam and one focused."""
+        calls, solves = self.count(monkeypatch, "_project_residues")
+        plan = ExperimentPlan(omega_z_values=TWO_PI * np.array([47e3, 150e3]))
+        report = run_experiment(TrapConfig(n_ions=n_ions), plan)
+        assert [p.failure for p in report.points] == [None, None]
+        assert len(solves) == 2
+        assert len(calls) == sum(solves)
+
+    @pytest.mark.parametrize("psf_sigma", [1.0, None])
+    def test_profile_fit(self, monkeypatch, psf_sigma):
+        x, y = TestProfileFit().make_profile(3.0)
+        calls, solves = self.count(monkeypatch, "_profile_model")
+        fit_profile(x, y, psf_sigma=psf_sigma)
+        assert len(solves) == 1
+        assert len(calls) == solves[0]
