@@ -13,13 +13,13 @@ steps:
    the data projected on it explicitly and never put in a Gram matrix, and
    a point where the basis is numerically rank-deficient treated as
    infeasible. The centers are seeded at the most prominent local maxima
-   of the smoothed chain-level spectrum (summed over ions), the dampings
-   at their half-maximum widths. A peak's prominence is its height above
-   the higher of its two bases, each the lowest point between it and the
-   nearest strictly higher sample on that side. It is computed here in
-   linear time with the semantics of ``scipy.signal.peak_prominences`` at
-   ``wlen=None``. The signed residue matrix is the ion-by-mode response
-   pattern.
+   of the smoothed chain-level spectrum (summed over ions), and placed with
+   their dampings by the parabola ``1 / y^2`` through three raw samples. A
+   peak's prominence is its height above the higher of its two bases, each
+   the lowest point between it and the nearest strictly higher sample on
+   that side. It is computed here in linear time with the semantics of
+   ``scipy.signal.peak_prominences`` at ``wlen=None``. The signed residue
+   matrix is the ion-by-mode response pattern.
 2. :func:`reconstruct_eigenvectors` — normalize each residue column with
    its largest component positive. The signs are the residue signs, so
    anti-phase ions come out negative without any phase threshold.
@@ -321,6 +321,14 @@ def _as_array(name: str, value, dtype: type = float) -> np.ndarray:
         raise AnalysisError(f"{name} must be numbers: {exc}") from None
 
 
+def _check_uniform(name: str, x: np.ndarray) -> float:
+    """The mean step of ``x``, or :class:`AnalysisError` unless positive and uniform to 1e-6."""
+    steps = np.diff(x)
+    if not np.all(steps > 0) or (steps.max() - steps.min()) > 1e-6 * steps.mean():
+        raise AnalysisError(f"{name} must be a uniformly increasing grid")
+    return float(steps.mean())
+
+
 def _normalize(frequencies: np.ndarray, amplitude: np.ndarray):
     w = _as_array("frequencies", frequencies)
     y = np.asarray(amplitude, dtype=float)
@@ -330,8 +338,7 @@ def _normalize(frequencies: np.ndarray, amplitude: np.ndarray):
         raise AnalysisError("amplitude length does not match the frequency axis")
     if not np.all(np.isfinite(w)):
         raise AnalysisError("frequencies contain non-finite values")
-    if not np.all(np.diff(w) > 0):
-        raise AnalysisError("frequencies must be strictly increasing")
+    _check_uniform("frequencies", w)
     if not np.all(np.isfinite(y)):
         raise AnalysisError("amplitude contains non-finite values")
     span = w[-1] - w[0]
@@ -392,8 +399,8 @@ def _prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return y[peaks] - np.maximum(left, right)
 
 
-def _peak_seeds(y: np.ndarray, n_peaks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seed indices of the ``n_peaks`` most prominent peaks of ``y``, and their half-widths.
+def _peak_seeds(x: np.ndarray, y: np.ndarray, n_peaks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seed centers and dampings, on the uniform axis ``x``, of ``y``'s most prominent peaks.
 
     Peak candidates are the local maxima of the five-point-smoothed
     spectrum (samples above the one before and not below the one after);
@@ -407,10 +414,12 @@ def _peak_seeds(y: np.ndarray, n_peaks: int) -> tuple[np.ndarray, np.ndarray]:
     further has prominence 0 and ranks last. Raises
     :class:`AnalysisError` when fewer candidates exist.
 
-    Each seed's half-width, in samples, is the distance from its candidate
-    to the nearer side where the smoothed spectrum first falls to half the
-    candidate's value or starts to rise again (a neighbouring peak). Seeds
-    come sorted by index.
+    Each seed is then placed from the three raw samples around it: near an
+    isolated line ``1 / y^2`` is a parabola in frequency, with its vertex
+    (taken at most a sample away) at the center and ``(Gamma / 2)^2`` its
+    value there over its curvature. An end sample mirrors its neighbour and
+    stays put; a parabola not opening upward, or dipping below zero, gives
+    damping 0 for the caller's width floor to raise. Seeds come sorted.
     """
     smoothed = _smooth5(y)
     inner = smoothed[1:-1]
@@ -426,20 +435,20 @@ def _peak_seeds(y: np.ndarray, n_peaks: int) -> tuple[np.ndarray, np.ndarray]:
     # strict-maximum test; re-center each seed on the raw maximum inside the
     # smoothing window (keeping seeds distinct) so narrow peaks start with
     # gradient support.
-    taken: set[int] = set()
-    seeds, widths = [], []
+    seeds: list[int] = []
     for i in chosen:
-        window = [k for k in range(max(i - 2, 0), min(i + 3, y.size)) if k not in taken]
-        j = max(window, key=lambda k: y[k]) if window else int(i)
-        taken.add(j)
-        seeds.append(j)
-        half = 0.5 * smoothed[i]
-        widths.append(min(
-            np.argmax(np.r_[(side[1:] <= half) | (side[1:] > side[:-1]), True]) + 1
-            for side in (smoothed[i::-1], smoothed[i:])
-        ))
-    order = np.argsort(seeds)
-    return np.array(seeds, dtype=int)[order], np.array(widths, dtype=float)[order]
+        window = [k for k in range(max(i - 2, 0), min(i + 3, y.size)) if k not in seeds]
+        seeds.append(max(window, key=lambda k: y[k]) if window else int(i))
+    j = np.sort(seeds)
+    step = x[1] - x[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_low, q_mid, q_high = y[np.array([np.abs(j - 1), j, -1 - np.abs(y.size - 2 - j)])] ** -2.0
+        a = 0.5 * (q_low + q_high) - q_mid
+        b = 0.5 * (q_high - q_low)
+        vertex = -0.5 * b / a
+        half_sq = (q_mid + 0.5 * b * vertex) / a
+        offset = np.where((a > 0.0) & np.isfinite(vertex), np.clip(vertex, -1.0, 1.0), 0.0)
+        return x[j] + step * offset, np.where(half_sq > 0.0, 2.0 * step * np.sqrt(half_sq), 0.0)
 
 
 def _residue_basis(g: np.ndarray, u: np.ndarray, u_k: np.ndarray) -> np.ndarray:
@@ -549,13 +558,14 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     ``response`` is ``amplitude * exp(i phase)`` with shape [M, N_ions]. The
     model is ``Z_i(w) = sum_k R_ik / (w_k^2 - w^2 + i Gamma_k w)``. The K
     centers ``w_k`` and dampings ``Gamma_k`` are the nonlinear parameters.
-    The centers start at the peaks :func:`_peak_seeds` picks on the summed
-    amplitude and stay inside the scan; the dampings start at the seeds'
-    half-maximum widths (``Gamma = 2 hwhm / sqrt(3)``) and are floored at
-    ``WIDTH_FLOOR_STEPS`` scan steps of half-width. For given centers and
-    dampings the residues shared by all ions follow from one linear
-    least-squares solve (variable projection; Golub & Pereyra 1973), and the
-    optimizer sees Kaufman's Jacobian of the projected residual. Each
+    The centers and dampings start where :func:`_peak_seeds` places the
+    summed amplitude's peaks, the centers stay inside the scan, and the
+    dampings are floored at ``WIDTH_FLOOR_STEPS`` scan steps of half-width
+    (``Gamma = 2 hwhm / sqrt(3)``); both read one step, so a scan not uniform
+    to 1e-6 raises :class:`AnalysisError`. For given centers and dampings
+    the residues shared by all ions follow from one linear least-squares
+    solve (variable projection; Golub & Pereyra 1973), and the optimizer
+    sees Kaufman's Jacobian of the projected residual. Each
     evaluation factors only the basis and its derivatives, by scaled
     CholeskyQR2, and projects the data on that explicitly: near convergence
     the data lie almost inside the basis's span, so a Gram matrix holding
@@ -578,20 +588,19 @@ def fit_modal_sum(frequencies: np.ndarray, response: np.ndarray, n_modes: int) -
     if z.ndim != 2:
         raise AnalysisError("response must be a [scan, ion] 2-D array")
     x, y, w0, span, scale = _normalize(frequencies, np.abs(z))
-    seeds, widths = _peak_seeds(y.sum(axis=1), n_modes)
+    centers, g0 = _peak_seeds(x, y.sum(axis=1), n_modes)
     u0 = w0 / span
     u = x + u0
     data = np.ascontiguousarray(z.T) / scale
     to_g = 2.0 / np.sqrt(3.0)
-    step = x[1] - x[0]
-    floor = to_g * WIDTH_FLOOR_STEPS * step
-    g0 = np.clip(to_g * widths * step, floor, to_g)
-    k = seeds.size
+    floor = to_g * WIDTH_FLOOR_STEPS * (x[1] - x[0])
+    g0 = np.clip(g0, floor, to_g)
+    k = g0.size
 
     result = least_squares(
-        lambda p: _project_residues(p[:k], u, p[k:] + u0, data), np.r_[g0, x[seeds]],
-        bounds=(np.r_[np.full(k, floor), np.zeros(k)], np.r_[np.full(k, to_g), np.ones(k)]),
-        x_scale=np.r_[g0, g0], ftol=1e-10,
+        lambda p: _project_residues(p[:k], u, p[k:] + u0, data), np.concatenate([g0, centers]),
+        bounds=np.repeat([[floor, 0.0], [to_g, 1.0]], k, axis=1),
+        x_scale=np.concatenate([g0, g0]), ftol=1e-10,
     )
     if not result.success:
         raise AnalysisError(f"modal fit did not converge: {result.message}")
@@ -852,12 +861,9 @@ def fit_profile(
         raise AnalysisError("need matching 1-D positions and counts (>= 8 bins)")
     if not np.all(np.isfinite(x)):
         raise AnalysisError("positions must be finite")
-    steps = np.diff(x)
-    if not np.all(steps > 0) or (steps.max() - steps.min()) > 1e-6 * steps.mean():
-        raise AnalysisError("positions must be a uniformly increasing grid")
+    bin_width = _check_uniform("positions", x)
     if np.any(y < 0) or not np.all(np.isfinite(y)) or not y.max() > 0:
         raise AnalysisError("counts must be finite, non-negative, and not all zero")
-    bin_width = float(steps.mean())
 
     total = float(y.sum()) * bin_width
     center0 = float((x * y).sum() / y.sum())

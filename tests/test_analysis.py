@@ -278,6 +278,47 @@ class TestFixedCenters:
             with pytest.raises(AnalysisError, match="^n_modes must be an integer, got "):
                 fit_modal_sum(grid, ones, count)
 
+    def test_a_non_uniform_scan_is_refused(self):
+        """The width floor and the seeds read one scan step, so the scan must have one.
+
+        On this 301-point grid two 2 kHz half-width modes come back floored at
+        its 2667 Hz step. One extra sample 1 % of a step after the first would
+        cut the floor 100-fold, so that scan raises. The round-off of a CSV
+        round trip at 12 significant digits does not.
+        """
+        grid = np.linspace(2.0e5, 1.0e6, 301)
+        step = grid[1] - grid[0]
+        centers, gammas = np.array([4.0e5, 7.0e5]), gamma_of(np.full(2, 2.0e3))
+        residues = np.array([[1.0, 0.5], [0.3, -2.0]]) * gammas * centers
+        for scan in (grid, np.array([float(f"{f:.12g}") for f in grid])):
+            fit = fit_modal_sum(scan, modal_response(scan, centers, gammas, residues), 2)
+            assert fit.hwhms == pytest.approx(WIDTH_FLOOR_STEPS * step, rel=1e-9)
+        uneven = np.insert(grid, 1, grid[0] + 0.01 * step)
+        with pytest.raises(AnalysisError, match="^frequencies must be a uniformly increasing grid$"):
+            fit_modal_sum(uneven, modal_response(uneven, centers, gammas, residues), 2)
+
+    def test_seeds_sit_on_isolated_lines(self):
+        """Each seed's center and width come from its three raw samples in closed form.
+
+        One line of three ions with mixed-sign residues, a half-width of 0.5 to
+        20 scan steps and a center anywhere within a sample, on a scan whose
+        step is 2.5e-4 of the frequency, as in the default plans. The seeds
+        are read before the width floor, which would lift the narrowest.
+        """
+        grid = np.linspace(0.9e6, 1.1e6, 801)
+        step = grid[1] - grid[0]
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            hwhm = step * math.exp(rng.uniform(math.log(0.5), math.log(20.0)))
+            center = grid[400] + step * rng.uniform(-0.5, 0.5)
+            gamma = gamma_of(hwhm)
+            residues = rng.uniform(0.2, 1.0, (3, 1)) * np.array([[1.0], [-1.0], [1.0]])
+            z = modal_response(grid, [center], [gamma], residues * gamma * center)
+            x, y, w0, span, _ = analysis._normalize(grid, np.abs(z))
+            seed_center, seed_gamma = analysis._peak_seeds(x, y.sum(axis=1), 1)
+            assert abs(w0 + span * seed_center[0] - center) <= 0.02 * hwhm
+            assert span * seed_gamma[0] == pytest.approx(gamma, rel=0.01)
+
     def test_quantised_response_fits_without_warning(self):
         """Rounded amplitudes leave rising plateaus whose first sample has prominence 0.
 
@@ -992,7 +1033,12 @@ class TestLeastSquares:
         z = z + 1e-3 * np.abs(z).max() * (rng.standard_normal(z.shape)
                                           + 1j * rng.standard_normal(z.shape))
         ours = fit_modal_sum(grid, z, 2)
-        reference = fit_with_trf(monkeypatch, fit_modal_sum, grid, z, 2)
+        # The reference runs to the minimum: at the fit's own ftol = 1e-10 trf
+        # stops 4.6e-8 short of it on the broad mode's width.
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "least_squares", lambda model, x0, **kwargs: trf(
+                model, x0, **{**kwargs, "ftol": 1e-15, "xtol": 1e-15, "gtol": 1e-15}))
+            reference = fit_modal_sum(grid, z, 2)
         assert ours.hwhms[0] == pytest.approx(WIDTH_FLOOR_STEPS * step, rel=1e-12)
         assert ours.hwhms == pytest.approx(reference.hwhms, rel=1e-8)
         assert np.all(np.abs(ours.centers - reference.centers) < AGREEMENT * ours.center_errors)
@@ -1084,6 +1130,13 @@ class TestOneModelCallPerEvaluation:
         assert [p.failure for p in report.points] == [None, None]
         assert len(solves) == 2
         assert len(calls) == sum(solves)
+
+    @pytest.mark.parametrize("n_ions, noise, budget", [(3, 1e-3, 60), (10, 0.0, 160)])
+    def test_default_plan_work(self, monkeypatch, n_ions, noise, budget):
+        """Seeded on the lines, the modal fits of a default plan take few evaluations."""
+        calls, _ = self.count(monkeypatch, "_project_residues")
+        run_experiment(TrapConfig(n_ions=n_ions), ExperimentPlan(noise_fraction=noise), seed=1)
+        assert len(calls) <= budget
 
     @pytest.mark.parametrize("psf_sigma", [1.0, None])
     def test_profile_fit(self, monkeypatch, psf_sigma):

@@ -400,6 +400,19 @@ class TestSimulateAndFit:
         assert cli.main(["fit", str(spectrum_path), "--config", config, "--out", str(out)]) == 0
         assert [s.direction for s in loaded] == ["y"]
 
+    def test_fit_rejects_a_scan_with_a_dropped_frequency(self, tmp_path, capsys):
+        """The modal fit reads one scan step, so a gap in the scan is refused, not fitted."""
+        config = write_config(tmp_path, self.CONFIG)
+        spectrum_path = tmp_path / "spectrum.csv"
+        assert cli.main(["simulate", "--config", config, "--out", str(spectrum_path)]) == 0
+        rows = read_csv(str(spectrum_path))
+        dropped = rows[1 + 3 * 200][0]
+        gap_path = tmp_path / "gap.csv"
+        with open(gap_path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(row for row in rows if row[0] != dropped)
+        assert cli.main(["fit", str(gap_path), "--config", config]) == 4
+        assert "frequencies must be a uniformly increasing grid" in capsys.readouterr().err
+
     def test_fit_rejects_axial_beam_axis(self, tmp_path, capsys):
         spectrum_path = tmp_path / "spectrum.csv"
         config = write_config(tmp_path, self.CONFIG)
