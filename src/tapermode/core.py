@@ -368,10 +368,10 @@ def gradient(config: TrapConfig, positions: np.ndarray) -> np.ndarray:
     displacements from the origin, and the acceleration comes back times -m.
     """
     r = _check_positions(config, positions, batch=True)
-    x = np.moveaxis(r, -1, 0)
+    x = np.ascontiguousarray(np.moveaxis(r, -1, 0))
     origin = np.zeros(x.shape)
     accel = _acceleration_kernel(config, origin, _squared_frequencies(config), x.shape)
-    return np.moveaxis(accel(x), 0, -1) * -config.mass
+    return np.moveaxis(accel(x, np.empty(x.shape)), 0, -1) * -config.mass
 
 
 def _squared_frequencies(config: TrapConfig) -> np.ndarray:
@@ -381,7 +381,7 @@ def _squared_frequencies(config: TrapConfig) -> np.ndarray:
 
 def _acceleration_kernel(
     config: TrapConfig, origin: np.ndarray, omega_sq: np.ndarray, shape: tuple[int, ...]
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The acceleration -dV/dr / m at ``origin + x``, in component-major layout.
 
     Displacements ``x`` have ``shape`` (C, ..., N): ``x[c, ..., i]`` is the
@@ -404,17 +404,26 @@ def _acceleration_kernel(
     and the trap term is ``-W r`` plus the taper cross terms
     ``-(2 W_c / L) r_c z`` on each transverse row c and
     ``-sum_c (W_c / L) r_c r_c`` on z, each a coefficient times a coordinate
-    product. Every constant and work array is built here, once per
-    :func:`gradient` call or time-domain lockstep (the kernel's two callers),
-    and broadcast to full size. A call is then a short run of array passes:
-    the two products with ``S`` each take one 2-D ``np.dot`` over the
+    product. Every constant, work array and view of one is built here, once
+    per :func:`gradient` call or time-domain lockstep (the kernel's two
+    callers), and broadcast to full size. A call ``accel(x, out)`` is then a
+    short run of array passes into those arrays, with no allocation: the two
+    products with ``S`` each take one 2-D ``np.dot(..., out=)`` over the
     [rows, N] or [rows, P] view, and ``s`` is one ``d * d`` plus row adds
     in row order. With two rows (c, z), the two taper products are the one
     multiply ``r_c (z, r_c)``; more rows form the same products row by row.
     Each taper coefficient is the same float for any set of held rows, so
     two-row and three-row kernels agree bit for bit. N = 1 has no pairs and
-    gives the trap term alone. Every call returns a new array and leaves
-    ``x`` unchanged. Over-budget pair arrays raise :class:`ConfigError`.
+    gives the trap term alone.
+
+    ``x`` and ``out`` are C-contiguous float arrays of ``shape`` that do not
+    overlap. The call writes the acceleration into ``out``, returns it and
+    leaves ``x`` unchanged. The separations, their squares, ``s`` and its
+    root, ``r = x + origin`` and one product buffer are the kernel's own and
+    are overwritten by every call, so no result shares memory with them. The
+    [rows, N] views of ``x`` and ``out`` are kept from one call to the next
+    while the caller passes the same two arrays. Over-budget pair arrays
+    raise :class:`ConfigError`.
     """
     n = config.n_ions
     check_pair_budget(n, shape[1:-1], shape[0])
@@ -438,30 +447,51 @@ def _acceleration_kernel(
     if held == 2:
         # rows (c, z) times (z, c): both taper products in one multiply
         taper = np.concatenate([cross, taper])
+    d = np.empty(d0.shape)
+    by_row = d.reshape(held, -1)
+    square = np.empty(by_row.shape)
+    s, rest = square[0], tuple(square[1:])
+    root = np.empty(s.shape)
+    r = np.empty(shape)
+    product = np.empty(shape)
+    r_first, r_swapped = r[0], r[::-1]
+    bound: tuple[np.ndarray, ...] = ()  # (x, out, x [rows, N], out [rows, N]) of the last call
 
-    def accel(x: np.ndarray) -> np.ndarray:
-        d = np.dot(x.reshape(rows, n), incidence)
-        d += d0
-        by_row = d.reshape(held, -1)
-        square = by_row * by_row
-        s = square[0]
-        for row in square[1:]:
-            s += row
-        s *= np.sqrt(s)
-        by_row /= s
-        a = np.dot(d, scatter).reshape(shape)
-        r = x + r0
-        a -= stiffness * r
+    def accel(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        nonlocal bound
+        if not bound or bound[0] is not x or bound[1] is not out:
+            if not (x.flags.c_contiguous and out.flags.c_contiguous):
+                raise ValueError("the force kernel needs C-contiguous x and out")
+            bound = x, out, x.reshape(rows, n), out.reshape(rows, n)
+        _, _, x_rows, out_rows = bound
+        np.dot(x_rows, incidence, out=d)
+        np.add(d, d0, out=d)
+        np.multiply(by_row, by_row, out=square)
+        for row in rest:
+            np.add(s, row, out=s)
+        np.sqrt(s, out=root)
+        np.multiply(s, root, out=s)
+        np.divide(by_row, s, out=by_row)
+        np.dot(d, scatter, out=out_rows)
+        np.add(x, r0, out=r)
+        np.multiply(stiffness, r, out=product)
+        out -= product
         if not tapered:
-            return a
+            return out
         if held == 2:
-            a -= taper * (r[0] * r[::-1])
-            return a
+            np.multiply(r_first, r_swapped, out=product)
+            np.multiply(product, taper, out=product)
+            out -= product
+            return out
         for c in range(held - 1):
-            a[c] -= cross[c] * (r[c] * r[-1])
+            np.multiply(r[c], r[-1], out=product[c])
+            product[c] *= cross[c]
+            out[c] -= product[c]
         for c in range(held - 1):
-            a[-1] -= taper[c] * (r[c] * r[c])
-        return a
+            np.multiply(r[c], r[c], out=product[c])
+            product[c] *= taper[c]
+            out[-1] -= product[c]
+        return out
 
     return accel
 

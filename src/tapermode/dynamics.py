@@ -22,13 +22,16 @@ The full nonlinear forces come from the package's one force kernel,
 ``core._acceleration_kernel``. It works on component-major states
 [C, ..., N] held as displacements from equilibrium, sums the Coulomb force
 over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
-its constants and work arrays once per lockstep, not once per step. A step
-is a short run of array passes: one 2-D product with the incidence matrix
-for the pair separations and one for the Coulomb scatter, the inverse cube
-as ``1 / (s sqrt(s))`` of the squared distance s, and each taper term as a
-coefficient times one coordinate product. That association is the same
-whatever rows are held, so the two-row lockstep kernel and the three-row
-one of ``core.gradient`` agree bit for bit.
+its constants, work arrays and their views once per lockstep, not once per
+step. A step is a short run of array passes, each an in-place ufunc or an
+``np.dot(..., out=)`` into a buffer made before the first step, and
+allocates nothing outside the once-per-period divergence check. The kernel takes one 2-D product with the incidence matrix for
+the pair separations and one for the Coulomb scatter, the inverse cube as
+``1 / (s sqrt(s))`` of the squared distance s, and each taper term as a
+coefficient times one coordinate product, and writes the acceleration into
+the lockstep's own array. That association is the same whatever rows are
+held, so the two-row lockstep kernel and the three-row one of
+``core.gradient`` agree bit for bit.
 
 The time-domain spectra of a whole grid of configurations are integrated in
 one lockstep by :func:`synthesize_spectra`. The state is component-major
@@ -348,7 +351,7 @@ def _held_rows(model: str, direction: str) -> list[int]:
 
 
 def _lockstep_verlet(
-    force: Callable[[np.ndarray], np.ndarray],
+    force: Callable[[np.ndarray, np.ndarray], np.ndarray],
     shape: tuple[int, ...],
     push: np.ndarray,
     dt: np.ndarray,
@@ -362,10 +365,11 @@ def _lockstep_verlet(
 
     The state has the component-major ``shape`` [C, P, M, N]: the P grid
     points, their M scan points and N ions of the C held coordinates of
-    :func:`_held_rows`. ``force(x)`` is the undriven acceleration at
-    displacements ``x`` from ``force``'s origin, where every run starts at
-    rest; ``x[0]`` is the driven direction, which feels the extra
-    acceleration ``push`` [P, N] sin(2 pi k / spp) at drive phase index k.
+    :func:`_held_rows`. ``force(x, out)`` writes the undriven acceleration
+    at displacements ``x`` from ``force``'s origin, where every run starts
+    at rest, into ``out`` and returns it. ``x[0]`` is the driven direction,
+    which feels the extra acceleration ``push`` [P, N] sin(2 pi k / spp) at
+    drive phase index k.
     ``dt`` [P, M] is each scan point's step; ``gamma`` [P] and ``blowup``
     [P] are each grid point's damping rate and largest allowed displacement.
 
@@ -379,6 +383,15 @@ def _lockstep_verlet(
     from ``p = 2 h^2 a(x0)``. It is velocity Verlet with the damping split
     half explicit, half implicit: the full-step velocity is the mean of the
     two neighbouring half-step velocities, and Gamma = 0 gives plain Verlet.
+
+    The state ``x``, the increment ``p``, the acceleration ``a``, the drive
+    kick and the demodulation product are made once, with their views, and
+    a step updates them in place: ``x += p``; ``force(x, a)``;
+    ``a *= gain``; ``a[0] += sin drive`` through the kick buffer;
+    ``p *= decay``; ``p += a``. Only the once-per-period divergence check
+    below allocates. That is the arithmetic of the allocating form
+    ``a = force(x) gain``, ``p = decay p + a`` in the same order, so the
+    results are the same bit for bit.
 
     Returns the complex amplitudes Z [P, M, N] of ``x[0]`` over the
     measure window and, per grid point, the step after which it diverged (0
@@ -402,9 +415,12 @@ def _lockstep_verlet(
     n_steps = (settle_cycles + measure_cycles) * spp
     demod_start = settle_cycles * spp
     diverged = np.zeros(n_points, dtype=int)
-    x = np.zeros(shape)
-    p = 2.0 * half_dt**2 * force(x)
+    x, a = np.zeros(shape), np.empty(shape)
+    p = 2.0 * half_dt**2 * force(x, a)
+    kick = np.empty(drive.shape)
     accum = np.zeros(shape[-3:], dtype=complex)
+    demodulated = np.empty(accum.shape, dtype=complex)
+    driven, pushed = x[0], a[0]
     # A diverging row may overflow within one period, before the check below
     # zeroes it; that fails only its own point, so it must not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,13 +437,15 @@ def _lockstep_verlet(
                     x[..., fresh, :, :] = 0.0
                     p[..., fresh, :, :] = 0.0
                     drive[fresh] = 0.0
-            a = force(x)
+            force(x, a)
             a *= gain
-            a[0] += sin_tab[phase_idx] * drive
+            np.multiply(sin_tab[phase_idx], drive, out=kick)
+            pushed += kick
             p *= decay
             p += a
             if step > demod_start:
-                accum += x[0] * exp_tab[phase_idx]
+                np.multiply(driven, exp_tab[phase_idx], out=demodulated)
+                accum += demodulated
     return accum * (2.0 / (measure_cycles * spp)), diverged
 
 
@@ -451,8 +469,8 @@ def _integrate(
             for c in configs
         ])
 
-        def force(x: np.ndarray) -> np.ndarray:
-            return x @ restoring
+        def force(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+            return np.matmul(x, restoring, out=out)
 
     else:
         force = _acceleration_kernel(

@@ -419,16 +419,18 @@ class TestFullModelKernel:
             np.float64, (len(rows), *shape[1:]), elements=st.floats(-1e-2, 1e-2)))
         origin = equilibrium_positions(config).T[:, None, :]
         omega_sq = _squared_frequencies(config)
-        every = _acceleration_kernel(config, origin, omega_sq, shape)(x)
+        every = _acceleration_kernel(config, origin, omega_sq, shape)(x, np.empty(shape))
+        held_shape = (len(rows), *shape[1:])
         held = _acceleration_kernel(config, origin[rows], omega_sq[rows],
-                                    (len(rows), *shape[1:]))(x[rows])
+                                    held_shape)(x[rows], np.empty(held_shape))
         assert np.array_equal(held, every[rows])
 
     @pytest.mark.parametrize("n_ions", [1, 2, 5])
     @pytest.mark.parametrize("rows", [[0, 2], [0, 1, 2]])
     @pytest.mark.parametrize("tapered", [True, False])
     def test_results_never_alias_the_work_arrays(self, n_ions, rows, tapered):
-        """A kernel called twice returns what two fresh kernels return, and leaves x as it was."""
+        """A kernel writes each result into the caller's ``out``, as two fresh kernels
+        would, leaves x as it was, and keeps no result in its own work arrays."""
         config = CONFIG.replace(
             n_ions=n_ions, funnel_length=CONFIG.funnel_length if tapered else math.inf
         )
@@ -442,12 +444,26 @@ class TestFullModelKernel:
         rng = np.random.default_rng(n_ions)
         first, second = (1e-3 * config.length_scale * rng.standard_normal(shape) for _ in range(2))
         inputs = first.copy(), second.copy()
+        expected = kernel()(inputs[0], np.empty(shape)), kernel()(inputs[1], np.empty(shape))
         force = kernel()
-        got = force(first), force(second)
+        outs = np.empty(shape), np.empty(shape)
+        # the same two arrays again after a switch: the kernel's views follow the caller's arrays
+        for x, out, want in [(first, outs[0], expected[0]), (second, outs[1], expected[1]),
+                             (first, outs[0], expected[0])]:
+            assert force(x, out) is out
+            assert np.array_equal(out, want)
         assert np.array_equal(first, inputs[0]) and np.array_equal(second, inputs[1])
-        assert np.array_equal(got[0], kernel()(inputs[0]))
-        assert np.array_equal(got[1], kernel()(inputs[1]))
-        assert not np.shares_memory(got[0], got[1])
+        assert not np.shares_memory(outs[0], outs[1])
+        work = [cell.cell_contents for cell in force.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(work) >= 8
+        for out in outs:
+            assert not any(np.shares_memory(out, array) for array in work)
+        positions = equilibrium_positions(config)
+        gradients = core.gradient(config, positions), core.gradient(config, positions)
+        assert np.array_equal(*gradients)
+        assert not np.shares_memory(*gradients)
+        assert not np.shares_memory(gradients[0], positions)
 
     @pytest.mark.parametrize("model", ["linearized", "full"])
     def test_z_drive_floor_ignores_the_radial_modes(self, model):
@@ -507,9 +523,12 @@ def per_point_spectrum(config, scan, beam, model):
 
     else:
         shape, observed = (3, wd.size, config.n_ions), "xyz".index(beam.direction)
-        force = _acceleration_kernel(
+        kernel = _acceleration_kernel(
             config, r0.T[:, None, :], _squared_frequencies(config), shape
         )
+
+        def force(x):
+            return kernel(x, np.empty(shape))
     phases = TWO_PI * np.arange(spp) / spp
     sin_tab, exp_tab = np.sin(phases), np.exp(-1j * phases)
     push = np.broadcast_to(
@@ -790,6 +809,164 @@ class TestStepControl:
         with pytest.warns(UserWarning):
             with pytest.raises(SimulationError, match="diverged"):
                 simulate_spectrum(config, scan, strong, model="linearized")
+
+
+def allocating_kernel(config, origin, omega_sq, shape):
+    """``core._acceleration_kernel`` as written before it reused its buffers: the
+    same arithmetic in the same order, with a new array for every intermediate
+    and a new result per call."""
+    n, held, rows = config.n_ions, shape[0], math.prod(shape[:-1])
+    first, second = np.triu_indices(n, 1)
+    incidence = np.zeros((n, first.size))
+    incidence[first, np.arange(first.size)] = 1.0
+    incidence[second, np.arange(first.size)] = -1.0
+    scatter = (config.coulomb_coupling / config.mass) * np.ascontiguousarray(incidence.T)
+    r0 = np.broadcast_to(origin, shape).copy()
+    d0 = np.dot(r0.reshape(rows, n), incidence)
+    omega_sq = np.asarray(omega_sq, dtype=float)
+    omega_sq = omega_sq.reshape(omega_sq.shape + (1,) * (len(shape) - omega_sq.ndim))
+    stiffness = np.broadcast_to(omega_sq, shape).copy()
+    inv_l = 1.0 / config.funnel_length
+    taper = stiffness[:-1] * inv_l
+    cross = 2.0 * taper
+    if held == 2:
+        taper = np.concatenate([cross, taper])
+
+    def accel(x):
+        d = np.dot(x.reshape(rows, n), incidence)
+        d += d0
+        by_row = d.reshape(held, -1)
+        square = by_row * by_row
+        s = square[0]
+        for row in square[1:]:
+            s += row
+        s *= np.sqrt(s)
+        by_row /= s
+        a = np.dot(d, scatter).reshape(shape)
+        r = x + r0
+        a -= stiffness * r
+        if not inv_l or held == 1:
+            return a
+        if held == 2:
+            a -= taper * (r[0] * r[::-1])
+            return a
+        for c in range(held - 1):
+            a[c] -= cross[c] * (r[c] * r[-1])
+        for c in range(held - 1):
+            a[-1] -= taper[c] * (r[c] * r[c])
+        return a
+
+    return accel
+
+
+def allocating_lockstep(force, shape, push, dt, gamma, blowup, spp, settle_cycles,
+                        measure_cycles):
+    """``dynamics._lockstep_verlet`` as written before it reused its buffers: every
+    step makes a new acceleration, drive kick and increment, with the once-per-period
+    divergence reset. ``force(x)`` returns a new array."""
+    phases = TWO_PI * np.arange(spp) / spp
+    sin_tab, exp_tab = np.sin(phases), np.exp(-1j * phases)
+    n_points = shape[-3]
+    half_dt = np.broadcast_to(0.5 * dt[:, :, None], shape).copy()
+    damping = gamma[:, None, None] * half_dt
+    decay = (1.0 - damping) / (1.0 + damping)
+    gain = 2.0 * half_dt**2 * (1.0 + decay)
+    drive = gain[0] * push[:, None, :]
+    diverged = np.zeros(n_points, dtype=int)
+    x = np.zeros(shape)
+    p = 2.0 * half_dt**2 * force(x)
+    accum = np.zeros(shape[-3:], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, (settle_cycles + measure_cycles) * spp + 1):
+            x += p
+            k = step % spp
+            if k == 0:
+                peak = np.abs(x).reshape(-1, n_points, shape[-2] * shape[-1]).max(axis=(0, 2))
+                fresh = ~(peak <= blowup) & (diverged == 0)
+                diverged[fresh] = step
+                if np.all(diverged):
+                    break
+                x[..., fresh, :, :] = 0.0
+                p[..., fresh, :, :] = 0.0
+                drive[fresh] = 0.0
+            a = force(x) * gain
+            a[0] += sin_tab[k] * drive
+            p = decay * p + a
+            if step > settle_cycles * spp:
+                accum += x[0] * exp_tab[k]
+    return accum * (2.0 / (measure_cycles * spp)), diverged
+
+
+class TestInPlaceLockstep:
+    """The in-place lockstep and force kernel against their allocating forms, bit for bit."""
+
+    SPP, SETTLE, MEASURE = 32, 3, 2
+
+    @classmethod
+    def lockstep(cls, model, rows, n_ions, tapered, diverging):
+        """The in-place and the allocating force of a three-point lockstep on ``rows``,
+        and the lockstep's arguments after the force. The points in ``diverging`` are
+        driven far past the blow-up scale within their first drive period."""
+        configs = [
+            CONFIG.replace(n_ions=n_ions, omega_z=TWO_PI * khz * 1e3,
+                           omega_y0=1.2 * CONFIG.omega_x0,
+                           funnel_length=CONFIG.funnel_length if tapered else math.inf)
+            for khz in (47.0, 120.0, 205.0)
+        ]
+        direction = "xyz"[rows[0]]
+        origins = [equilibrium_positions(c) for c in configs]
+        wd = np.stack([np.linspace(0.97, 1.03, 3) * compute_modes(c).frequencies(direction)[0]
+                       for c in configs])
+        shape = (len(rows), len(configs), wd.shape[1], n_ions)
+        if model == "linearized":
+            restoring = np.stack([
+                -coupling_matrix(c, direction) * reference_frequency(c, direction) ** 2
+                for c in configs
+            ])
+
+            def in_place(x, out):
+                return np.matmul(x, restoring, out=out)
+
+            def allocating(x):
+                return x @ restoring
+        else:
+            origin = np.stack([r0.T[rows] for r0 in origins], axis=1)[:, :, None, :]
+            omega_sq = np.stack([_squared_frequencies(c)[rows] for c in configs], axis=1)
+            in_place = _acceleration_kernel(configs[0], origin, omega_sq, shape)
+            allocating = allocating_kernel(configs[0], origin, omega_sq, shape)
+        beam = BeamSpec("focused", FORCE, direction, waist_radius=17e-6)
+        push = np.stack([FORCE / c.mass * beam_weights(beam, r0)
+                         for c, r0 in zip(configs, origins)])
+        blowup = np.array([BLOWUP_LENGTH_UNITS * c.length_scale for c in configs])
+        dt = (TWO_PI / wd) / cls.SPP
+        for p in diverging:
+            push[p] = 1e6 * blowup[p] / dt[p, 0] ** 2
+        gamma = np.array([GAMMA, 2.0 * GAMMA, 0.5 * GAMMA])
+        return in_place, allocating, (shape, push, dt, gamma, blowup,
+                                      cls.SPP, cls.SETTLE, cls.MEASURE)
+
+    @pytest.mark.parametrize("model, rows", [
+        ("linearized", [0]), ("linearized", [1]), ("linearized", [2]),
+        ("full", [2]), ("full", [0, 2]), ("full", [1, 2]), ("full", [0, 1, 2]),
+    ])
+    @pytest.mark.parametrize("n_ions", [1, 2, 5])
+    @pytest.mark.parametrize("tapered", [True, False])
+    def test_bits_equal_the_allocating_step(self, model, rows, n_ions, tapered):
+        in_place, allocating, args = self.lockstep(model, rows, n_ions, tapered, [1])
+        z, diverged = dynamics._lockstep_verlet(in_place, *args)
+        expected, expected_diverged = allocating_lockstep(allocating, *args)
+        assert np.array_equal(diverged, expected_diverged)
+        assert list(diverged) == [0, self.SPP, 0]
+        assert np.array_equal(z, expected)
+        assert np.all(np.isfinite(z))
+
+    @pytest.mark.parametrize("model, rows", [("linearized", [0]), ("full", [0, 2])])
+    def test_every_point_diverging_ends_the_run(self, model, rows):
+        in_place, allocating, args = self.lockstep(model, rows, 3, True, [0, 1, 2])
+        z, diverged = dynamics._lockstep_verlet(in_place, *args)
+        expected, expected_diverged = allocating_lockstep(allocating, *args)
+        assert list(diverged) == list(expected_diverged) == [self.SPP] * 3
+        assert np.array_equal(z, expected)
 
 
 class TestModeRingDown:
