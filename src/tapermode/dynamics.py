@@ -24,14 +24,15 @@ The full nonlinear forces come from the package's one force kernel,
 over a fixed list of the pairs i < j (an N x P incidence matrix) and builds
 its constants, work arrays and their views once per lockstep, not once per
 step. A step is a short run of array passes, each an in-place ufunc or an
-``np.dot(..., out=)`` into a buffer made before the first step, and
-allocates nothing outside the once-per-period divergence check. The kernel takes one 2-D product with the incidence matrix for
-the pair separations and one for the Coulomb scatter, the inverse cube as
-``1 / (s sqrt(s))`` of the squared distance s, and each taper term as a
-coefficient times one coordinate product, and writes the acceleration into
-the lockstep's own array. That association is the same whatever rows are
-held, so the two-row lockstep kernel and the three-row one of
-``core.gradient`` agree bit for bit.
+``np.dot(..., out=)`` into a buffer made before the first step, and it
+allocates nothing outside the once-per-period divergence check. The kernel
+takes one 2-D product with the incidence matrix for the pair separations
+and one for the Coulomb scatter, the inverse cube as ``1 / (s sqrt(s))``
+of the squared distance s, and each taper term as a coefficient times one
+coordinate product, and writes the acceleration into the lockstep's own
+array. That association is the same whatever rows are held, so the
+two-row lockstep kernel and the three-row one of ``core.gradient`` agree
+bit for bit.
 
 The time-domain spectra of a whole grid of configurations are integrated in
 one lockstep by :func:`synthesize_spectra`. The state is component-major
